@@ -417,7 +417,7 @@ def cmd_fixtures(args):
         results.append({"check": name, "status": "pass" if ok else "FAIL"})
         if not ok:
             failed += 1
-        print(("PASS  " if ok else "FAIL  ") + name)
+        print(("PASS  " if ok else "FAIL  ") + name, file=sys.stderr)
     _emit({"schema": "1", "command": "fixtures",
            "results": results, "failed": failed}, args)
     if failed:

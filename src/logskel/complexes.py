@@ -293,15 +293,15 @@ class _OrbitCells:
     def cell_counts(self):
         return [len(reps) for _, reps in self.reps]
 
-    def boundary_columns(self, d):
-        """Boundary matrix of the orbit cell complex in dimension d."""
-        rep_of_d, reps_d = self.reps[d]
-        cols = []
-        if d == 0:
-            return [[] for _ in reps_d]
+    def boundary_columns(self, d, skip):
+        """Boundary matrix of the orbit cell complex in dimension d >= 1,
+        without the columns of the cells indexed in ``skip``."""
         rep_of_low, _ = self.reps[d - 1]
         low_ids = self.chain_ids[d - 1]
-        for r in reps_d:
+        cols = []
+        for ridx, r in enumerate(self.reps[d][1]):
+            if ridx in skip:
+                continue
             chain = self.chains[d][r]
             col = {}
             for i in range(len(chain)):
@@ -406,9 +406,7 @@ def quotient_homology(k: SimplicialComplex, action_generators) -> "HomologyProfi
     if action.order() == 1:
         return homology(k)
     cells = _OrbitCells(k, action)
-    counts = cells.cell_counts()
-    columns = [cells.boundary_columns(d) for d in range(len(counts))]
-    return _homology_from_boundaries(counts, columns)
+    return _homology_from_boundaries(cells.cell_counts(), cells.boundary_columns)
 
 
 @dataclass
@@ -467,13 +465,25 @@ def sphere_profile(n: int) -> HomologyProfile:
     return HomologyProfile(degrees)
 
 
-def _homology_from_boundaries(counts, columns):
-    """Homology of a chain complex given per-dim cell counts and boundaries."""
+def _homology_from_boundaries(counts, boundary):
+    """Homology of a chain complex from per-dim cell counts and
+    ``boundary(d, skip)``, the columns of boundary_d for the d-cells not in
+    ``skip``.
+
+    Reduces from the top degree down with clearing: a d-cell that is a unit
+    pivot row of boundary_{d+1} has a boundary in the Z-span of the
+    boundaries of the unpivoted d-cells (the pivot block is unimodular and
+    boundary_d boundary_{d+1} = 0), so its column of boundary_d is dropped
+    before it is computed, without changing the image lattice or the
+    nonzero SNF diagonal.
+    """
     dims = len(counts)
-    diag = []
-    for d in range(dims):
-        mat = SparseIntMatrix(columns[d], counts[d - 1] if d > 0 else 0)
-        diag.append(mat.diagonal_snf() if d > 0 else [])
+    diag = [[] for _ in range(dims)]
+    cleared = set()
+    for d in range(dims - 1, 0, -1):
+        mat = SparseIntMatrix(boundary(d, cleared), counts[d - 1])
+        diag[d] = mat.diagonal_snf()
+        cleared = set(mat.pivot_rows)
     ranks = [len(dg) for dg in diag]  # rank of boundary_d
     degrees = []
     for d in range(dims):
@@ -489,20 +499,12 @@ def homology(k: SimplicialComplex) -> HomologyProfile:
     """Simplicial homology with integer coefficients via Smith normal form."""
     simplices = k.simplices_by_dim()
     ids = [{s: i for i, s in enumerate(level)} for level in simplices]
-    counts = [len(level) for level in simplices]
-    columns = [[] for _ in range(len(counts))]
-    for d in range(1, len(counts)):
-        cols = []
-        for s in simplices[d]:
-            col = []
-            for i in range(len(s)):
-                face = s[:i] + s[i + 1:]
-                col.append((ids[d - 1][face], (-1) ** i))
-            cols.append(col)
-        columns[d] = cols
-    if not counts:
-        return HomologyProfile([])
-    return _homology_from_boundaries(counts, columns)
+
+    def boundary(d, skip):
+        return [[(ids[d - 1][s[:i] + s[i + 1:]], (-1) ** i) for i in range(len(s))]
+                for j, s in enumerate(simplices[d]) if j not in skip]
+
+    return _homology_from_boundaries([len(level) for level in simplices], boundary)
 
 
 def snf_self_check(matrix) -> bool:

@@ -202,15 +202,20 @@ def snf_with_transforms(a):
 def snf_diagonal(a):
     """Diagonal of the Smith normal form (no transforms), nonzero entries only.
 
-    In-place reduction without tracking U and V; pivoting by smallest
-    nonzero magnitude keeps the integers small.
+    In-place reduction without tracking U and V.  The pivot is always the
+    smallest nonzero magnitude of the remaining block, re-chosen whenever a
+    reduction leaves a remainder; reductions use the nearest quotient, so a
+    remainder is at most half the pivot.  Row t is reduced only once column
+    t is clear, so that its column operations change row t alone; column
+    operations against a column that still has entries spread the growth of
+    row t to the whole block (millions of bits on some 8 x 8 inputs).
     """
     m = len(a)
     n = len(a[0]) if a else 0
     d = [list(map(int, row)) for row in a]
     diag = []
     t = 0
-    while True:
+    while t < min(m, n):
         piv = None
         best = None
         for i in range(t, m):
@@ -220,8 +225,6 @@ def snf_diagonal(a):
                 if x != 0 and (best is None or abs(x) < best):
                     best = abs(x)
                     piv = (i, j)
-                    if best == 1:
-                        break
             if best == 1:
                 break
         if piv is None:
@@ -231,32 +234,23 @@ def snf_diagonal(a):
         if j != t:
             for row in d:
                 row[t], row[j] = row[j], row[t]
-        while True:
-            done = True
-            for i in range(t + 1, m):
-                if d[i][t] != 0:
-                    qq = d[i][t] // d[t][t]
-                    if qq:
-                        d[i] = [x - qq * y for x, y in zip(d[i], d[t])]
-                    if d[i][t] != 0:
-                        d[t], d[i] = d[i], d[t]
-                        done = False
-            for j in range(t + 1, n):
-                if d[t][j] != 0:
-                    qq = d[t][j] // d[t][t]
-                    if qq:
-                        for row in d:
-                            row[j] -= qq * row[t]
-                    if d[t][j] != 0:
-                        for row in d:
-                            row[t], row[j] = row[j], row[t]
-                        done = False
-            if done:
-                break
-        diag.append(abs(d[t][t]))
+        top = d[t]
+        p = top[t]
+        clear = True
+        for i in range(t + 1, m):
+            if d[i][t] != 0:
+                qq = (2 * d[i][t] + p) // (2 * p)
+                if qq:
+                    d[i] = [x - qq * y for x, y in zip(d[i], top)]
+                clear = clear and d[i][t] == 0
+        if not clear:
+            continue
+        for j in range(t + 1, n):
+            top[j] -= (2 * top[j] + p) // (2 * p) * p
+        if any(top[t + 1:]):
+            continue
+        diag.append(abs(p))
         t += 1
-        if t == min(m, n):
-            break
     # divisibility chain via gcd/lcm smoothing
     changed = True
     while changed:
@@ -382,9 +376,11 @@ class SparseIntMatrix:
         for j in list(self.cols):
             if not self.cols[j]:
                 del self.cols[j]
+        self.pivot_rows = []
 
     def _eliminate(self, pi, pj):
-        """Pivot on entry (pi, pj) (must be +-1) and delete its row/column."""
+        """Pivot on entry (pi, pj) (must be +-1) and delete its row/column,
+        and every other line the pivot empties."""
         piv = self.rows[pi][pj]
         col_entries = [(i, v) for i, v in self.cols[pj].items() if i != pi]
         row_entries = [(j, v) for j, v in self.rows[pi].items() if j != pj]
@@ -401,24 +397,31 @@ class SparseIntMatrix:
                     self.rows[i].pop(j, None)
         for i, _ in col_entries:
             self.rows[i].pop(pj, None)
+            if not self.rows[i]:
+                del self.rows[i]
         for j, _ in row_entries:
             self.cols[j].pop(pi, None)
+            if not self.cols[j]:
+                del self.cols[j]
         del self.rows[pi]
         del self.cols[pj]
+        self.pivot_rows.append(pi)
 
     def diagonal_snf(self):
         """Nonzero SNF diagonal entries (with multiplicity), sorted by divisibility.
 
         Unit-pivot elimination driven by a lazy min-heap over column sizes
         (singleton columns are zero-fill and come first); rows that drop to
-        a single entry are also consumed eagerly.  A dense transform-free
-        SNF finishes the leftover core, which stays tiny for boundary
-        matrices of complexes.
+        a single entry are also consumed eagerly.  Every line a pivot empties
+        is deleted, so what is left is exactly the non-unit remainder; the
+        dense transform-free SNF runs on it only when it is nonempty.  The
+        rows removed by unit pivots, by either route, are recorded in
+        ``self.pivot_rows``: for a boundary matrix they are the cells whose
+        boundaries the next lower boundary matrix may skip.
         """
         import heapq
         from collections import deque
 
-        ones = 0
         heap = [(len(col), j) for j, col in self.cols.items()]
         heapq.heapify(heap)
         rowq = deque(i for i, row in self.rows.items() if len(row) == 1)
@@ -426,11 +429,10 @@ class SparseIntMatrix:
         eliminated_since_resurrect = 1
 
         def eliminate_tracked(pi, pj):
-            nonlocal ones, eliminated_since_resurrect
+            nonlocal eliminated_since_resurrect
             touched_rows = set(self.cols[pj]) - {pi}
             touched_cols = set(self.rows[pi]) - {pj}
             self._eliminate(pi, pj)
-            ones += 1
             eliminated_since_resurrect += 1
             for i in touched_rows:
                 row = self.rows.get(i)
@@ -475,12 +477,9 @@ class SparseIntMatrix:
                 continue
             eliminate_tracked(pick, j)
 
-        if not self.rows:
-            return [1] * ones
-        row_ids = sorted(self.rows)
-        col_ids = sorted(self.cols)
-        dense = [[self.rows[i].get(j, 0) for j in col_ids] for i in row_ids]
-        rest = snf_diagonal(dense)
-        diag = [1] * ones + [abs(x) for x in rest]
-        diag.sort()
+        diag = [1] * len(self.pivot_rows)
+        if self.rows:
+            col_ids = sorted(self.cols)
+            dense = [[self.rows[i].get(j, 0) for j in col_ids] for i in sorted(self.rows)]
+            diag += snf_diagonal(dense)
         return diag

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .logstructure import LogChart, PairDescription
-from .rationals import INF, fmt, is_inf, q, xadd, xmin
+from .rationals import INF, fmt, is_inf, q, xadd, xmin, xscale
 from .valuations import (
     LaurentRational,
     SkeletonPoint,
@@ -192,10 +192,6 @@ def _outside_dlog_equation(chart, cid):
     return None
 
 
-def _xsmul(k: int, x):
-    return INF if is_inf(x) else k * x
-
-
 def _weight_on_vector(pair, chart, chart_index, form, coord_weights, kato):
     """Weight at the point of the face ``kato`` with the given chart weights."""
     f = form.numerator_for(chart_index)
@@ -209,7 +205,7 @@ def _weight_on_vector(pair, chart, chart_index, form, coord_weights, kato):
             if eq is None:
                 continue
             extra = xadd(extra, eq.value(coord_weights))
-        return xadd(val, _xsmul(form.m, xadd(1, extra)))
+        return xadd(val, xscale(form.m, xadd(1, extra)))
     # trivial mode
     extra = Fraction(0)
     for cid in sorted(set(pair.components) - dlog):
@@ -222,8 +218,8 @@ def _weight_on_vector(pair, chart, chart_index, form, coord_weights, kato):
         a = pair.components[cid].coefficient
         if a != 1:
             w = coord_weights[chart.axis(cid)]
-            correction = xadd(correction, _xsmul(1, w) if is_inf(w) else (1 - a) * w)
-    return xadd(val, xadd(_xsmul(form.m, extra), _xsmul(form.m, correction)))
+            correction = xadd(correction, w if is_inf(w) else (1 - a) * w)
+    return xadd(val, xadd(xscale(form.m, extra), xscale(form.m, correction)))
 
 
 def weight(form: PluriForm, pair: PairDescription, point: SkeletonPoint):

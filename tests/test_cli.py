@@ -138,7 +138,10 @@ def test_unknown_stratum_is_validation_error(tmp_path):
 def test_fixtures_command_green():
     out = run_cli("fixtures")
     assert out.returncode == 0
-    assert "FAIL" not in out.stdout
+    doc = json.loads(out.stdout)  # stdout is the JSON report alone
+    assert doc["failed"] == 0
+    assert "FAIL" not in out.stderr
+    assert out.stderr.count("PASS  ") == len(doc["results"]) > 0
 
 
 def test_output_file_and_env_dir(tmp_path):

@@ -125,14 +125,83 @@ def test_join_of_three_squares_is_s5():
     assert j.euler_characteristic() == 0
 
 
-def test_torsion_detected_rp2():
-    rp2 = SimplicialComplex.from_facets([
+def _rp2():
+    return SimplicialComplex.from_facets([
         (0, 1, 4), (0, 1, 5), (0, 2, 3), (0, 2, 4), (0, 3, 5),
         (1, 2, 3), (1, 2, 5), (1, 3, 4), (2, 4, 5), (3, 4, 5)])
-    prof = homology(rp2)
+
+
+def test_torsion_detected_rp2():
+    prof = homology(_rp2())
     assert prof.degrees[0] == (1, [])
     assert prof.degrees[1] == (0, [2])
     assert prof.degrees[2] == (0, [])
+
+
+def _sympy_homology(k):
+    """Ranks and torsion from sympy's SNF of every full dense boundary matrix."""
+    from sympy import ZZ, zeros
+    from sympy.matrices.normalforms import smith_normal_form
+
+    simplices = k.simplices_by_dim()
+    ids = [{s: i for i, s in enumerate(level)} for level in simplices]
+    diags = [[] for _ in simplices] + [[]]
+    for d in range(1, len(simplices)):
+        m = zeros(len(simplices[d - 1]), len(simplices[d]))
+        for j, s in enumerate(simplices[d]):
+            for i in range(len(s)):
+                m[ids[d - 1][s[:i] + s[i + 1:]], j] = (-1) ** i
+        snf = smith_normal_form(m, domain=ZZ)
+        diags[d] = [abs(int(snf[t, t])) for t in range(min(snf.shape)) if snf[t, t] != 0]
+    return [(len(level) - len(diags[d]) - len(diags[d + 1]),
+             sorted(x for x in diags[d + 1] if x > 1)) for d, level in enumerate(simplices)]
+
+
+def test_clearing_matches_unreduced_sympy_snf():
+    import json
+    import os
+
+    from logskel.polyhedra import Fan
+
+    path = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                        "fixtures", "p2xp2_fan.json")
+    with open(path) as fh:
+        link = link_complex(Fan.from_json_dict(json.load(fh)))
+    two_points = SimplicialComplex.from_facets([(0,), (1,)])
+    cases = [_rp2(), cycle_complex(5), simplex_boundary_complex(3),
+             join(_rp2(), two_points), join(_rp2(), cycle_complex(3)), link]
+    torsion_seen = 0
+    for k in cases:
+        expect = _sympy_homology(k)
+        assert homology(k).degrees == expect
+        torsion_seen += sum(len(t) for _, t in expect)
+    assert torsion_seen >= 3  # RP^2 and its two joins carry Z/2
+
+
+def test_dense_core_gets_no_empty_lines(monkeypatch):
+    from logskel import lattice
+
+    calls = []
+    real = lattice.snf_diagonal
+
+    def spy(a):
+        calls.append(a)
+        return real(a)
+
+    monkeypatch.setattr(lattice, "snf_diagonal", spy)
+
+    def empty_lines(a):
+        return sum(not any(row) for row in a) + sum(not any(col) for col in zip(*a))
+
+    # control: RP^2 leaves its Z/2 to the dense core, so the spy must see it
+    assert homology(_rp2()).torsion(1) == [2]
+    assert calls and all(empty_lines(a) == 0 for a in calls)
+    calls.clear()
+    assert character_variety_homology("gl", 2) == sphere_profile(3)
+    assert homology(character_variety_complex("sl", 3)) == sphere_profile(3)
+    assert all(empty_lines(a) == 0 for a in calls)
+    # both reduce by unit pivots alone: no dense core at all
+    assert calls == []
 
 
 def test_barycentric_subdivision_preserves_homology():

@@ -1,6 +1,6 @@
 import random
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from logskel.lattice import (
@@ -59,6 +59,36 @@ def test_sparse_snf_matches_dense():
         columns = [[(i, m[i][j]) for i in range(rows) if m[i][j]] for j in range(cols)]
         got = SparseIntMatrix(columns, rows).diagonal_snf()
         assert sorted(got) == sorted(snf_diagonal(m))
+
+
+def _sympy_snf_diagonal(m):
+    from sympy import Matrix, ZZ
+    from sympy.matrices.normalforms import smith_normal_form
+
+    snf = smith_normal_form(Matrix(m), domain=ZZ)
+    return sorted(abs(int(snf[t, t])) for t in range(min(snf.shape)) if snf[t, t] != 0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 8).flatmap(lambda cols: st.lists(
+    st.lists(st.sampled_from([0] * 8 + [1, -1, 2, -2, 3, -3, 6, -6]),
+             min_size=cols, max_size=cols), min_size=1, max_size=8)))
+@example([[2, 0], [0, 3]])
+@example([[0, 0, 0], [6, 0, 4], [0, 0, 0]])
+@example([[1, 2, 0], [3, 0, 6], [0, 2, 2]])
+# entries grew past millions of bits here when row and column sweeps interleaved
+@example([[-6, 3, 0, -3, -6, -1, 0], [3, 0, 1, -6, 2, 0, 0], [0, 0, 0, 1, 1, -6, 2],
+          [-2, 0, 6, 3, 1, 2, -6], [-1, -6, -1, 6, 0, 2, 2], [0, -2, -6, 0, 0, 0, -2],
+          [-1, 0, 1, 0, -1, 6, 1], [0, 0, -3, 0, 1, -6, 0]])
+def test_sparse_and_dense_snf_match_sympy(m):
+    rows, cols = len(m), len(m[0])
+    expect = _sympy_snf_diagonal(m)
+    assert snf_diagonal(m) == expect
+    sparse = SparseIntMatrix([[(i, m[i][j]) for i in range(rows) if m[i][j]]
+                              for j in range(cols)], rows)
+    assert sparse.diagonal_snf() == expect
+    # unit pivots remove distinct rows, one per unit of the diagonal at most
+    assert len(set(sparse.pivot_rows)) == len(sparse.pivot_rows) <= expect.count(1)
 
 
 def test_kernel_is_saturated():
