@@ -20,7 +20,6 @@ from .complexes import (
     character_variety_homology,
     homology,
     link_complex,
-    quotient,
     sphere_profile,
     sphere_quotient_map_check,
     tate_strata,
@@ -280,7 +279,6 @@ def cmd_sphere_check(args):
 
 def _fixture_checks():
     from .polyhedra import fan_p2
-    from .logstructure import kato_fan_toric
 
     checks = []
 

@@ -13,6 +13,7 @@ complex whose order complex is an honest triangulation of the orbit space.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -51,8 +52,15 @@ class SimplicialComplex:
         for f in fs:
             if not f <= vset:
                 raise ComplexError(f"facet {sorted(f, key=str)} uses undeclared vertices")
-        self.facets = tuple(sorted((f for f in fs if not any(f < g for g in fs)),
-                                   key=lambda f: (len(f), sorted(map(str, f)))))
+        # a proper superset of f contains every vertex of f, so it is enough
+        # to look among the facets at the vertex of f that the fewest share
+        at = {}
+        for f in fs:
+            for v in f:
+                at.setdefault(v, []).append(f)
+        maximal = (f for f in fs
+                   if not any(f < g for g in min((at[v] for v in f), key=len, default=fs)))
+        self.facets = tuple(sorted(maximal, key=lambda f: (len(f), sorted(map(str, f)))))
         covered = set().union(*self.facets) if self.facets else set()
         if covered != vset:
             raise ComplexError("every declared vertex must appear in some facet")
@@ -320,7 +328,7 @@ class _OrbitCells:
         """
         # face poset: orbit [c'] <= [c] iff some subchain of (a representative
         # of) [c] lies in [c']; flags through top cells give the facets.
-        est = sum(len(reps) * _factorial(d + 1)
+        est = sum(len(reps) * math.factorial(d + 1)
                   for d, (_, reps) in enumerate(self.reps) if d == self.dim)
         if est > max_facets:
             raise ComplexError(
@@ -377,11 +385,12 @@ class _OrbitCells:
         return out
 
 
-def _factorial(n):
-    out = 1
-    for i in range(2, n + 1):
-        out *= i
-    return out
+def _orbit_cells(k: SimplicialComplex, action_generators):
+    """Orbit cells of ``k`` under a GroupAction or the group generated by
+    vertex maps; None for the trivial group, whose quotient is ``k``."""
+    action = action_generators if isinstance(action_generators, GroupAction) \
+        else GroupAction(k, action_generators)
+    return None if action.order() == 1 else _OrbitCells(k, action)
 
 
 def quotient(k: SimplicialComplex, action_generators, max_facets: int = 2_000_000) -> SimplicialComplex:
@@ -391,22 +400,15 @@ def quotient(k: SimplicialComplex, action_generators, max_facets: int = 2_000_00
     orbit cell complex, and returns its order complex, which triangulates
     the orbit space.  The trivial group returns the complex unchanged.
     """
-    action = action_generators if isinstance(action_generators, GroupAction) \
-        else GroupAction(k, action_generators)
-    if action.order() == 1:
-        return k
-    cells = _OrbitCells(k, action)
-    return cells.orbit_space_complex(max_facets=max_facets)
+    cells = _orbit_cells(k, action_generators)
+    return k if cells is None else cells.orbit_space_complex(max_facets=max_facets)
 
 
 def quotient_homology(k: SimplicialComplex, action_generators) -> "HomologyProfile":
     """Integral homology of the orbit space, computed on orbit cells directly."""
-    action = action_generators if isinstance(action_generators, GroupAction) \
-        else GroupAction(k, action_generators)
-    if action.order() == 1:
-        return homology(k)
-    cells = _OrbitCells(k, action)
-    return _homology_from_boundaries(cells.cell_counts(), cells.boundary_columns)
+    cells = _orbit_cells(k, action_generators)
+    return homology(k) if cells is None else \
+        _homology_from_boundaries(cells.cell_counts(), cells.boundary_columns)
 
 
 @dataclass
@@ -571,12 +573,8 @@ def link_complex(fan: Fan) -> SimplicialComplex:
 # Character-variety pipelines
 # --------------------------------------------------------------------------
 
-def _square_circle() -> SimplicialComplex:
-    return cycle_complex(4)
-
-
 def _gl_join_and_action(n: int):
-    k = join_all([_square_circle() for _ in range(n)])
+    k = join_all([cycle_complex(4) for _ in range(n)])
     gens = []
     if n >= 2:
         swap = {(i, v): ((1, v) if i == 0 else (0, v) if i == 1 else (i, v))
@@ -630,8 +628,8 @@ def _sl_link_and_action(n: int):
     return link, gens
 
 
-def character_variety_complex(group: str, n: int, max_facets: int = 2_000_000) -> SimplicialComplex:
-    """Quotient complex underlying the genus-one character-variety boundary.
+def _character_variety_action(group: str, n: int):
+    """The complex and the generators of the group acting on it.
 
     gl: (n-fold join of 4-cycles) / factor permutations; sl: link of the
     kernel fan of the coordinatewise sum map, quotiented the same way.
@@ -639,29 +637,22 @@ def character_variety_complex(group: str, n: int, max_facets: int = 2_000_000) -
     if not 1 <= n <= 3:
         raise ComplexError("desk scale handles n in {1, 2, 3}")
     if group == "gl":
-        k, gens = _gl_join_and_action(n)
-    elif group == "sl":
+        return _gl_join_and_action(n)
+    if group == "sl":
         if n < 2:
             raise ComplexError("the sl pipeline needs n >= 2")
-        k, gens = _sl_link_and_action(n)
-    else:
-        raise ComplexError(f"unknown group {group!r}")
-    return quotient(k, gens, max_facets=max_facets)
+        return _sl_link_and_action(n)
+    raise ComplexError(f"unknown group {group!r}")
+
+
+def character_variety_complex(group: str, n: int, max_facets: int = 2_000_000) -> SimplicialComplex:
+    """Quotient complex underlying the genus-one character-variety boundary."""
+    return quotient(*_character_variety_action(group, n), max_facets=max_facets)
 
 
 def character_variety_homology(group: str, n: int) -> HomologyProfile:
     """Homology profile of the orbit space, via orbit cells (no triangulation)."""
-    if not 1 <= n <= 3:
-        raise ComplexError("desk scale handles n in {1, 2, 3}")
-    if group == "gl":
-        k, gens = _gl_join_and_action(n)
-    elif group == "sl":
-        if n < 2:
-            raise ComplexError("the sl pipeline needs n >= 2")
-        k, gens = _sl_link_and_action(n)
-    else:
-        raise ComplexError(f"unknown group {group!r}")
-    return quotient_homology(k, gens)
+    return quotient_homology(*_character_variety_action(group, n))
 
 
 # --------------------------------------------------------------------------

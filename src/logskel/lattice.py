@@ -100,168 +100,110 @@ def rat_solve(a, b):
     return x
 
 
-def snf_with_transforms(a):
-    """Smith normal form U a V = D with unimodular U, V.
+def _snf(a, transforms):
+    """Smith normal form of the integer matrix ``a``.
 
-    Returns (U, D, V).  Pivot selection: smallest nonzero absolute value in
-    the remaining block.  Diagonal is fixed up to a divisibility chain.
-    """
-    m = len(a)
-    n = len(a[0]) if a else 0
-    d = [list(map(int, row)) for row in a]
-    u = identity(m)
-    v = identity(n)
-
-    def swap_rows(i, j):
-        d[i], d[j] = d[j], d[i]
-        u[i], u[j] = u[j], u[i]
-
-    def swap_cols(i, j):
-        for row in d:
-            row[i], row[j] = row[j], row[i]
-        for row in v:
-            row[i], row[j] = row[j], row[i]
-
-    def add_row(i, j, c):
-        # row_i += c * row_j
-        d[i] = [x + c * y for x, y in zip(d[i], d[j])]
-        u[i] = [x + c * y for x, y in zip(u[i], u[j])]
-
-    def add_col(i, j, c):
-        # col_i += c * col_j
-        for row in d:
-            row[i] += c * row[j]
-        for row in v:
-            row[i] += c * row[j]
-
-    def negate_row(i):
-        d[i] = [-x for x in d[i]]
-        u[i] = [-x for x in u[i]]
-
-    def pivot_and_clear(t) -> bool:
-        """Bring the smallest nonzero entry of the t-block to (t, t) and
-        clear its row and column; False when the block is zero."""
-        piv = None
-        best = None
-        for i in range(t, m):
-            for j in range(t, n):
-                x = d[i][j]
-                if x != 0 and (best is None or abs(x) < best):
-                    best = abs(x)
-                    piv = (i, j)
-        if piv is None:
-            return False
-        swap_rows(t, piv[0])
-        swap_cols(t, piv[1])
-        while True:
-            done = True
-            for i in range(t + 1, m):
-                if d[i][t] != 0:
-                    qq = d[i][t] // d[t][t]
-                    add_row(i, t, -qq)
-                    if d[i][t] != 0:
-                        swap_rows(t, i)
-                        done = False
-            for j in range(t + 1, n):
-                if d[t][j] != 0:
-                    qq = d[t][j] // d[t][t]
-                    add_col(j, t, -qq)
-                    if d[t][j] != 0:
-                        swap_cols(t, j)
-                        done = False
-            if done:
-                break
-        if d[t][t] < 0:
-            negate_row(t)
-        return True
-
-    r = 0
-    while r < min(m, n) and pivot_and_clear(r):
-        r += 1
-
-    # enforce the divisibility chain: a violation at k is repaired by mixing
-    # column k+1 into column k and re-clearing the whole tail (re-clearing
-    # only the two slots could leave later diagonal entries displaced);
-    # d[k][k] shrinks to a proper divisor each round, so this terminates
-    k = 0
-    guard = 0
-    while k < r - 1:
-        if d[k + 1][k + 1] % d[k][k] != 0:
-            guard += 1
-            if guard > 10000:
-                raise RuntimeError("divisibility sweep failed to converge")
-            add_col(k, k + 1, 1)
-            for t in range(k, r):
-                pivot_and_clear(t)
-            k = 0
-            continue
-        k += 1
-    return u, d, v
-
-
-def snf_diagonal(a):
-    """Diagonal of the Smith normal form (no transforms), nonzero entries only.
-
-    In-place reduction without tracking U and V.  The pivot is always the
+    Returns (U, D, V) with unimodular U, V and U a V = D when ``transforms``
+    is true, else the nonzero diagonal of D alone.  The pivot is always the
     smallest nonzero magnitude of the remaining block, re-chosen whenever a
     reduction leaves a remainder; reductions use the nearest quotient, so a
     remainder is at most half the pivot.  Row t is reduced only once column
     t is clear, so that its column operations change row t alone; column
     operations against a column that still has entries spread the growth of
-    row t to the whole block (millions of bits on some 8 x 8 inputs).
+    row t to the whole block (millions of bits on some 8 x 8 inputs).  A
+    break in the divisibility chain at k is repaired by adding column k+1
+    to column k and reducing the tail again; the entry at k then falls to a
+    smaller value, so the repair ends.
     """
     m = len(a)
     n = len(a[0]) if a else 0
     d = [list(map(int, row)) for row in a]
-    diag = []
-    t = 0
-    while t < min(m, n):
-        piv = None
-        best = None
-        for i in range(t, m):
-            row = d[i]
-            for j in range(t, n):
-                x = row[j]
-                if x != 0 and (best is None or abs(x) < best):
-                    best = abs(x)
-                    piv = (i, j)
-            if best == 1:
+    u = identity(m) if transforms else []
+    v = identity(n) if transforms else []
+
+    def reduce_from(t):
+        while t < min(m, n):
+            piv = None
+            best = None
+            for i in range(t, m):
+                row = d[i]
+                for j in range(t, n):
+                    x = row[j]
+                    if x != 0 and (best is None or abs(x) < best):
+                        best = abs(x)
+                        piv = (i, j)
+                if best == 1:
+                    break
+            if piv is None:
                 break
-        if piv is None:
-            break
-        i, j = piv
-        d[t], d[i] = d[i], d[t]
-        if j != t:
-            for row in d:
-                row[t], row[j] = row[j], row[t]
-        top = d[t]
-        p = top[t]
-        clear = True
-        for i in range(t + 1, m):
-            if d[i][t] != 0:
-                qq = (2 * d[i][t] + p) // (2 * p)
+            i, j = piv
+            d[t], d[i] = d[i], d[t]
+            if u:
+                u[t], u[i] = u[i], u[t]
+            if j != t:
+                for row in d + v:
+                    row[t], row[j] = row[j], row[t]
+            top = d[t]
+            p = top[t]
+            clear = True
+            for i in range(t + 1, m):
+                if d[i][t] != 0:
+                    qq = (2 * d[i][t] + p) // (2 * p)
+                    if qq:
+                        d[i] = [x - qq * y for x, y in zip(d[i], top)]
+                        if u:
+                            u[i] = [x - qq * y for x, y in zip(u[i], u[t])]
+                    clear = clear and d[i][t] == 0
+            if not clear:
+                continue
+            for j in range(t + 1, n):
+                qq = (2 * top[j] + p) // (2 * p)
                 if qq:
-                    d[i] = [x - qq * y for x, y in zip(d[i], top)]
-                clear = clear and d[i][t] == 0
-        if not clear:
+                    top[j] -= qq * p
+                    for row in v:
+                        row[j] -= qq * row[t]
+            if any(top[t + 1:]):
+                continue
+            if p < 0:
+                top[t] = -p
+                if u:
+                    u[t] = [-x for x in u[t]]
+            t += 1
+        return t
+
+    r = reduce_from(0)
+    k = 0
+    while k < r - 1:
+        if d[k + 1][k + 1] % d[k][k] != 0:
+            for row in d + v:
+                row[k] += row[k + 1]
+            reduce_from(k)
+            k = 0
             continue
-        for j in range(t + 1, n):
-            top[j] -= (2 * top[j] + p) // (2 * p) * p
-        if any(top[t + 1:]):
-            continue
-        diag.append(abs(p))
-        t += 1
-    # divisibility chain via gcd/lcm smoothing
-    changed = True
-    while changed:
-        changed = False
-        for k in range(len(diag) - 1):
-            if diag[k + 1] % diag[k] != 0:
-                g = gcd(diag[k], diag[k + 1])
-                l = diag[k] // g * diag[k + 1]
-                diag[k], diag[k + 1] = g, l
-                changed = True
-    return diag
+        k += 1
+    return (u, d, v) if transforms else [d[i][i] for i in range(r)]
+
+
+def snf_with_transforms(a):
+    """Smith normal form U a V = D with unimodular U, V; returns (U, D, V)."""
+    return _snf(a, True)
+
+
+def snf_diagonal(a):
+    """Nonzero diagonal of the Smith normal form of ``a``, without transforms."""
+    return _snf(a, False)
+
+
+def span_snf(vectors):
+    """SNF of the matrix whose columns are the (nonempty) ``vectors``.
+
+    Returns (U, nonzero diagonal).  With s the length of the diagonal, the
+    first s rows of U are coordinates on the span of the vectors, the other
+    rows vanish on its saturation, and the span is saturated exactly when
+    every diagonal entry is 1.
+    """
+    u, d, _ = snf_with_transforms(transpose(list(vectors)))
+    return u, [d[i][i] for i in range(min(len(d), len(d[0]))) if d[i][i] != 0]
 
 
 def det(a) -> int:
@@ -312,24 +254,13 @@ def saturation_quotient_map(vectors, rank):
     of the span of ``vectors`` (s = rational dimension of that span)."""
     if not vectors:
         return identity(rank)
-    a = [list(v) for v in vectors]  # rows are the spanning vectors
-    # SNF of the transpose: columns of the d x k matrix are the vectors
-    at = transpose(a)  # rank x k
-    u, d, v = snf_with_transforms(at)
-    s = sum(1 for i in range(min(len(d), len(d[0]))) if d[i][i] != 0)
-    # U * at has image inside Z^s x 0, so the last rank-s rows of U kill the
-    # saturated span; they form the quotient map.
-    return [u[i] for i in range(s, rank)]
+    u, diag = span_snf(vectors)
+    return u[len(diag):]
 
 
 def lattice_saturation_is_trivial(vectors, rank) -> bool:
     """True when the Z-span of ``vectors`` is saturated in Z^rank."""
-    if not vectors:
-        return True
-    at = transpose([list(v) for v in vectors])
-    _, d, _ = snf_with_transforms(at)
-    diag = [d[i][i] for i in range(min(len(d), len(d[0]))) if d[i][i] != 0]
-    return all(x == 1 for x in diag)
+    return not vectors or all(x == 1 for x in span_snf(vectors)[1])
 
 
 def content(vec) -> int:

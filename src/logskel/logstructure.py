@@ -13,8 +13,8 @@ import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .polyhedra import Cone, Fan, cone_faces, dual_rays, hilbert_basis, star_fan
-from .lattice import snf_with_transforms
+from .polyhedra import Cone, Fan, cone_faces, dot, dual_rays, hilbert_basis, star_fan
+from .lattice import span_snf
 from .rationals import fmt, q
 from .valuations import LaurentRational
 
@@ -75,9 +75,11 @@ class LogChart:
 class KatoPoint:
     """A point of the Kato fan: stratum key, generator labels, monoid data.
 
-    ``monoid`` is ("free", labels) for snc strata or ("toric", cone, gens)
-    where the cone lives in span coordinates and gens is the Hilbert basis
-    of its dual (the sharp characteristic monoid).
+    ``monoid`` is ("free", labels) for snc strata or ("toric", cone,
+    span_rays, gens) where the cone is in ambient coordinates, span_rays
+    are its rays (in the order of ``cone.rays``) in coordinates on their
+    span, and gens is the Hilbert basis of the dual of cone(span_rays) in
+    that span (the sharp characteristic monoid).
     """
 
     key: object
@@ -183,13 +185,13 @@ def kato_fan_toric(fan: Fan) -> KatoFan:
         if not geom.rays:
             points.append(KatoPoint(key=key, generators=(), monoid=("free", ())))
             continue
-        u, d, _ = snf_with_transforms([list(r) for r in zip(*geom.rays)])
-        s = sum(1 for i in range(min(len(d), len(d[0]))) if d[i][i] != 0)
-        span_rays = [tuple(sum(u[i][j] * r[j] for j in range(fan.rank)) for i in range(s))
-                     for r in geom.rays]
+        u, diag = span_snf(geom.rays)
+        s = len(diag)
+        span_rays = tuple(tuple(dot(row, r) for row in u[:s]) for r in geom.rays)
         dual_in_span = Cone.from_generators(dual_rays(span_rays, s), s)
         gens = tuple(hilbert_basis(dual_in_span))
-        points.append(KatoPoint(key=key, generators=gens, monoid=("toric", geom, gens)))
+        points.append(KatoPoint(key=key, generators=gens,
+                                monoid=("toric", geom, span_rays, gens)))
     cone_sets = [frozenset(c) for c in fan.cones]
     for a in cone_sets:
         for b in cone_sets:

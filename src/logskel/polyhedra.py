@@ -22,7 +22,7 @@ from .lattice import (
     rat_rank,
     rat_solve,
     saturation_quotient_map,
-    snf_with_transforms,
+    span_snf,
     transpose,
 )
 
@@ -67,9 +67,8 @@ def dual_rays(vectors, rank):
         out.append(primitive([-x for x in b]))
 
     # pointed part, computed inside span(vectors)
-    at = transpose([list(v) for v in vectors])  # rank x k
-    u, d, _ = snf_with_transforms(at)
-    s = sum(1 for i in range(min(len(d), len(d[0]))) if d[i][i] != 0)
+    u, diag = span_snf(vectors)
+    s = len(diag)
     if s == 0:
         return sorted(set(out))
     # rows of u are a unimodular change of coordinates; the first s rows

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .lattice import rat_solve
+from .polyhedra import dot
 from .rationals import INF, fmt, is_inf, parse_ext, q, xadd, xdot, xmin
 
 
@@ -364,24 +365,17 @@ def classify_closure_point_toric(fan, cone_indices, generator_values):
     pt = kfan.points[key]
     if pt.monoid[0] == "free" and not pt.generators:
         return tuple(), []
-    _, geom, gens = pt.monoid
+    _, geom, span_rays, gens = pt.monoid
     values = [parse_ext(v) for v in generator_values]
     if len(values) != len(gens):
         raise ValuationError("one value per Hilbert generator")
     finite = [h for h, v in zip(gens, values) if not is_inf(v)]
-    # span coordinates of the cone's rays
-    from .lattice import snf_with_transforms
-
-    u, d, _ = snf_with_transforms([list(r) for r in zip(*geom.rays)])
-    s = sum(1 for i in range(min(len(d), len(d[0]))) if d[i][i] != 0)
-    span_rays = [tuple(sum(u[i][j] * r[j] for j in range(fan.rank)) for i in range(s))
-                 for r in geom.rays]
     face_rays = [r for r, sr in zip(geom.rays, span_rays)
-                 if all(sum(h[i] * sr[i] for i in range(s)) == 0 for h in finite)]
+                 if all(dot(h, sr) == 0 for h in finite)]
     face_span = [sr for r, sr in zip(geom.rays, span_rays) if r in face_rays]
     # consistency: a generator is finite exactly when it vanishes on the face
     for h, v in zip(gens, values):
-        perp = all(sum(h[i] * sr[i] for i in range(s)) == 0 for sr in face_span)
+        perp = all(dot(h, sr) == 0 for sr in face_span)
         if perp != (not is_inf(v)):
             raise ValuationError("values do not define an extended monoid morphism")
     # the finite values must be additive: solve <h, u> = v_h

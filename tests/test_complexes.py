@@ -204,6 +204,26 @@ def test_dense_core_gets_no_empty_lines(monkeypatch):
     assert calls == []
 
 
+def test_maximal_facets_match_brute_force():
+    rng = random.Random(23)
+    for _ in range(300):
+        family = []
+        for _ in range(rng.randint(1, 12)):
+            f = frozenset(rng.sample(range(9), rng.randint(0, 5)))
+            family.append(f)
+            if rng.random() < 0.3:  # a nested facet
+                family.append(frozenset(rng.sample(sorted(f), rng.randint(0, len(f)))))
+            if rng.random() < 0.2:  # a duplicate
+                family.append(frozenset(f))
+        if rng.random() < 0.2:
+            family.append(frozenset())
+        fs = set(family)
+        brute = {f for f in fs if not any(f < g for g in fs)}
+        assert set(SimplicialComplex.from_facets(family).facets) == brute
+    assert SimplicialComplex.from_facets([frozenset()]).facets == (frozenset(),)
+    assert SimplicialComplex.from_facets([(), (0,), (0,)]).facets == (frozenset({0}),)
+
+
 def test_barycentric_subdivision_preserves_homology():
     for k in (cycle_complex(4), simplex_boundary_complex(3),
               join(cycle_complex(3), SimplicialComplex.from_facets([("p",)]))):

@@ -84,6 +84,11 @@ def test_sparse_and_dense_snf_match_sympy(m):
     rows, cols = len(m), len(m[0])
     expect = _sympy_snf_diagonal(m)
     assert snf_diagonal(m) == expect
+    u, d, v = snf_with_transforms(m)
+    assert is_unimodular(u) and is_unimodular(v)
+    assert mat_mult(mat_mult(u, m), v) == d
+    assert all(d[i][j] == 0 for i in range(rows) for j in range(cols) if i != j)
+    assert [d[t][t] for t in range(min(rows, cols)) if d[t][t]] == expect
     sparse = SparseIntMatrix([[(i, m[i][j]) for i in range(rows) if m[i][j]]
                               for j in range(cols)], rows)
     assert sparse.diagonal_snf() == expect

@@ -9,7 +9,7 @@ from logskel.logstructure import (
     toric_trace,
     trace,
 )
-from logskel.polyhedra import Fan, fan_a2, fan_p1, fan_p2, product_fan
+from logskel.polyhedra import Fan, fan_a2, fan_p1, fan_p1xp1, fan_p2, product_fan
 
 
 def snc_square():
@@ -47,6 +47,27 @@ def test_snc_requires_meet_closed_family():
 
 def test_toric_p2():
     assert len(kato_fan_toric(fan_p2())) == 7
+
+
+def test_toric_generators_in_span_coordinates():
+    # Hilbert generators are printed by ``closure --fan``; pin their span
+    # coordinates, including a singular cone and a cone of a smaller span
+    want = {
+        fan_p2: {(): (), (0,): ((1,),), (1,): ((1,),), (2,): ((1,),),
+                 (0, 1): ((0, 1), (1, 0)), (0, 2): ((0, 1), (1, 1)),
+                 (1, 2): ((0, 1), (1, 0))},
+        fan_p1xp1: {(): (), (0,): ((1,),), (1,): ((1,),), (2,): ((1,),), (3,): ((1,),),
+                    (0, 1): ((0, 1), (1, 0)), (0, 3): ((0, 1), (1, 0)),
+                    (1, 2): ((0, 1), (1, 0)), (2, 3): ((0, 1), (1, 0))},
+        fan_a2: {(): (), (0,): ((1,),), (1,): ((1,),), (0, 1): ((0, 1), (1, 0))},
+        lambda: Fan(3, [(1, 0, 0), (1, 2, 0), (0, 1, 3)],
+                    [frozenset({0, 1}), frozenset({1, 2})]):
+            {(): (), (0,): ((1,),), (1,): ((1,),), (2,): ((1,),),
+             (0, 1): ((0, 1), (1, 0), (2, -1)), (1, 2): ((0, 1), (1, 0))},
+    }
+    for make, gens in want.items():
+        k = kato_fan_toric(make())
+        assert {key[1]: p.generators for key, p in k.points.items()} == gens
 
 
 def test_toric_zero_fan():

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from logskel.fixtures import a2_pair
 from logskel.logstructure import LogChart
-from logskel.polyhedra import fan_p2
+from logskel.polyhedra import Fan, fan_a2, fan_p1xp1, fan_p2
 from logskel.rationals import INF, is_inf, xmin
 from logskel.valuations import (
     LaurentRational,
@@ -151,6 +151,29 @@ def test_classify_toric_p2_strata_sampling():
         assert stratum == ()
     # seven strata overall: the generic one, three rays, three maximal cones
     assert len(seen) == 7
+
+
+def test_classify_toric_pinned_values():
+    singular = Fan(3, [(1, 0, 0), (1, 2, 0), (0, 1, 3)],
+                   [frozenset({0, 1}), frozenset({1, 2})])
+    cases = [
+        (fan_p2(), [0, 1], ["1", "inf"], ((0,), [((0, 1), 1)])),
+        (fan_p2(), [0, 1], ["1/2", "3"], ((), [((0, 1), Fraction(1, 2)), ((1, 0), 3)])),
+        (fan_p2(), [1, 2], ["inf", "0"], ((1,), [((1, 0), 0)])),
+        (fan_p2(), [0], ["5/3"], ((), [((1,), Fraction(5, 3))])),
+        (fan_a2(), [0, 1], ["2", "inf"], ((0,), [((0, 1), 2)])),
+        (fan_p1xp1(), [0, 1], ["inf", "1/3"], ((1,), [((1, 0), Fraction(1, 3))])),
+        (fan_p1xp1(), [1, 2], ["7", "inf"], ((2,), [((0, 1), 7)])),
+        (singular, [0, 1], ["inf", "inf", "2"], ((1,), [((2, -1), 2)])),
+        (singular, [0, 1], ["1", "inf", "inf"], ((0,), [((0, 1), 1)])),
+        (singular, [0, 1], ["1", "2", "3"], ((), [((0, 1), 1), ((1, 0), 2), ((2, -1), 3)])),
+        (singular, [0, 1], ["inf", "inf", "inf"], ((0, 1), [])),
+        (singular, [1, 2], ["inf", "1"], ((2,), [((1, 0), 1)])),
+    ]
+    for fan, cone, values, want in cases:
+        assert classify_closure_point_toric(fan, cone, values) == want
+    with pytest.raises(ValuationError):
+        classify_closure_point_toric(singular, [0, 1], ["inf", "1", "inf"])
 
 
 def test_normalize_example_multiplicity_two():
