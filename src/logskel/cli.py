@@ -438,13 +438,16 @@ def build_parser():
                        "(relative paths resolve under $LOGSKEL_OUTPUT_DIR)")
         return p
 
+    def add_pair_or_fan(p):
+        g = p.add_mutually_exclusive_group(required=True)
+        g.add_argument("--pair")
+        g.add_argument("--fan")
+
     p = add("skeleton", cmd_skeleton, help="Kato fan and faces of a pair or fan")
-    p.add_argument("--pair")
-    p.add_argument("--fan")
+    add_pair_or_fan(p)
 
     p = add("closure", cmd_closure, help="classify extended points into strata")
-    p.add_argument("--pair")
-    p.add_argument("--fan")
+    add_pair_or_fan(p)
     p.add_argument("--points", required=True)
 
     p = add("weight", cmd_weight, help="weight values at listed points")
@@ -472,8 +475,7 @@ def build_parser():
     p.add_argument("--ks", action="store_true", help="also minimize on the trace")
 
     p = add("dual-complex", cmd_dual_complex, help="dual complex of a pair or fan link")
-    p.add_argument("--pair")
-    p.add_argument("--fan")
+    add_pair_or_fan(p)
     p.add_argument("--off", help="also write an OFF facet dump here")
 
     p = add("homology", cmd_homology, help="integral homology of a complex")

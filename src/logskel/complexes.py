@@ -108,6 +108,10 @@ class SimplicialComplex:
     @staticmethod
     def from_json_dict(doc) -> "SimplicialComplex":
         verts = [_label_unjson(v) for v in doc["vertices"]]
+        for f in doc["facets"]:
+            bad = [i for i in f if type(i) is not int or not 0 <= i < len(verts)]
+            if bad:
+                raise ComplexError(f"facet {f}: {bad[0]!r} is not an index into the {len(verts)} vertices")
         return SimplicialComplex(verts, [frozenset(verts[i] for i in f) for f in doc["facets"]])
 
     def __eq__(self, other):

@@ -35,31 +35,6 @@ def transpose(a):
     return [list(col) for col in zip(*a)] if a else []
 
 
-def rat_rank(rows) -> int:
-    """Rank over Q by fraction-free elimination."""
-    m = [[Fraction(x) for x in row] for row in rows]
-    rank = 0
-    cols = len(m[0]) if m else 0
-    for c in range(cols):
-        piv = None
-        for r in range(rank, len(m)):
-            if m[r][c] != 0:
-                piv = r
-                break
-        if piv is None:
-            continue
-        m[rank], m[piv] = m[piv], m[rank]
-        pr = m[rank]
-        for r in range(rank + 1, len(m)):
-            if m[r][c] != 0:
-                f = m[r][c] / pr[c]
-                m[r] = [x - f * y for x, y in zip(m[r], pr)]
-        rank += 1
-        if rank == len(m):
-            break
-    return rank
-
-
 def rat_solve(a, b):
     """Solve a x = b exactly over Q; returns None if inconsistent.
 
@@ -256,11 +231,6 @@ def saturation_quotient_map(vectors, rank):
         return identity(rank)
     u, diag = span_snf(vectors)
     return u[len(diag):]
-
-
-def lattice_saturation_is_trivial(vectors, rank) -> bool:
-    """True when the Z-span of ``vectors`` is saturated in Z^rank."""
-    return not vectors or all(x == 1 for x in span_snf(vectors)[1])
 
 
 def content(vec) -> int:

@@ -2,7 +2,10 @@
 
 All cones are rational and stored by primitive ray generators in canonical
 (lexicographically sorted) order, so cone equality is tuple comparison.
-Everything is integer/Fraction arithmetic; ambient ranks stay small (<= 8).
+Ranks, kernels and span coordinates come from the integer Smith normal
+form in ``lattice``, facet normals from integer maximal minors; Fractions
+appear only in the parallelepiped membership test of the Hilbert basis.
+Declared and built fans are closed under faces by one helper.  Ambient ranks stay small (<= 8).
 """
 
 from __future__ import annotations
@@ -14,12 +17,10 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .lattice import (
+    det,
     identity,
     int_kernel_basis,
-    lattice_saturation_is_trivial,
-    mat_mult,
     primitive,
-    rat_rank,
     rat_solve,
     saturation_quotient_map,
     span_snf,
@@ -49,9 +50,12 @@ def _check_rank(rank: int):
 def dual_rays(vectors, rank):
     """Generators of {m : <m, v> >= 0 for all v}, the cone dual to cone(vectors).
 
-    The pointed part is enumerated by rank-(s-1) subsets of the input
-    (s = dim span of the vectors); the lineality space (span of the
-    vectors)^perp is appended as +- pairs of basis vectors.
+    The pointed part is computed in coordinates on the span of the vectors
+    (dimension s): each (s-1)-subset of the input gives the candidate
+    normal y_j = (-1)^j det(subset without column j), the vector of signed
+    maximal minors, which is zero exactly when the subset has rank below
+    s-1.  The lineality space (span of the vectors)^perp is appended as +-
+    pairs of basis vectors.
     """
     _check_rank(rank)
     vectors = [tuple(v) for v in vectors]
@@ -69,33 +73,18 @@ def dual_rays(vectors, rank):
     # pointed part, computed inside span(vectors)
     u, diag = span_snf(vectors)
     s = len(diag)
-    if s == 0:
-        return sorted(set(out))
     # rows of u are a unimodular change of coordinates; the first s rows
     # restrict to coordinates on span(vectors).
     vecs_s = [tuple(dot(u[i], v) for i in range(s)) for v in vectors]
-    # enumerate candidate rays of the dual in the s-dim coordinates
     rays_s = set()
-    if s == 1:
-        ref = next(v for v in vecs_s if v != (0,))
-        sign = 1 if ref[0] > 0 else -1
-        if all(v[0] * sign >= 0 for v in vecs_s):
-            rays_s.add((sign,))
-    else:
-        for subset in itertools.combinations(range(len(vecs_s)), s - 1):
-            sub = [list(vecs_s[i]) for i in subset]
-            if rat_rank(sub) != s - 1:
-                continue
-            ker = int_kernel_basis(sub)
-            if len(ker) != 1:
-                continue
-            y = primitive(ker[0])
-            pos = all(dot(y, v) >= 0 for v in vecs_s)
-            neg = all(dot(y, v) <= 0 for v in vecs_s)
-            if pos:
-                rays_s.add(y)
-            if neg:
-                rays_s.add(tuple(-x for x in y))
+    for subset in itertools.combinations(vecs_s, s - 1) if s else ():
+        y = primitive([(-1) ** j * det([v[:j] + v[j + 1:] for v in subset]) for j in range(s)])
+        if not any(y):
+            continue
+        if all(dot(y, v) >= 0 for v in vecs_s):
+            rays_s.add(y)
+        if all(dot(y, v) <= 0 for v in vecs_s):
+            rays_s.add(tuple(-x for x in y))
     # lift y (functional on span coordinates) back to Z^rank: y . (first s
     # rows of u) is an integer functional extending y by 0 on the complement.
     for y in rays_s:
@@ -131,7 +120,7 @@ class Cone:
     def dim(self) -> int:
         if not self.rays:
             return 0
-        return rat_rank([list(r) for r in self.rays])
+        return len(span_snf(self.rays)[1])
 
     def facet_normals(self):
         """H-representation; includes +- pairs forcing span membership."""
@@ -145,7 +134,7 @@ class Cone:
         duals = self.facet_normals()
         if not duals:
             return self.rank == 0
-        return rat_rank([list(m) for m in duals]) == self.rank
+        return len(span_snf(duals)[1]) == self.rank
 
     def is_simplicial(self) -> bool:
         if not self.rays:
@@ -246,12 +235,18 @@ class FanError(ValueError):
     pass
 
 
+def _sorted_cones(cones):
+    """Ray-index sets, deduplicated, with the zero cone, by size then indices."""
+    return sorted({frozenset(c) for c in cones} | {frozenset()}, key=lambda c: (len(c), sorted(c)))
+
+
 class Fan:
     """Finite fan: shared primitive ray pool plus cones as ray-index sets.
 
     Cones are pointed, so the extreme-ray index set determines the cone.
-    The zero cone (empty index set) is always present.  The face relation
-    is computed on demand.
+    The zero cone (empty index set) is always present.  With ``validate``
+    each declared index set must be the extreme rays of a pointed cone, and
+    the faces of every cone are added; ``from_cones`` adds them the same way.
     """
 
     def __init__(self, rank: int, rays=None, cones=None, validate: bool = True):
@@ -259,24 +254,24 @@ class Fan:
         self.rank = rank
         self.rays = [tuple(r) for r in (rays or [])]
         self._ray_index = {r: i for i, r in enumerate(self.rays)}
-        cone_set = {frozenset(c) for c in (cones or [])}
-        cone_set.add(frozenset())
-        self.cones = sorted(cone_set, key=lambda s: (len(s), sorted(s)))
         self._cone_cache = {}
+        self.cones = _sorted_cones(cones or [])
         if validate:
-            self._close_under_faces()
+            for idx in list(self.cones):
+                c = self.cone_geometry(idx)
+                if set(c.rays) != {self.rays[i] for i in idx}:
+                    raise FanError(f"generators {sorted(idx)} are not the extreme rays of their cone")
+                self._add_cone_with_faces(c)
+            self.cones = _sorted_cones(self.cones)
 
     # -- construction -------------------------------------------------
 
     @staticmethod
-    def from_cones(cones, rank, validate_pairs: bool = False) -> "Fan":
-        fan = Fan(rank, [], [], validate=False)
+    def from_cones(cones, rank) -> "Fan":
+        fan = Fan(rank, validate=False)
         for c in cones:
             fan._add_cone_with_faces(c)
-        fan.cones = sorted({frozenset(s) for s in fan.cones} | {frozenset()},
-                           key=lambda s: (len(s), sorted(s)))
-        if validate_pairs:
-            fan.validate()
+        fan.cones = _sorted_cones(fan.cones)
         return fan
 
     def _ray_id(self, ray):
@@ -290,18 +285,7 @@ class Fan:
         if not c.is_pointed():
             raise FanError(f"fan cones must be pointed: {c}")
         for face in cone_faces(c):
-            idx = frozenset(self._ray_id(r) for r in face.rays)
-            self.cones.append(idx)
-
-    def _close_under_faces(self):
-        closed = set()
-        for idx in self.cones:
-            c = self.cone_geometry(idx)
-            if set(c.rays) != {self.rays[i] for i in idx}:
-                raise FanError(f"generators {sorted(idx)} are not the extreme rays of their cone")
-            for face in cone_faces(c):
-                closed.add(frozenset(self._ray_index[r] for r in face.rays))
-        self.cones = sorted(closed | set(self.cones), key=lambda s: (len(s), sorted(s)))
+            self.cones.append(frozenset(self._ray_id(r) for r in face.rays))
 
     # -- geometry ------------------------------------------------------
 
@@ -316,15 +300,6 @@ class Fan:
 
     def maximal_cones(self):
         return [c for c in self.cones if not any(c < d for d in self.cones)]
-
-    def face_relation(self):
-        """Pairs (i, j) with cone i a proper-or-equal face of cone j."""
-        pairs = []
-        for i, ci in enumerate(self.cones):
-            for j, cj in enumerate(self.cones):
-                if ci <= cj and self._is_face(ci, cj):
-                    pairs.append((i, j))
-        return pairs
 
     def _is_face(self, small, big) -> bool:
         if not small <= big:
@@ -350,9 +325,6 @@ class Fan:
             if not (self._is_face(idx, a) and self._is_face(idx, b)):
                 raise FanError(f"intersection of {sorted(a)} and {sorted(b)} is not a common face")
 
-    def support_contains(self, vec) -> bool:
-        return any(self.cone_geometry(c).contains(vec) for c in self.maximal_cones())
-
     # -- serialization ---------------------------------------------------
 
     def to_json_dict(self):
@@ -369,6 +341,10 @@ class Fan:
     @staticmethod
     def from_json_dict(doc) -> "Fan":
         rays = [tuple(int(x) for x in r) for r in doc["rays"]]
+        for c in doc["cones"]:
+            bad = [i for i in c if type(i) is not int or not 0 <= i < len(rays)]
+            if bad:
+                raise FanError(f"cone {c}: {bad[0]!r} is not an index into the {len(rays)} rays")
         return Fan(int(doc["rank"]), rays, [frozenset(c) for c in doc["cones"]])
 
     def dumps(self) -> str:
@@ -433,9 +409,10 @@ def intersect_fan_subspace(fan: Fan, basis) -> Fan:
     for sum_i c_i b_i in the ambient lattice.
     """
     basis = [tuple(b) for b in basis]
-    if rat_rank([list(b) for b in basis]) != len(basis):
+    diag = span_snf(basis)[1] if basis else []
+    if len(diag) != len(basis):
         raise FanError("subspace basis is not linearly independent")
-    if not lattice_saturation_is_trivial(basis, fan.rank):
+    if any(x != 1 for x in diag):
         raise FanError("subspace lattice is not saturated; coordinates would be fractional")
     k = len(basis)
     cones = []

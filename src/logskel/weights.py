@@ -439,15 +439,13 @@ def _minimize_face_slice(pair, chart, chart_index, form, kato, b):
     def wt(alpha):
         return _weight_on_vector(pair, chart, chart_index, form, lift(alpha), kato)
 
-    # linear pieces: rows of (gradient, constant) of every min-term involved
+    # linear pieces: integer gradients (exponents) of every min-term involved
     pieces = []
     f = form.numerator_for(chart_index)
     for t in f.numerator:
-        grad = [Fraction(t.exps[ax]) for ax in axes]
-        pieces.append(grad)
+        pieces.append([t.exps[ax] for ax in axes])
     for t in f.denominator:
-        grad = [Fraction(-t.exps[ax]) for ax in axes]
-        pieces.append(grad)
+        pieces.append([-t.exps[ax] for ax in axes])
     dlog = form.dlog_for(chart_index)
     eq_ids = (pair.horizontal_ids() - dlog) if pair.mode == "dvf" \
         else (set(pair.components) - dlog)
@@ -456,32 +454,31 @@ def _minimize_face_slice(pair, chart, chart_index, form, kato, b):
         if eq is None:
             continue
         for t in list(eq.numerator) + list(eq.denominator):
-            pieces.append([Fraction(t.exps[ax]) for ax in axes])
+            pieces.append([t.exps[ax] for ax in axes])
 
-    # hyperplanes: coordinate walls, slice, and piece-vs-piece ties
+    # hyperplanes: coordinate walls, slice (b: multiplicities), and
+    # piece-vs-piece ties; every row is an integer vector
     hyperplanes = []
     for i in range(n):
-        e = [Fraction(0)] * n
-        e[i] = Fraction(1)
-        hyperplanes.append((e, Fraction(0)))
-    hyperplanes.append(([Fraction(x) for x in b], Fraction(1)))
+        e = [0] * n
+        e[i] = 1
+        hyperplanes.append((e, 0))
+    hyperplanes.append((list(b), 1))
     for p1, p2 in itertools.combinations(pieces, 2):
         diff = [a - c for a, c in zip(p1, p2)]
         if any(diff):
-            hyperplanes.append((diff, Fraction(0)))
+            hyperplanes.append((diff, 0))
 
-    slice_normal = [Fraction(x) for x in b]
+    slice_normal = list(b)
     candidates = set()
-    from .lattice import rat_rank, rat_solve
+    from .lattice import det, rat_solve
 
     for combo in itertools.combinations(range(len(hyperplanes)), n - 1) if n > 1 else [()]:
         rows = [slice_normal] + [hyperplanes[i][0] for i in combo]
-        rhs = [Fraction(1)] + [hyperplanes[i][1] for i in combo]
-        if rat_rank(rows) != n:
+        rhs = [1] + [hyperplanes[i][1] for i in combo]
+        if det(rows) == 0:
             continue
-        sol = rat_solve(rows, rhs)
-        if sol is None:
-            continue
+        sol = rat_solve(rows, rhs)  # unique: rows is nonsingular
         if all(x >= 0 for x in sol):
             candidates.add(tuple(sol))
     if not candidates:

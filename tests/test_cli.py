@@ -97,6 +97,60 @@ def test_skeleton_command_toric():
     assert doc["kato_points"] == 7
 
 
+@pytest.mark.parametrize("command", ["skeleton", "closure", "dual-complex"])
+def test_pair_or_fan_is_required_and_exclusive(command):
+    extra = ["--points", os.path.join(FIX, "closure_points_a2.json")] if command == "closure" else []
+    neither = run_cli(command, *extra)
+    both = run_cli(command, "--pair", os.path.join(FIX, "a2_pair.json"),
+                   "--fan", os.path.join(FIX, "p2_fan.json"), *extra)
+    for out in (neither, both):
+        assert out.returncode == 2
+        assert out.stdout == "" and "Traceback" not in out.stderr
+    assert "one of the arguments --pair --fan is required" in neither.stderr
+    assert "not allowed with" in both.stderr
+
+
+@pytest.mark.parametrize("cone,message", [
+    ([0, -1], "-1 is not an index into the 3 rays"),
+    ([0, 3], "3 is not an index into the 3 rays"),
+])
+def test_fan_json_bad_index_is_validation_error(tmp_path, cone, message):
+    with open(os.path.join(FIX, "p2_fan.json")) as fh:
+        doc = json.load(fh)
+    doc["cones"].append(cone)
+    path = tmp_path / "fan.json"
+    path.write_text(json.dumps(doc))
+    out = run_cli("skeleton", "--fan", str(path))
+    assert out.returncode == 2
+    assert out.stdout == ""
+    assert message in out.stderr
+
+
+@pytest.mark.parametrize("facet,message", [
+    ([1, -1], "-1 is not an index into the 3 vertices"),
+    ([1, 5], "5 is not an index into the 3 vertices"),
+])
+def test_complex_json_bad_index_is_validation_error(tmp_path, facet, message):
+    cx = {"schema": "1", "vertices": [0, 1, 2], "facets": [[0, 1], facet]}
+    path = tmp_path / "cx.json"
+    path.write_text(json.dumps(cx))
+    out = run_cli("homology", "--complex", str(path))
+    assert out.returncode == 2
+    assert out.stdout == ""
+    assert message in out.stderr
+
+
+@pytest.mark.parametrize("rays", [[[1], [-1]], [[1, 0], [0, 1], [-1, 0]]])
+def test_non_pointed_fan_cone_is_validation_error(tmp_path, rays):
+    doc = {"schema": "1", "rank": len(rays[0]), "rays": rays,
+           "cones": [list(range(len(rays)))]}
+    path = tmp_path / "fan.json"
+    path.write_text(json.dumps(doc))
+    out = run_cli("skeleton", "--fan", str(path))
+    assert out.returncode == 2
+    assert "fan cones must be pointed" in out.stderr
+
+
 def test_dual_complex_command():
     out = run_cli("dual-complex", "--fan", os.path.join(FIX, "p2_fan.json"))
     doc = json.loads(out.stdout)

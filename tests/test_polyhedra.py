@@ -4,14 +4,15 @@ import random
 import pytest
 
 from logskel.complexes import homology, link_complex, sphere_profile
-from logskel.lattice import rat_rank
 from logskel.polyhedra import (
     Cone,
     DimensionLimitError,
     Fan,
     NotPointedError,
+    FanError,
     compactified_fan_strata,
     dual_cone,
+    dual_rays,
     dot,
     fan_a2,
     fan_p1,
@@ -67,6 +68,26 @@ def test_dual_dual_identity_on_random_pointed_cones():
         assert dual_cone(dual_cone(c)) == c
 
 
+def brute_force_dual_rays_rank3(generators, box=8):
+    """Oracle for a full-dimensional pointed cone in Z^3: the primitive m in
+    a box, nonnegative on the generators, whose plane m^perp holds two
+    generators with a nonzero cross product.  Generators with entries in
+    [-2, 2] give dual rays with entries in [-8, 8]."""
+    from logskel.lattice import primitive
+
+    def cross(a, b):
+        return (a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0])
+
+    rays = set()
+    for m in itertools.product(range(-box, box + 1), repeat=3):
+        if primitive(m) != m or not any(m) or any(dot(m, g) < 0 for g in generators):
+            continue
+        wall = [g for g in generators if dot(m, g) == 0]
+        if any(any(cross(a, b)) for a, b in itertools.combinations(wall, 2)):
+            rays.add(m)
+    return tuple(sorted(rays))
+
+
 def test_dual_random_cones_against_brute_force():
     rng = random.Random(9)
     for _ in range(40):
@@ -75,6 +96,52 @@ def test_dual_random_cones_against_brute_force():
         if not c.is_pointed() or not c.rays:
             continue
         assert dual_cone(c) == brute_force_dual(c.rays, 2)
+    done = 0
+    for _ in range(100):  # full-dimensional rank-3 cones, simplicial or not
+        gens = [tuple(rng.randint(-2, 2) for _ in range(3)) for _ in range(rng.choice([3, 4, 5]))]
+        c = Cone.from_generators(gens, 3)
+        if c.dim() != 3 or not c.is_pointed():
+            continue
+        assert dual_cone(c).rays == brute_force_dual_rays_rank3(c.rays)
+        done += 1
+    assert done >= 30
+
+
+# Literal dual_rays values computed by the earlier subset-kernel method (a
+# rank test and an SNF kernel per subset), independent of the minor formula:
+# ranks 1-5, span dimensions 0 to rank, lineality pairs, zero and duplicate
+# vectors.
+DUAL_RAYS_PINNED = [
+    ([(3,)], 1, [(1,)]),
+    ([(2,), (-1,)], 1, []),
+    ([(1, 2)], 2, [(-2, 1), (1, 0), (2, -1)]),
+    ([(1, 0), (1, 2), (0, 0), (1, 2)], 2, [(0, 1), (2, -1)]),
+    ([(1, 0, 0), (0, 1, 0), (1, 1, 0)], 3,
+     [(0, 0, -1), (0, 0, 1), (0, 1, 0), (1, 0, 0)]),
+    ([(1, 1, 0), (1, -1, 0), (1, 0, 1), (1, 0, -1)], 3,
+     [(1, -1, -1), (1, -1, 1), (1, 1, -1), (1, 1, 1)]),
+    ([(2, 1, 0), (0, 1, 2), (1, 0, 1)], 3, [(-1, 2, 1), (1, -2, 1), (1, 2, -1)]),
+    ([(1, -1, 0)], 3, [(-1, -1, 0), (0, 0, -1), (0, 0, 1), (1, 0, 0), (1, 1, 0)]),
+    ([(0, 0, 0)], 3, [(-1, 0, 0), (0, -1, 0), (0, 0, -1), (0, 0, 1), (0, 1, 0), (1, 0, 0)]),
+    ([(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1), (1, 1, 1, 1)], 4,
+     [(0, 0, 0, 1), (0, 0, 1, 0), (0, 1, 0, 0), (1, 0, 0, 0)]),
+    ([(1, 0, 1, 0), (0, 1, 0, 1), (1, 1, 2, 2), (0, 0, 0, 0)], 4,
+     [(-1, 0, 1, 0), (-1, 1, 1, -1), (1, -1, -1, 1), (1, 1, -1, 0), (2, 0, -1, 0)]),
+    ([(1, 2, 0, -1), (0, 1, 1, 0), (-1, 0, 2, 1), (1, 1, 1, 1), (0, 1, 1, 0)], 4,
+     [(-2, 1, 1, 0), (-2, 3, -1, 0), (-1, 1, -1, 1), (1, -1, 1, -1), (2, -1, 1, 0)]),
+    ([(1, 0, 0, 0, 0), (0, 1, 0, 0, 0), (0, 0, 1, 0, 0), (0, 0, 0, 1, 0), (0, 0, 0, 0, 1),
+      (1, 1, -1, 0, 0)], 5,
+     [(0, 0, 0, 0, 1), (0, 0, 0, 1, 0), (0, 1, 0, 0, 0), (0, 1, 1, 0, 0), (1, 0, 0, 0, 0),
+      (1, 0, 1, 0, 0)]),
+    ([(1, 1, 0, 0, 2), (0, 1, 1, 0, 0), (2, 0, -1, 1, 0)], 5,
+     [(-2, 4, -4, 0, -1), (-1, 1, -1, 1, 0), (-1, 2, -2, 0, 0), (1, -1, 1, -1, 0),
+      (1, -1, 1, 0, 0), (1, -1, 2, 0, 0), (2, -4, 4, 0, 1)]),
+]
+
+
+@pytest.mark.parametrize("vectors,rank,expected", DUAL_RAYS_PINNED)
+def test_dual_rays_pinned_values(vectors, rank, expected):
+    assert dual_rays(vectors, rank) == expected
 
 
 def test_rank_limit():
@@ -274,3 +341,22 @@ def test_fan_json_roundtrip_and_sorted_emission():
     doc = f.to_json_dict()
     assert doc["rays"] == sorted(doc["rays"])
     assert Fan.from_json_dict(doc) == f
+
+
+@pytest.mark.parametrize("rays", [[(1,), (-1,)], [(1, 0), (0, 1), (-1, 0)]])
+def test_fan_rejects_non_pointed_cones(rays):
+    """A line and a half-plane: declared and built fans fail the same way."""
+    rank = len(rays[0])
+    with pytest.raises(FanError, match="fan cones must be pointed"):
+        Fan(rank, rays, [frozenset(range(len(rays)))])
+    with pytest.raises(FanError, match="fan cones must be pointed"):
+        Fan.from_cones([Cone.from_generators(rays, rank)], rank)
+
+
+@pytest.mark.parametrize("cone", [[0, True], [0, 1.0]])
+def test_fan_json_rejects_non_int_ray_index(cone):
+    """Out-of-range indices are covered through the CLI (tests/test_cli.py)."""
+    doc = fan_p2().to_json_dict()
+    doc["cones"].append(cone)
+    with pytest.raises(FanError, match="is not an index into the 3 rays"):
+        Fan.from_json_dict(doc)
