@@ -11,7 +11,6 @@ import argparse
 import json
 import os
 import sys
-from fractions import Fraction
 
 from . import fixtures as fx
 from .complexes import (
@@ -20,13 +19,12 @@ from .complexes import (
     character_variety_homology,
     homology,
     link_complex,
-    sphere_profile,
     sphere_quotient_map_check,
     tate_strata,
 )
-from .logstructure import LogStructureError, PairDescription, kato_fan_snc, kato_fan_toric
+from .logstructure import LogStructureError, PairDescription, kato_fan_toric
 from .polyhedra import Fan, FanError, compactified_fan_strata
-from .rationals import fmt, parse_ext, q
+from .rationals import fmt, q
 from .valuations import (
     SkeletonPoint,
     ValuationError,
@@ -277,145 +275,17 @@ def cmd_sphere_check(args):
 # fixtures: the bundled paper regression suite
 # --------------------------------------------------------------------------
 
-def _fixture_checks():
-    from .polyhedra import fan_p2
-
-    checks = []
-
-    def check(name, fn):
-        checks.append((name, fn))
-
-    def c_strata():
-        strata = compactified_fan_strata(fan_p2())
-        dims = sorted((s.dim() for _, s in strata), reverse=True)
-        return len(strata) == 7 and dims == [2, 1, 1, 1, 0, 0, 0]
-
-    check("compactified P2: 7 strata of dimensions {2,1,1,1,0,0,0}", c_strata)
-
-    def c_kato_figure():
-        pair = fx.strict_inclusion_pair()
-        keys = set(pair.kato_fan().points)
-        want = {(), ("D1",), ("D2",), ("D3",), ("D4",), ("D1", "D2"), ("D1", "D3"),
-                ("D2", "D3"), ("D1", "D2", "D3"), ("D2", "D4"), ("D3", "D4"),
-                ("D2", "D3", "D4")}
-        return keys == want
-
-    check("strict-inclusion pair: Kato points match the figure's faces", c_kato_figure)
-
-    check("toric P2: 7 Kato points", lambda: len(kato_fan_toric(fan_p2())) == 7)
-
-    def c_normalize():
-        from .valuations import normalize_dvf
-
-        pt = SkeletonPoint.make(("D1", "D2", "D3"), [1, 0, 0])
-        out = normalize_dvf(pt, {"D1": 2, "D2": 1, "D3": 1})
-        return out.weights == (Fraction(1, 2), Fraction(0), Fraction(0))
-
-    check("normalize: ord_D1 with multiplicity 2 -> (1/2,0,0)", c_normalize)
-
-    def c_weights():
-        pair = fx.strict_inclusion_pair()
-        form = fx.strict_inclusion_form()
-        got = {d: weight(form, pair, pt) for d, pt in fx.STRICT_INCLUSION_DIVISORIAL.items()}
-        return got == fx.STRICT_INCLUSION_WEIGHTS
-
-    check("weights at v_D1, v_D2, v_D3 are exactly 2, 3, 3", c_weights)
-
-    def c_ks():
-        pair = fx.strict_inclusion_pair()
-        sub = ks_skeleton(pair, fx.strict_inclusion_form())
-        return (sub.min_value == 2 and len(sub.faces) == 1
-                and sub.faces[0].kato == ("D1",)
-                and sub.faces[0].vertices == ((Fraction(1, 2),),))
-
-    check("ks: minimum 2 attained exactly at v_D1", c_ks)
-
-    def c_residue():
-        pair = fx.strict_inclusion_pair()
-        res = residue(fx.strict_inclusion_form(), pair, {"D4"})
-        num = res.numerators[0]
-        return (sorted(res.dlog) == ["D3"] and len(num.numerator) == 1
-                and num.numerator[0].exps == (2, 2)
-                and abs(num.numerator[0].coeff) == 2)
-
-    check("residue along D4 is 2a T2^2 T3^2 dlog T3 (a = 1, up to the unit)", c_residue)
-
-    def c_residue_ks():
-        pair = fx.strict_inclusion_pair()
-        tracep = pair.trace_pair({"D4"})
-        res = residue(fx.strict_inclusion_form(), pair, {"D4"})
-        sub = ks_skeleton(tracep, res)
-        from .weights import face_slice_polytope
-
-        want = {k: set(face_slice_polytope(tracep, k, tracep.pi_vector(k))[0])
-                for k in tracep.kato_fan().points if k}
-        got = {f.kato: set(f.vertices) for f in sub.faces}
-        return got == want
-
-    check("ks of the residue is the whole D4-trace skeleton", c_residue_ks)
-
-    def c_toric_essential():
-        from .weights import toric_essential_skeleton
-
-        fan = fan_p2()
-        sub = toric_essential_skeleton(fan)
-        return len(sub.faces) == len(kato_fan_toric(fan))
-
-    check("toric essential skeleton is the whole skeleton", c_toric_essential)
-
-    def c_slice_circle():
-        pair = fx.dwork_pair()
-        sc = slice_dvf(pair, essential_skeleton(pair, []))
-        prof = homology(sc.to_simplicial())
-        return prof == sphere_profile(1)
-
-    check("Dwork slice at <b,alpha>=1 is a circle", c_slice_circle)
-
-    def c_gauss():
-        rec = gauss_weight_identity(1, 1, 2, 1)
-        return (rec["log_r"] == -2 and rec["log_norm_trivial"] == -2
-                and rec["log_norm_discrete"] == -4 and rec["identity_holds"])
-
-    check("gauss exponents at (1,1,2,1) are (-2,-2,-4), identity holds", c_gauss)
-
-    check("link of P2 is a circle", lambda: homology(link_complex(fan_p2())) == sphere_profile(1))
-
-    def c_thm_e():
-        return character_variety_homology("gl", 2) == sphere_profile(3)
-
-    check("gl n=2 has the S^3 homology profile", c_thm_e)
-
-    def c_thm_f():
-        return character_variety_homology("sl", 2) == sphere_profile(1)
-
-    check("sl n=2 has the S^1 homology profile", c_thm_f)
-
-    def c_tate_cases():
-        a = tate_strata(2, (1, 1))
-        b = tate_strata(2, (1, -1))
-        c = tate_strata(2, (-1, -1))
-        neg_ok = all(s["contained"] == (len(s["J"]) - 2 in (0, 1)) for s in c["strata"])
-        return (a["case"] == "generic" and b["case"] == "single_divisor"
-                and b["local_model"] == "Gm^(n-1) x A1" and neg_ok)
-
-    check("tate cases: |a|>0 generic, |a|=0 single divisor, |a|<0 table", c_tate_cases)
-
-    return checks
-
-
 def cmd_fixtures(args):
     results = []
-    failed = 0
-    for name, fn in _fixture_checks():
+    for name, fn in fx.CHECKS:
         try:
             ok = bool(fn())
         except Exception as exc:  # a crash is a failure with diagnostics
             ok = False
             name = f"{name} [{type(exc).__name__}: {exc}]"
         results.append({"check": name, "status": "pass" if ok else "FAIL"})
-        if not ok:
-            failed += 1
         print(("PASS  " if ok else "FAIL  ") + name, file=sys.stderr)
+    failed = sum(r["status"] == "FAIL" for r in results)
     _emit({"schema": "1", "command": "fixtures",
            "results": results, "failed": failed}, args)
     if failed:

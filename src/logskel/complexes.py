@@ -109,6 +109,8 @@ class SimplicialComplex:
     def from_json_dict(doc) -> "SimplicialComplex":
         verts = [_label_unjson(v) for v in doc["vertices"]]
         for f in doc["facets"]:
+            if type(f) is not list:
+                raise ComplexError(f"facet {f!r} is not a list of vertex indices")
             bad = [i for i in f if type(i) is not int or not 0 <= i < len(verts)]
             if bad:
                 raise ComplexError(f"facet {f}: {bad[0]!r} is not an index into the {len(verts)} vertices")

@@ -1,16 +1,30 @@
 """Bundled fixtures: the worked examples the regression suite pins down.
 
-Builders return fresh objects; expected values live next to them so the CLI
-``fixtures`` command and the acceptance tests share one source of truth.
+Builders return fresh objects; expected values live next to them, and
+``CHECKS`` holds the checks on them, so the CLI ``fixtures`` command and the
+acceptance tests share one source of truth.
 """
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 
-from .logstructure import BoundaryComponent, LogChart, PairDescription
-from .valuations import LaurentRational, SkeletonPoint
-from .weights import PluriForm
+from .complexes import character_variety_homology, homology, link_complex, sphere_profile, tate_strata
+from .logstructure import BoundaryComponent, LogChart, PairDescription, kato_fan_toric
+from .polyhedra import compactified_fan_strata, fan_p2
+from .valuations import LaurentRational, SkeletonPoint, normalize_dvf
+from .weights import (
+    PluriForm,
+    essential_skeleton,
+    face_slice_polytope,
+    gauss_weight_identity,
+    ks_skeleton,
+    residue,
+    slice_dvf,
+    toric_essential_skeleton,
+    weight,
+)
 
 
 def coordinate_eq(axis: int, arity: int) -> LaurentRational:
@@ -147,6 +161,119 @@ def a2_form(numerator_terms, dlog=("B1", "B2"), m=1) -> PluriForm:
 
 def tate_alpha_sweep(n: int = 2, bound: int = 3):
     """All alpha vectors for the appendix sweep, |alpha_i| <= bound."""
-    import itertools
-
     return [alpha for alpha in itertools.product(range(-bound, bound + 1), repeat=n)]
+
+
+# -- the checks: (label, predicate) in report order --------------------------
+
+CHECKS = []
+
+
+def _check(label):
+    def register(predicate):
+        CHECKS.append((label, predicate))
+        return predicate
+    return register
+
+
+@_check("compactified P2: 7 strata of dimensions {2,1,1,1,0,0,0}")
+def p2_strata():
+    dims = sorted((s.dim() for _, s in compactified_fan_strata(fan_p2())), reverse=True)
+    return dims == [2, 1, 1, 1, 0, 0, 0]
+
+
+@_check("strict-inclusion pair: Kato points match the figure's faces")
+def strict_inclusion_kato_points():
+    want = {(), ("D1",), ("D2",), ("D3",), ("D4",), ("D1", "D2"), ("D1", "D3"),
+            ("D2", "D3"), ("D1", "D2", "D3"), ("D2", "D4"), ("D3", "D4"),
+            ("D2", "D3", "D4")}
+    return set(strict_inclusion_pair().kato_fan().points) == want
+
+
+@_check("toric P2: 7 Kato points")
+def toric_p2_kato_points():
+    return len(kato_fan_toric(fan_p2())) == 7
+
+
+@_check("normalize: ord_D1 with multiplicity 2 -> (1/2,0,0)")
+def normalize_d1():
+    pt = SkeletonPoint.make(("D1", "D2", "D3"), [1, 0, 0])
+    out = normalize_dvf(pt, {"D1": 2, "D2": 1, "D3": 1})
+    return out.weights == (Fraction(1, 2), Fraction(0), Fraction(0))
+
+
+@_check("weights at v_D1, v_D2, v_D3 are exactly 2, 3, 3")
+def strict_inclusion_weights():
+    pair, form = strict_inclusion_pair(), strict_inclusion_form()
+    got = {d: weight(form, pair, pt) for d, pt in STRICT_INCLUSION_DIVISORIAL.items()}
+    return got == STRICT_INCLUSION_WEIGHTS
+
+
+@_check("ks: minimum 2 attained exactly at v_D1")
+def strict_inclusion_ks():
+    sub = ks_skeleton(strict_inclusion_pair(), strict_inclusion_form())
+    return (sub.min_value == 2 and len(sub.faces) == 1
+            and sub.faces[0].kato == ("D1",)
+            and sub.faces[0].vertices == ((Fraction(1, 2),),))
+
+
+@_check("residue along D4 is 2a T2^2 T3^2 dlog T3 (a = 1, up to the unit)")
+def strict_inclusion_residue():
+    res = residue(strict_inclusion_form(), strict_inclusion_pair(), {"D4"})
+    got = res.numerators[0].numerator
+    (want,) = STRICT_INCLUSION_RESIDUE_NUMERATOR.numerator
+    return (sorted(res.dlog) == ["D3"] and len(got) == 1
+            and got[0].exps == want.exps and abs(got[0].coeff) == want.coeff)
+
+
+@_check("ks of the residue is the whole D4-trace skeleton")
+def residue_ks_is_whole_trace():
+    pair = strict_inclusion_pair()
+    tracep = pair.trace_pair({"D4"})
+    sub = ks_skeleton(tracep, residue(strict_inclusion_form(), pair, {"D4"}))
+    want = {k: set(face_slice_polytope(tracep, k, tracep.pi_vector(k))[0])
+            for k in tracep.kato_fan().points if k}
+    return {f.kato: set(f.vertices) for f in sub.faces} == want
+
+
+@_check("toric essential skeleton is the whole skeleton")
+def toric_essential_is_whole():
+    fan = fan_p2()
+    return len(toric_essential_skeleton(fan).faces) == len(kato_fan_toric(fan))
+
+
+@_check("Dwork slice at <b,alpha>=1 is a circle")
+def dwork_slice_circle():
+    pair = dwork_pair()
+    sc = slice_dvf(pair, essential_skeleton(pair, []))
+    return homology(sc.to_simplicial()) == sphere_profile(1)
+
+
+@_check("gauss exponents at (1,1,2,1) are (-2,-2,-4), identity holds")
+def gauss_exponents():
+    rec = gauss_weight_identity(1, 1, 2, 1)
+    return (rec["log_r"] == -2 and rec["log_norm_trivial"] == -2
+            and rec["log_norm_discrete"] == -4 and rec["identity_holds"])
+
+
+@_check("link of P2 is a circle")
+def p2_link_circle():
+    return homology(link_complex(fan_p2())) == sphere_profile(1)
+
+
+@_check("gl n=2 has the S^3 homology profile")
+def gl2_sphere():
+    return character_variety_homology("gl", 2) == sphere_profile(3)
+
+
+@_check("sl n=2 has the S^1 homology profile")
+def sl2_sphere():
+    return character_variety_homology("sl", 2) == sphere_profile(1)
+
+
+@_check("tate cases: |a|>0 generic, |a|=0 single divisor, |a|<0 table")
+def tate_cases():
+    a, b, c = (tate_strata(2, alpha) for alpha in ((1, 1), (1, -1), (-1, -1)))
+    neg_ok = all(s["contained"] == (len(s["J"]) - 2 in (0, 1)) for s in c["strata"])
+    return (a["case"] == "generic" and b["case"] == "single_divisor"
+            and b["local_model"] == "Gm^(n-1) x A1" and neg_ok)

@@ -13,7 +13,7 @@ import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .polyhedra import Cone, Fan, cone_faces, dot, dual_rays, hilbert_basis, star_fan
+from .polyhedra import Cone, Fan, dot, dual_cone, hilbert_basis, star_fan
 from .lattice import span_snf
 from .rationals import fmt, q
 from .valuations import LaurentRational
@@ -188,8 +188,7 @@ def kato_fan_toric(fan: Fan) -> KatoFan:
         u, diag = span_snf(geom.rays)
         s = len(diag)
         span_rays = tuple(tuple(dot(row, r) for row in u[:s]) for r in geom.rays)
-        dual_in_span = Cone.from_generators(dual_rays(span_rays, s), s)
-        gens = tuple(hilbert_basis(dual_in_span))
+        gens = tuple(hilbert_basis(dual_cone(Cone(rays=span_rays, rank=s))))
         points.append(KatoPoint(key=key, generators=gens,
                                 monoid=("toric", geom, span_rays, gens)))
     cone_sets = [frozenset(c) for c in fan.cones]

@@ -282,9 +282,10 @@ class Fan:
         return self._ray_index[ray]
 
     def _add_cone_with_faces(self, c: Cone):
-        if not c.is_pointed():
+        faces = cone_faces(c)
+        if faces[0].rays:  # the least face is the lineality space
             raise FanError(f"fan cones must be pointed: {c}")
-        for face in cone_faces(c):
+        for face in faces:
             self.cones.append(frozenset(self._ray_id(r) for r in face.rays))
 
     # -- geometry ------------------------------------------------------
@@ -317,9 +318,9 @@ class Fan:
         for a, b in itertools.combinations(self.cones, 2):
             ca, cb = self.cone_geometry(a), self.cone_geometry(b)
             normals = list(ca.facet_normals()) + list(cb.facet_normals())
+            # the meet of two pointed cones is pointed: these are its extreme rays
             meet_rays = dual_rays(normals, self.rank)
-            meet = Cone.from_generators([r for r in meet_rays], self.rank)
-            idx = frozenset(self._ray_index.get(r, -1) for r in meet.rays)
+            idx = frozenset(self._ray_index.get(r, -1) for r in meet_rays)
             if -1 in idx or idx not in set(map(frozenset, self.cones)):
                 raise FanError(f"intersection of {sorted(a)} and {sorted(b)} is not a common face")
             if not (self._is_face(idx, a) and self._is_face(idx, b)):
@@ -340,12 +341,20 @@ class Fan:
 
     @staticmethod
     def from_json_dict(doc) -> "Fan":
-        rays = [tuple(int(x) for x in r) for r in doc["rays"]]
+        rank = doc["rank"]
+        if type(rank) is not int:
+            raise FanError(f"rank {rank!r} is not an integer")
+        for r in doc["rays"]:
+            if type(r) is not list or len(r) != rank or any(type(x) is not int for x in r):
+                raise FanError(f"ray {r!r} is not a list of {rank} integers")
+        rays = [tuple(r) for r in doc["rays"]]
         for c in doc["cones"]:
+            if type(c) is not list:
+                raise FanError(f"cone {c!r} is not a list of ray indices")
             bad = [i for i in c if type(i) is not int or not 0 <= i < len(rays)]
             if bad:
                 raise FanError(f"cone {c}: {bad[0]!r} is not an index into the {len(rays)} rays")
-        return Fan(int(doc["rank"]), rays, [frozenset(c) for c in doc["cones"]])
+        return Fan(rank, rays, [frozenset(c) for c in doc["cones"]])
 
     def dumps(self) -> str:
         return json.dumps(self.to_json_dict(), sort_keys=True, indent=1)
@@ -421,11 +430,10 @@ def intersect_fan_subspace(fan: Fan, basis) -> Fan:
         geom = fan.cone_geometry(tau)
         normals = geom.facet_normals()
         restricted = [tuple(dot(m, b) for b in basis) for m in normals]
-        rays = dual_rays(restricted, k)
-        c = Cone.from_generators(rays, k)
-        key = c.rays
-        if key not in seen:
-            seen.add(key)
+        # tau meet V is pointed, so these are its extreme rays
+        c = Cone(rays=tuple(dual_rays(restricted, k)), rank=k)
+        if c.rays not in seen:
+            seen.add(c.rays)
             cones.append(c)
     return Fan.from_cones(cones, k)
 

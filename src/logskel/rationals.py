@@ -60,14 +60,17 @@ def is_inf(x) -> bool:
 
 
 def q(value) -> Fraction:
-    """Coerce int/str/Fraction to an exact Fraction."""
+    """Coerce int/str/Fraction to an exact Fraction; anything else is a ValueError."""
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int):
+    if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     if isinstance(value, str):
-        return Fraction(value)
-    raise TypeError(f"not an exact rational: {value!r}")
+        try:
+            return Fraction(value)
+        except ZeroDivisionError:
+            pass
+    raise ValueError(f"not an exact rational: {value!r}")
 
 
 def parse_ext(value):

@@ -22,15 +22,14 @@ from logskel.complexes import (
     snf_self_check,
     tate_strata,
 )
+from logskel import fixtures as fx
 from logskel.fixtures import (
     STRICT_INCLUSION_DIVISORIAL,
-    STRICT_INCLUSION_WEIGHTS,
     a2_pair,
-    dwork_pair,
     strict_inclusion_form,
     strict_inclusion_pair,
 )
-from logskel.polyhedra import Cone, compactified_fan_strata, dual_cone, fan_p2, hilbert_basis, dot
+from logskel.polyhedra import Cone, dot, fan_p2, hilbert_basis
 from logskel.rationals import INF
 from logskel.valuations import (
     LaurentRational,
@@ -41,16 +40,7 @@ from logskel.valuations import (
     retract,
     scale,
 )
-from logskel.weights import (
-    PluriForm,
-    essential_skeleton,
-    face_slice_polytope,
-    gauss_weight_identity,
-    ks_skeleton,
-    residue,
-    slice_dvf,
-    weight,
-)
+from logskel.weights import gauss_weight_identity, weight
 
 
 def announce(num, ok, detail):
@@ -60,25 +50,10 @@ def announce(num, ok, detail):
 
 def test_criterion_1_example_regression():
     start = time.time()
-    pair = strict_inclusion_pair()
-    form = strict_inclusion_form()
-    weights_ok = ({d: weight(form, pair, pt)
-                   for d, pt in STRICT_INCLUSION_DIVISORIAL.items()}
-                  == STRICT_INCLUSION_WEIGHTS)
-    sub = ks_skeleton(pair, form)
-    ks_ok = (sub.min_value == 2 and len(sub.faces) == 1
-             and sub.faces[0].kato == ("D1",)
-             and sub.faces[0].vertices == ((Fraction(1, 2),),))
-    res = residue(form, pair, {"D4"})
-    num = res.numerators[0]
-    res_ok = (sorted(res.dlog) == ["D3"] and len(num.numerator) == 1
-              and num.numerator[0].exps == (2, 2)
-              and abs(num.numerator[0].coeff) == 2)
-    tracep = pair.trace_pair({"D4"})
-    res_sub = ks_skeleton(tracep, res)
-    want = {k: set(face_slice_polytope(tracep, k, tracep.pi_vector(k))[0])
-            for k in tracep.kato_fan().points if k}
-    whole_ok = {f.kato: set(f.vertices) for f in res_sub.faces} == want
+    weights_ok = fx.strict_inclusion_weights()
+    ks_ok = fx.strict_inclusion_ks()
+    res_ok = fx.strict_inclusion_residue()
+    whole_ok = fx.residue_ks_is_whole_trace()
     elapsed = time.time() - start
     announce(1, weights_ok and ks_ok and res_ok and whole_ok and elapsed < 1.0,
              f"weights 2/3/3, ks = {{v_D1}} at 2, residue + whole-trace ks "
@@ -105,9 +80,7 @@ def test_criterion_3_theorem_f_sl_spheres():
 
 def test_criterion_4_p2_closure_decomposition():
     fan = fan_p2()
-    strata = compactified_fan_strata(fan)
-    dims = sorted((s.dim() for _, s in strata), reverse=True)
-    strata_ok = len(strata) == 7 and dims == [2, 1, 1, 1, 0, 0, 0]
+    strata_ok = fx.p2_strata()
 
     # classify extended points sampled on every face with every infinity
     # pattern; the resulting strata must exhaust the seven cones and stay
@@ -139,11 +112,8 @@ def test_criterion_4_p2_closure_decomposition():
 
 
 def test_criterion_5_dwork_slice_circle():
-    pair = dwork_pair()
-    sc = slice_dvf(pair, essential_skeleton(pair, []))
-    prof = homology(sc.to_simplicial())
-    announce(5, prof == sphere_profile(1),
-             f"Dwork essential-skeleton slice has homology {prof}")
+    announce(5, fx.dwork_slice_circle(),
+             "Dwork essential-skeleton slice has the S^1 homology profile")
 
 
 def test_criterion_6_gauss_identity_sweep():

@@ -113,6 +113,7 @@ def test_pair_or_fan_is_required_and_exclusive(command):
 @pytest.mark.parametrize("cone,message", [
     ([0, -1], "-1 is not an index into the 3 rays"),
     ([0, 3], "3 is not an index into the 3 rays"),
+    (5, "cone 5 is not a list of ray indices"),
 ])
 def test_fan_json_bad_index_is_validation_error(tmp_path, cone, message):
     with open(os.path.join(FIX, "p2_fan.json")) as fh:
@@ -126,9 +127,27 @@ def test_fan_json_bad_index_is_validation_error(tmp_path, cone, message):
     assert message in out.stderr
 
 
+@pytest.mark.parametrize("edit,message", [
+    ({"rays": [[1, 0, 7], [0, 1], [1, 0]]}, "ray [1, 0, 7] is not a list of 2 integers"),
+    ({"rays": [[1.5, 0], [0, 1], [1, 0]]}, "ray [1.5, 0] is not a list of 2 integers"),
+    ({"rank": 2.5}, "rank 2.5 is not an integer"),
+])
+def test_fan_json_bad_ray_or_rank_is_validation_error(tmp_path, edit, message):
+    with open(os.path.join(FIX, "p2_fan.json")) as fh:
+        doc = json.load(fh)
+    doc.update(edit)
+    path = tmp_path / "fan.json"
+    path.write_text(json.dumps(doc))
+    out = run_cli("skeleton", "--fan", str(path))
+    assert out.returncode == 2
+    assert out.stdout == ""
+    assert message in out.stderr
+
+
 @pytest.mark.parametrize("facet,message", [
     ([1, -1], "-1 is not an index into the 3 vertices"),
     ([1, 5], "5 is not an index into the 3 vertices"),
+    (5, "facet 5 is not a list of vertex indices"),
 ])
 def test_complex_json_bad_index_is_validation_error(tmp_path, facet, message):
     cx = {"schema": "1", "vertices": [0, 1, 2], "facets": [[0, 1], facet]}
@@ -181,6 +200,25 @@ def test_validation_error_exit_code(tmp_path):
     assert "line" in out.stderr
 
 
+def test_gauss_zero_denominator_is_validation_error():
+    out = run_cli("gauss", "--c", "1/0", "--a", "1", "--l", "2", "--m", "1")
+    assert out.returncode == 2
+    assert out.stdout == ""
+    assert "not an exact rational: '1/0'" in out.stderr
+
+
+def test_pair_float_coefficient_is_validation_error(tmp_path):
+    with open(os.path.join(FIX, "strict_inclusion_pair.json")) as fh:
+        doc = json.load(fh)
+    doc["charts"][0]["boundary"][0]["coefficient"] = 0.5
+    path = tmp_path / "pair.json"
+    path.write_text(json.dumps(doc))
+    out = run_cli("skeleton", "--pair", str(path))
+    assert out.returncode == 2
+    assert out.stdout == ""
+    assert "not an exact rational: 0.5" in out.stderr
+
+
 def test_unknown_stratum_is_validation_error(tmp_path):
     out = run_cli("residue",
                   "--pair", os.path.join(FIX, "strict_inclusion_pair.json"),
@@ -196,6 +234,34 @@ def test_fixtures_command_green():
     assert doc["failed"] == 0
     assert "FAIL" not in out.stderr
     assert out.stderr.count("PASS  ") == len(doc["results"]) > 0
+
+
+def test_fixtures_report_matches_golden(tmp_path):
+    out = run_cli("fixtures", "-o", str(tmp_path / "fixtures.json"))
+    assert out.returncode == 0
+    assert out.stdout == ""
+    with open(os.path.join(ROOT, "perfbench", "golden", "fixtures.json"), "rb") as fh:
+        assert (tmp_path / "fixtures.json").read_bytes() == fh.read()
+
+
+def test_fixtures_command_reports_failures(monkeypatch, capsys):
+    from logskel import cli, fixtures as fx
+
+    checks = list(fx.CHECKS)
+    fail_label, crash_label = checks[0][0], checks[1][0]
+    checks[0] = (fail_label, lambda: False)
+    checks[1] = (crash_label, lambda: 1 // 0)
+    monkeypatch.setattr(fx, "CHECKS", checks)
+    assert cli.main(["fixtures"]) == 3
+    out, err = capsys.readouterr()
+    doc = json.loads(out)
+    crash = f"{crash_label} [ZeroDivisionError: integer division or modulo by zero]"
+    assert doc["failed"] == 2
+    assert [r["check"] for r in doc["results"] if r["status"] == "FAIL"] == [fail_label, crash]
+    assert f"FAIL  {fail_label}\n" in err
+    assert f"FAIL  {crash}\n" in err
+    assert err.count("PASS  ") == len(checks) - 2
+    assert "error: 2 fixture check(s) failed" in err
 
 
 def test_output_file_and_env_dir(tmp_path):
