@@ -263,6 +263,9 @@ def cmd_gauss(args):
 def cmd_sphere_check(args):
     import numpy as np
 
+    for flag, value in (("--n", args.n), ("--samples", args.samples), ("--tolerance", args.tolerance)):
+        if not value > 0:  # also rejects a NaN tolerance
+            raise SystemExitWithCode(2, f"{flag} must be positive")
     rng = np.random.default_rng(args.seed)
     z = rng.normal(size=(args.samples, args.n)) + 1j * rng.normal(size=(args.samples, args.n))
     z = z / np.linalg.norm(z, axis=1, keepdims=True)

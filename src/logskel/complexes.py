@@ -19,20 +19,13 @@ from fractions import Fraction
 
 import numpy as np
 
-from .lattice import (
-    SparseIntMatrix,
-    is_unimodular,
-    mat_mult,
-    rat_solve,
-    snf_with_transforms,
-    transpose,
-)
+from .lattice import SparseIntMatrix, rat_solve, transpose
 from .polyhedra import (
-    Cone,
     Fan,
-    dot,
+    derived_subdivision,
     fan_p1xp1,
     intersect_fan_subspace,
+    maximal_sets,
     primitive,
     product_fan,
 )
@@ -52,15 +45,7 @@ class SimplicialComplex:
         for f in fs:
             if not f <= vset:
                 raise ComplexError(f"facet {sorted(f, key=str)} uses undeclared vertices")
-        # a proper superset of f contains every vertex of f, so it is enough
-        # to look among the facets at the vertex of f that the fewest share
-        at = {}
-        for f in fs:
-            for v in f:
-                at.setdefault(v, []).append(f)
-        maximal = (f for f in fs
-                   if not any(f < g for g in min((at[v] for v in f), key=len, default=fs)))
-        self.facets = tuple(sorted(maximal, key=lambda f: (len(f), sorted(map(str, f)))))
+        self.facets = tuple(sorted(maximal_sets(fs), key=lambda f: (len(f), sorted(map(str, f)))))
         covered = set().union(*self.facets) if self.facets else set()
         if covered != vset:
             raise ComplexError("every declared vertex must appear in some facet")
@@ -87,9 +72,6 @@ class SimplicialComplex:
 
     def euler_characteristic(self) -> int:
         return sum((-1) ** d * len(s) for d, s in enumerate(self.simplices_by_dim()))
-
-    def f_vector(self):
-        return [len(s) for s in self.simplices_by_dim()]
 
     def relabeled(self, prefix) -> "SimplicialComplex":
         return SimplicialComplex([(prefix, v) for v in self.vertices],
@@ -515,57 +497,13 @@ def homology(k: SimplicialComplex) -> HomologyProfile:
     return _homology_from_boundaries([len(level) for level in simplices], boundary)
 
 
-def snf_self_check(matrix) -> bool:
-    """U A V = D with unimodular U, V and a divisibility chain on the diagonal."""
-    u, d, v = snf_with_transforms(matrix)
-    if not (is_unimodular(u) and is_unimodular(v)):
-        return False
-    prod = mat_mult(mat_mult(u, [list(map(int, row)) for row in matrix]), v)
-    if prod != d:
-        return False
-    diag = [d[i][i] for i in range(min(len(d), len(d[0]) if d else 0))]
-    for i in range(len(diag) - 1):
-        if diag[i + 1] != 0 and (diag[i] == 0 or diag[i + 1] % diag[i] != 0):
-            return False
-        if diag[i] == 0 and diag[i + 1] != 0:
-            return False
-    return all(x >= 0 for x in diag)
-
-
 # --------------------------------------------------------------------------
 # Fans -> complexes
 # --------------------------------------------------------------------------
 
-def stellar_subdivide_until_simplicial(fan: Fan) -> Fan:
-    """Insert barycentric rays into non-simplicial cones until all are simplicial."""
-    while True:
-        bad = None
-        for c in fan.maximal_cones():
-            if not fan.cone_geometry(c).is_simplicial():
-                bad = c
-                break
-        if bad is None:
-            return fan
-        geom = fan.cone_geometry(bad)
-        new_ray = primitive([sum(r[j] for r in geom.rays) for j in range(fan.rank)])
-        cones = []
-        for c in fan.maximal_cones():
-            cg = fan.cone_geometry(c)
-            if c != bad:
-                cones.append(cg)
-                continue
-            for m in cg.facet_normals():
-                if dot(m, new_ray) == 0:
-                    continue
-                face_rays = [r for r in cg.rays if dot(m, r) == 0]
-                if face_rays:
-                    cones.append(Cone.from_generators(face_rays + [list(new_ray)], fan.rank))
-        fan = Fan.from_cones(cones, fan.rank)
-
-
 def link_complex(fan: Fan) -> SimplicialComplex:
     """Link of a fan: vertices are rays, simplices are (simplicial) cones."""
-    fan = stellar_subdivide_until_simplicial(fan)
+    fan = derived_subdivision(fan)
     facets = []
     for c in fan.maximal_cones():
         if c:
@@ -607,9 +545,7 @@ def _sl_link_and_action(n: int):
         vy[2 * (i + 1) + 1] = -1
         basis.append(tuple(vx))
         basis.append(tuple(vy))
-    kernel_fan = intersect_fan_subspace(model, basis)
-    kernel_fan = stellar_subdivide_until_simplicial(kernel_fan)
-    link = link_complex(kernel_fan)
+    link = link_complex(intersect_fan_subspace(model, basis))
     # block permutations of (x_i, y_i) expressed in kernel coordinates
     gens = []
     perms = []

@@ -184,10 +184,14 @@ def p2_strata():
 
 @_check("strict-inclusion pair: Kato points match the figure's faces")
 def strict_inclusion_kato_points():
-    want = {(), ("D1",), ("D2",), ("D3",), ("D4",), ("D1", "D2"), ("D1", "D3"),
-            ("D2", "D3"), ("D1", "D2", "D3"), ("D2", "D4"), ("D3", "D4"),
-            ("D2", "D3", "D4")}
-    return set(strict_inclusion_pair().kato_fan().points) == want
+    # the intersection patterns the charts cut: every subset of a chart's components
+    pair = strict_inclusion_pair()
+    want = set()
+    for chart in pair.charts:
+        comps = sorted(chart.coordinate_components())
+        for k in range(len(comps) + 1):
+            want.update(itertools.combinations(comps, k))
+    return set(pair.kato_fan().points) == want
 
 
 @_check("toric P2: 7 Kato points")

@@ -12,21 +12,6 @@ from fractions import Fraction
 from math import gcd
 
 
-def mat_mult(a, b):
-    n, k, m = len(a), len(b), len(b[0]) if b else 0
-    out = [[0] * m for _ in range(n)]
-    for i in range(n):
-        ai = a[i]
-        oi = out[i]
-        for t in range(k):
-            c = ai[t]
-            if c:
-                bt = b[t]
-                for j in range(m):
-                    oi[j] += c * bt[j]
-    return out
-
-
 def identity(n):
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
@@ -202,10 +187,6 @@ def det(a) -> int:
             m[i][k] = 0
         prev = m[k][k]
     return sign * m[n - 1][n - 1]
-
-
-def is_unimodular(a) -> bool:
-    return len(a) == len(a[0]) and abs(det(a)) == 1
 
 
 def int_kernel_basis(a):

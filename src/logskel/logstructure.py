@@ -125,15 +125,18 @@ class KatoFan:
         """True when x is in the closure of y (so C_x surjects onto C_y)."""
         return (x, y) in self.order or x == y
 
-    def closure_points(self, y):
-        return sorted((k for k in self.points if self.specializes(k, y)), key=str)
-
     def check_poset(self):
         for x, y in self.order:
             for z in self.points:
                 if (y, z) in self.order and (x, z) not in self.order:
                     raise LogStructureError("specializations do not compose")
         return True
+
+
+def _json_int(value, name):
+    if type(value) is not int:
+        raise LogStructureError(f"{name} {value!r} is not an integer")
+    return value
 
 
 def _sorted_key(ids) -> tuple:
@@ -283,12 +286,6 @@ class PairDescription:
             self._fan = kato_fan_snc(sorted(self.components), self.strata)
         return self._fan
 
-    def chart_for(self, index_set) -> LogChart:
-        for chart in self.charts:
-            if chart.covers(index_set):
-                return chart
-        raise LogStructureError(f"no chart covers the stratum {sorted(index_set)}")
-
     def pi_vector(self, index_set):
         return [self.components[c].pi_multiplicity for c in sorted(index_set)]
 
@@ -393,9 +390,9 @@ class PairDescription:
             eqs = {}
             for b in chdoc["boundary"]:
                 cid = b["id"]
-                comp = BoundaryComponent(cid=cid,
-                                         coefficient=q(b.get("coefficient", "1")),
-                                         pi_multiplicity=int(b.get("pi_multiplicity", 0)))
+                pi = _json_int(b.get("pi_multiplicity", 0), "pi_multiplicity")
+                comp = BoundaryComponent(cid=cid, coefficient=q(b.get("coefficient", "1")),
+                                         pi_multiplicity=pi)
                 if cid in components and components[cid] != comp:
                     raise LogStructureError(f"inconsistent data for component {cid}")
                 components[cid] = comp
@@ -405,8 +402,11 @@ class PairDescription:
                     cut[b["coordinate"]] = cid
                 elif "equation" in b and eqs[cid].is_coordinate():
                     cut[coords[eqs[cid].coordinate_axis()]] = cid
-            charts.append(LogChart(coordinates=coords, cut=cut, equations=eqs,
-                                   relative_dimension=int(chdoc.get("relative_dimension", 0))))
+            rel_dim = _json_int(chdoc.get("relative_dimension", 0), "relative_dimension")
+            charts.append(LogChart(coordinates=coords, cut=cut, equations=eqs, relative_dimension=rel_dim))
+        for s in doc["strata"]:
+            if type(s) is not list:
+                raise LogStructureError(f"stratum {s!r} is not a list of component ids")
         strata = [frozenset(s) for s in doc["strata"]]
         return PairDescription(mode=doc["mode"], components=components, charts=charts,
                                strata=strata, logcy=bool(doc.get("logcy", False)))

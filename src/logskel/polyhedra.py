@@ -5,7 +5,10 @@ All cones are rational and stored by primitive ray generators in canonical
 Ranks, kernels and span coordinates come from the integer Smith normal
 form in ``lattice``, facet normals from integer maximal minors; Fractions
 appear only in the parallelepiped membership test of the Hilbert basis.
-Declared and built fans are closed under faces by one helper.  Ambient ranks stay small (<= 8).
+Declared and built fans are closed under faces by one helper, and each
+cone a fan holds is the index set of its extreme rays, so the fan reads a
+cone's geometry off its rays.  ``derived_subdivision`` refines a fan to a
+simplicial one in a single pass.  Ambient ranks stay small (<= 8).
 """
 
 from __future__ import annotations
@@ -235,6 +238,20 @@ class FanError(ValueError):
     pass
 
 
+def maximal_sets(sets):
+    """The members of a collection of frozensets that no other member
+    strictly contains, in collection order.
+
+    A proper superset of f contains every element of f, so it is enough to
+    look among the sets at the element of f that the fewest share.
+    """
+    at = {}
+    for f in sets:
+        for v in f:
+            at.setdefault(v, []).append(f)
+    return [f for f in sets if not any(f < g for g in min((at[v] for v in f), key=len, default=sets))]
+
+
 def _sorted_cones(cones):
     """Ray-index sets, deduplicated, with the zero cone, by size then indices."""
     return sorted({frozenset(c) for c in cones} | {frozenset()}, key=lambda c: (len(c), sorted(c)))
@@ -254,11 +271,10 @@ class Fan:
         self.rank = rank
         self.rays = [tuple(r) for r in (rays or [])]
         self._ray_index = {r: i for i, r in enumerate(self.rays)}
-        self._cone_cache = {}
         self.cones = _sorted_cones(cones or [])
         if validate:
             for idx in list(self.cones):
-                c = self.cone_geometry(idx)
+                c = Cone.from_generators([self.rays[i] for i in idx], rank)
                 if set(c.rays) != {self.rays[i] for i in idx}:
                     raise FanError(f"generators {sorted(idx)} are not the extreme rays of their cone")
                 self._add_cone_with_faces(c)
@@ -291,16 +307,14 @@ class Fan:
     # -- geometry ------------------------------------------------------
 
     def cone_geometry(self, idx) -> Cone:
-        idx = frozenset(idx)
-        if idx not in self._cone_cache:
-            self._cone_cache[idx] = Cone.from_generators([self.rays[i] for i in idx], self.rank)
-        return self._cone_cache[idx]
+        # every index set held is the extreme rays of its cone, all primitive
+        return Cone(rays=tuple(sorted(self.rays[i] for i in idx)), rank=self.rank)
 
     def dim(self) -> int:
         return max((self.cone_geometry(c).dim() for c in self.cones), default=0)
 
     def maximal_cones(self):
-        return [c for c in self.cones if not any(c < d for d in self.cones)]
+        return maximal_sets(self.cones)
 
     def _is_face(self, small, big) -> bool:
         if not small <= big:
@@ -409,6 +423,39 @@ def compactified_fan_strata(fan: Fan):
     strata of the compactified fan.
     """
     return [(fan.cone_geometry(sigma), star_fan(fan, sigma)) for sigma in fan.cones]
+
+
+def derived_subdivision(fan: Fan) -> Fan:
+    """Simplicial refinement with the same support: the fan starred once at
+    the barycentre ray of each non-simplicial cone, largest dimension first.
+
+    Starring at a cone keeps its proper faces, so the smaller non-simplicial
+    cones are still there to be starred, and the pass ends simplicial.  The
+    barycentre of primitive rays commutes with every lattice automorphism
+    of the fan.  A simplicial fan is returned as it is.
+    """
+    def non_simplicial(c):
+        return len(c) > 2 and not fan.cone_geometry(c).is_simplicial()
+
+    maximal = fan.maximal_cones()
+    bad = {d for c in maximal if non_simplicial(c) for d in fan.cones if d <= c and non_simplicial(d)}
+    if not bad:
+        return fan
+    cones = [fan.cone_geometry(c).rays for c in maximal]
+    for face in sorted((fan.cone_geometry(d) for d in bad), key=lambda f: (-f.dim(), f.rays)):
+        ray = primitive([sum(col) for col in zip(*face.rays)])
+        face_rays = set(face.rays)
+        starred = []
+        for rays in cones:
+            if not face_rays <= set(rays):
+                starred.append(rays)
+                continue
+            # one piece per facet missing the new ray: its rays plus the ray
+            for m in dual_rays(rays, fan.rank):
+                if dot(m, ray) > 0:
+                    starred.append(tuple(sorted([r for r in rays if dot(m, r) == 0] + [ray])))
+        cones = starred
+    return Fan.from_cones([Cone(rays=c, rank=fan.rank) for c in cones], fan.rank)
 
 
 def intersect_fan_subspace(fan: Fan, basis) -> Fan:

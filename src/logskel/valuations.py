@@ -47,9 +47,11 @@ def _terms_from(spec_list, arity=None):
             out.append(item)
             continue
         exps, *rest = item
+        if any(type(e) is not int for e in exps):
+            raise ValuationError(f"exponent vector {list(exps)!r} is not a list of integers")
         cv = q(rest[0]) if rest else Fraction(0)
         coeff = q(rest[1]) if len(rest) > 1 and rest[1] is not None else None
-        out.append(Term(exps=tuple(int(e) for e in exps), coeff_val=cv, coeff=coeff))
+        out.append(Term(exps=tuple(exps), coeff_val=cv, coeff=coeff))
     if arity is not None:
         for t in out:
             if len(t.exps) != arity:

@@ -90,15 +90,18 @@ class PluriForm:
 
     @staticmethod
     def from_json_dict(doc) -> "PluriForm":
+        for name, value in [("m", doc["m"])] + [("chart", e["chart"]) for e in doc.get("charts", [])]:
+            if type(value) is not int:
+                raise WeightError(f"{name} {value!r} is not an integer")
         if "charts" in doc:
-            nums = {int(e["chart"]): LaurentRational.from_json_dict(e["numerator"])
+            nums = {e["chart"]: LaurentRational.from_json_dict(e["numerator"])
                     for e in doc["charts"]}
-            overrides = {int(e["chart"]): frozenset(e["dlog"])
+            overrides = {e["chart"]: frozenset(e["dlog"])
                          for e in doc["charts"] if "dlog" in e}
         else:
             nums = {0: LaurentRational.from_json_dict(doc["numerator"])}
             overrides = {}
-        return PluriForm(m=int(doc["m"]), dlog=frozenset(doc["dlog"]),
+        return PluriForm(m=doc["m"], dlog=frozenset(doc["dlog"]),
                          numerators=nums, chart_dlog=overrides)
 
 

@@ -19,7 +19,6 @@ from logskel.complexes import (
     simplex_boundary_complex,
     sphere_profile,
     sphere_quotient_map_check,
-    snf_self_check,
     tate_strata,
 )
 from logskel import fixtures as fx
@@ -41,6 +40,7 @@ from logskel.valuations import (
     scale,
 )
 from logskel.weights import gauss_weight_identity, weight
+from snf_check import snf_self_check
 
 
 def announce(num, ok, detail):

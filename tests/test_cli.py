@@ -9,9 +9,9 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 FIX = os.path.join(ROOT, "fixtures")
 
 
-def run_cli(*args):
+def run_cli(*args, timeout=None):
     return subprocess.run([sys.executable, "-m", "logskel", *args],
-                          capture_output=True, text=True, cwd=ROOT)
+                          capture_output=True, text=True, cwd=ROOT, timeout=timeout)
 
 
 def test_weight_command_example_values():
@@ -177,6 +177,20 @@ def test_dual_complex_command():
     assert ranks == [1, 1]
 
 
+def test_dual_complex_square_pyramid(tmp_path):
+    """One rank-4 cone over a square pyramid: its non-simplicial base face
+    must be starred too, or the subdivision never ends."""
+    doc = {"rank": 4, "rays": [[1, 1, 0, 1], [1, -1, 0, 1], [-1, 1, 0, 1], [-1, -1, 0, 1],
+                               [0, 0, 1, 1]], "cones": [[0, 1, 2, 3, 4]]}
+    path = tmp_path / "pyramid.json"
+    path.write_text(json.dumps(doc))
+    out = run_cli("dual-complex", "--fan", str(path), timeout=30)
+    assert out.returncode == 0
+    doc = json.loads(out.stdout)
+    assert len(doc["complex"]["facets"]) == 8
+    assert doc["homology"]["degree"] == [{"rank": 1, "torsion": []}] + [{"rank": 0, "torsion": []}] * 3
+
+
 def test_homology_command_roundtrip(tmp_path):
     cx = {"schema": "1", "vertices": [0, 1, 2],
           "facets": [[0, 1], [1, 2], [0, 2]]}
@@ -217,6 +231,56 @@ def test_pair_float_coefficient_is_validation_error(tmp_path):
     assert out.returncode == 2
     assert out.stdout == ""
     assert "not an exact rational: 0.5" in out.stderr
+
+
+def _set(path, value):
+    def edit(doc):
+        *keys, last = path
+        for k in keys:
+            doc = doc[k]
+        doc[last] = value
+    return edit
+
+
+@pytest.mark.parametrize("which,edit,message", [
+    ("pair", _set(["charts", 0, "boundary", 0, "equation", "num", 0, "exp"], [1.5, 0, 0]),
+     "exponent vector [1.5, 0, 0] is not a list of integers"),
+    ("pair", _set(["charts", 0, "boundary", 0, "pi_multiplicity"], True),
+     "pi_multiplicity True is not an integer"),
+    ("pair", _set(["charts", 0, "relative_dimension"], 2.7), "relative_dimension 2.7 is not an integer"),
+    ("pair", _set(["strata", 1], 5), "stratum 5 is not a list of component ids"),
+    ("form", _set(["m"], 1.5), "m 1.5 is not an integer"),
+    ("form", _set(["charts", 1, "chart"], 1.0), "chart 1.0 is not an integer"),
+], ids=["exponent", "pi_multiplicity", "relative_dimension", "stratum", "m", "chart"])
+def test_pair_or_form_non_int_is_validation_error(tmp_path, which, edit, message):
+    paths = {}
+    for kind in ("pair", "form"):
+        with open(os.path.join(FIX, f"strict_inclusion_{kind}.json")) as fh:
+            doc = json.load(fh)
+        if kind == which:
+            edit(doc)
+        paths[kind] = tmp_path / f"{kind}.json"
+        paths[kind].write_text(json.dumps(doc))
+    out = run_cli("ks", "--pair", str(paths["pair"]), "--form", str(paths["form"]))
+    assert out.returncode == 2
+    assert out.stdout == ""
+    assert message in out.stderr
+
+
+@pytest.mark.parametrize("flag,value,message", [
+    ("--n", "0", "--n must be positive"),
+    ("--n", "-1", "--n must be positive"),
+    ("--samples", "0", "--samples must be positive"),
+    ("--tolerance", "0", "--tolerance must be positive"),
+    ("--tolerance", "-1e-9", "--tolerance must be positive"),
+    ("--tolerance", "nan", "--tolerance must be positive"),
+], ids=["n=0", "n=-1", "samples=0", "tolerance=0", "tolerance<0", "tolerance=nan"])
+def test_sphere_check_argument_is_validation_error(flag, value, message):
+    args = {"--n": "2", "--samples": "10", "--tolerance": "1e-9", flag: value}
+    out = run_cli("sphere-check", *[f"{k}={v}" for k, v in args.items()])
+    assert out.returncode == 2
+    assert out.stdout == ""
+    assert message in out.stderr and "Traceback" not in out.stderr
 
 
 def test_unknown_stratum_is_validation_error(tmp_path):

@@ -20,10 +20,9 @@ from logskel.complexes import (
     simplex_boundary_complex,
     sphere_profile,
     sphere_quotient_map_check,
-    stellar_subdivide_until_simplicial,
     tate_strata,
 )
-from logskel.polyhedra import Cone, Fan, fan_p2
+from logskel.polyhedra import Cone, Fan, derived_subdivision, fan_p2
 
 
 # -- link complexes ---------------------------------------------------------
@@ -52,7 +51,7 @@ def test_link_nonsimplicial_cone_subdivides():
     # cone over a square: one stellar ray makes four triangles
     f = Fan(3, [(1, 0, 1), (0, 1, 1), (-1, 0, 1), (0, -1, 1)],
             [frozenset({0, 1, 2, 3})])
-    out = stellar_subdivide_until_simplicial(f)
+    out = derived_subdivision(f)
     assert all(out.cone_geometry(c).is_simplicial() for c in out.cones)
     lk = link_complex(f)
     prof = homology(lk)

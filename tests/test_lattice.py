@@ -6,14 +6,12 @@ from hypothesis import strategies as st
 from logskel.lattice import (
     det,
     int_kernel_basis,
-    is_unimodular,
-    mat_mult,
     snf_diagonal,
     snf_with_transforms,
     span_snf,
     SparseIntMatrix,
 )
-from logskel.complexes import snf_self_check
+from snf_check import is_unimodular, mat_mult, snf_self_check
 
 
 def random_matrix(rng, rows, cols, bound=9):

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from logskel.complexes import homology, link_complex, sphere_profile
+from logskel.complexes import HomologyProfile, homology, link_complex, sphere_profile
 from logskel.polyhedra import (
     Cone,
     DimensionLimitError,
@@ -11,6 +11,7 @@ from logskel.polyhedra import (
     NotPointedError,
     FanError,
     compactified_fan_strata,
+    derived_subdivision,
     dual_cone,
     dual_rays,
     dot,
@@ -252,6 +253,51 @@ def test_hilbert_matches_zonotope_oracle_small():
         assert hilbert_basis(c) == zonotope_hilbert_oracle(c)
 
 
+def box_hilbert_oracle(c: Cone):
+    """Oracle for a full-dimensional pointed cone: every Hilbert basis element
+    lies in the zonotope of the rays, so in its bounding box; scanning the
+    box's cone points by a positive grading, a point is irreducible exactly
+    when no smaller irreducible one is below it in the cone order."""
+    normals = c.facet_normals()
+    grading = [sum(col) for col in zip(*normals)]
+
+    def inside(v):
+        return all(dot(m, v) >= 0 for m in normals)
+
+    box = [range(sum(min(0, r[j]) for r in c.rays), sum(max(0, r[j]) for r in c.rays) + 1)
+           for j in range(c.rank)]
+    basis = []
+    for x in sorted((p for p in itertools.product(*box) if any(p) and inside(p)),
+                    key=lambda p: dot(grading, p)):
+        if not any(inside(tuple(a - b for a, b in zip(x, y))) for y in basis):
+            basis.append(x)
+    return sorted(basis)
+
+
+@pytest.mark.parametrize("gens,expected", [
+    ([(1, 0, 1), (0, 1, 1), (-1, 0, 1), (0, -1, 1)],
+     [(-1, 0, 1), (0, -1, 1), (0, 0, 1), (0, 1, 1), (1, 0, 1)]),
+    ([(-1, -2, 1), (-1, 1, 0), (1, 0, -2), (1, 1, -2)],
+     [(-1, -2, 1), (-1, 0, 0), (-1, 1, 0), (0, 0, -1), (0, 1, -1), (1, 0, -2), (1, 1, -2)]),
+], ids=["square", "skew"])
+def test_hilbert_non_simplicial_pinned(gens, expected):
+    c = Cone.from_generators(gens, 3)
+    assert len(c.rays) == 4 and c.dim() == 3
+    assert hilbert_basis(c) == box_hilbert_oracle(c) == expected
+
+
+def test_hilbert_non_simplicial_random_against_box():
+    rng = random.Random(31)
+    done = 0
+    while done < 30:
+        gens = [tuple(rng.randint(-2, 2) for _ in range(3)) for _ in range(rng.choice([4, 5]))]
+        c = Cone.from_generators(gens, 3)
+        if len(c.rays) <= 3 or c.dim() != 3 or not c.is_pointed():
+            continue
+        assert hilbert_basis(c) == box_hilbert_oracle(c)
+        done += 1
+
+
 # -- fans --------------------------------------------------------------------
 
 def test_p2_compactified_strata():
@@ -329,6 +375,60 @@ def test_intersect_p2_squared_kernel_link_is_circle():
     assert out.rank == 2
     assert homology(link_complex(out)) == sphere_profile(1)
     out.validate()  # fan axioms hold post hoc
+
+
+def _sl_kernel_fan(n):
+    model = fan_p1xp1()
+    for _ in range(n - 1):
+        model = product_fan(model, fan_p1xp1())
+    basis = []
+    for i in range(n - 1):
+        for j in (0, 1):
+            v = [0] * (2 * n)
+            v[2 * i + j], v[2 * i + 2 + j] = 1, -1
+            basis.append(v)
+    return intersect_fan_subspace(model, basis)
+
+
+def test_derived_subdivision_leaves_simplicial_fans_alone():
+    import json
+    import os
+
+    fix = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "fixtures")
+    fans = [fan_p1(), fan_p2(), fan_p1xp1(), fan_a2(), Fan(0), product_fan(fan_p2(), fan_p1xp1()),
+            _sl_kernel_fan(2), _sl_kernel_fan(3)]
+    for name in sorted(os.listdir(fix)):
+        if name.endswith("_fan.json"):
+            with open(os.path.join(fix, name)) as fh:
+                fans.append(Fan.from_json_dict(json.load(fh)))
+    assert len(fans) > 8
+    for f in fans:
+        assert derived_subdivision(f) is f
+
+
+def test_derived_subdivision_of_glued_pyramids():
+    """Two square pyramids glued along their base: each pyramid and the
+    shared square are starred once."""
+    rays = [(x, y, 0, 1) for x in (1, -1) for y in (1, -1)] + [(0, 0, 1, 1), (0, 0, -1, 1)]
+    f = Fan(4, rays, [frozenset({0, 1, 2, 3, 4}), frozenset({0, 1, 2, 3, 5})])
+    out = derived_subdivision(f)
+    maximal = [out.cone_geometry(c) for c in out.maximal_cones()]
+    assert len(out.rays) == 9 and len(maximal) == 16
+    assert all(out.cone_geometry(c).is_simplicial() for c in out.cones)
+    assert homology(link_complex(f)) == homology(link_complex(out)) == HomologyProfile([(1, [])])
+    # same support, on every lattice point of a box
+    old = [f.cone_geometry(c).facet_normals() for c in f.maximal_cones()]
+    new = [c.facet_normals() for c in maximal]
+
+    def covered(normal_sets, v):
+        return any(all(dot(m, v) >= 0 for m in ms) for ms in normal_sets)
+
+    for v in itertools.product(range(-2, 3), range(-2, 3), range(-2, 3), range(-1, 3)):
+        assert covered(old, v) == covered(new, v)
+    # invariant under z -> -z and under the quarter turn (x, y) -> (-y, x)
+    cones = {frozenset(c.rays) for c in maximal}
+    for g in (lambda r: (r[0], r[1], -r[2], r[3]), lambda r: (-r[1], r[0], r[2], r[3])):
+        assert {frozenset(map(g, c)) for c in cones} == cones
 
 
 def test_intersect_rejects_non_saturated():
