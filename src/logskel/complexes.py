@@ -601,6 +601,43 @@ def character_variety_homology(group: str, n: int) -> HomologyProfile:
 # Sphere quotient map (numeric check) and Tate strata
 # --------------------------------------------------------------------------
 
+def _monic_coefficients(z):
+    """prod_i (w - z_i) for each row z of an (N, n) array, degree n-1 .. 0 (leading 1 dropped)."""
+    poly = np.zeros((len(z), z.shape[1] + 1), dtype=complex)
+    poly[:, 0] = 1.0
+    for i in range(z.shape[1]):
+        poly[:, 1:] -= z[:, i:i + 1] * poly[:, :-1]
+    return poly[:, 1:]
+
+
+def _sphere_images(z, tolerance):
+    """The sphere map of ``sphere_quotient_map_check`` on each row of z."""
+    c = _monic_coefficients(z)
+    r = np.abs(c)
+    phi = r ** (1.0 / np.arange(1, c.shape[1] + 1)) * (c / np.where(r > 0, r, 1.0))  # c = 0 where r = 0
+    nv = np.linalg.norm(phi, axis=1)
+    if np.any(nv < tolerance):
+        raise ArithmeticError("map degenerate at a sample (zero coefficient vector)")
+    return phi / nv[:, None]
+
+
+def _close_pairs(images, tolerance):
+    """Index pairs (a, b), a < b, with sum |images[a] - images[b]|^2 <= tolerance^2:
+    close images have keys (first-coordinate real parts) within tolerance, so in
+    key order each image meets only those within 2 * tolerance ahead, one batched
+    step per offset.  O(N log N) time, O(N) memory while keys do not crowd."""
+    order = np.argsort(images[:, 0].real, kind="stable")
+    key = images[order, 0].real
+    ahead = np.searchsorted(key, key + 2 * tolerance, side="right") - np.arange(len(key)) - 1
+    pairs = [np.empty((0, 2), dtype=np.intp)]
+    for step in range(1, int(ahead.max(initial=0)) + 1):
+        i = np.flatnonzero(ahead >= step)
+        d2 = np.sum(np.abs(images[order[i]] - images[order[i + step]]) ** 2, axis=1)
+        hit = i[d2 <= tolerance ** 2]
+        pairs.append(np.sort(np.stack([order[hit], order[hit + step]], axis=1), axis=1))
+    return np.concatenate(pairs)
+
+
 def sphere_quotient_map_check(n: int, samples, tolerance: float = 1e-9):
     """Numeric verification of the symmetric-quotient sphere map.
 
@@ -610,59 +647,22 @@ def sphere_quotient_map_check(n: int, samples, tolerance: float = 1e-9):
     collapse, sampled distinct orbits stay distinct, images are unit vectors.
     """
     pts = np.asarray(samples, dtype=complex)
-    if pts.ndim != 2 or pts.shape[1] != n:
-        raise ValueError("samples must be an (N, n) complex array")
-    norms = np.linalg.norm(pts, axis=1)
-    if np.any(np.abs(norms - 1.0) > tolerance):
+    if pts.ndim != 2 or pts.shape[1] != n or len(pts) == 0:
+        raise ValueError("samples must be a nonempty (N, n) complex array")
+    if not np.all(np.abs(np.linalg.norm(pts, axis=1) - 1.0) <= tolerance):  # NaN fails too
         raise ValueError("sample points must lie on the unit sphere")
-
-    def coefficients(z):
-        poly = np.array([1.0 + 0.0j])
-        for zi in z:
-            poly = np.convolve(poly, np.array([1.0, -zi]))
-        return poly[1:]  # degree n-1 .. 0 coefficients
-
-    def mapped(z):
-        c = coefficients(z)
-        r = np.abs(c)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            roots = np.array([r[j] ** (1.0 / (j + 1)) for j in range(n)])
-        phases = np.where(r > 0, c / np.where(r > 0, r, 1.0), 0.0)
-        phi = roots * phases
-        nv = np.linalg.norm(phi)
-        if nv < tolerance:
-            raise ArithmeticError("map degenerate at a sample (zero coefficient vector)")
-        return phi / nv
-
-    images = np.array([mapped(z) for z in pts])
-
-    rng = np.random.default_rng(20960)
-    orbit_failures = 0
-    for idx in range(len(pts)):
-        perm = rng.permutation(n)
-        img2 = mapped(pts[idx][perm])
-        if np.linalg.norm(img2 - images[idx]) > tolerance:
-            orbit_failures += 1
-
+    images = _sphere_images(pts, tolerance)
+    # the same stream as one rng.permutation(n) per sample, in sample order
+    perms = np.random.default_rng(20960).permuted(np.tile(np.arange(n), (len(pts), 1)), axis=1)
+    moved = _sphere_images(np.take_along_axis(pts, perms, axis=1), tolerance)
+    orbit_failures = int(np.sum(np.linalg.norm(moved - images, axis=1) > tolerance))
     unit_failures = int(np.sum(np.abs(np.linalg.norm(images, axis=1) - 1.0) > tolerance))
 
-    # sampled injectivity: any pair with (near-)equal images must be one orbit
-    def same_orbit(a, b):
-        za = pts[a][np.lexsort((pts[a].imag, pts[a].real))]
-        zb = pts[b][np.lexsort((pts[b].imag, pts[b].real))]
-        return bool(np.max(np.abs(za - zb)) < 1e-6)
-
-    injectivity_failures = 0
-    block = 512
-    for start in range(0, len(pts), block):
-        chunk = images[start:start + block]
-        d2 = np.sum(np.abs(chunk[:, None, :] - images[None, :, :]) ** 2, axis=2)
-        close = np.argwhere(d2 <= tolerance ** 2)
-        for a_rel, b in close:
-            a = start + int(a_rel)
-            if a < b and not same_orbit(a, int(b)):
-                injectivity_failures += 1
-
+    # sampled injectivity: a pair with (near-)equal images must be one orbit,
+    # i.e. have (near-)equal samples once each is sorted by (real, imag)
+    canon = np.take_along_axis(pts, np.lexsort((pts.imag, pts.real)), axis=1)
+    a, b = _close_pairs(images, tolerance).T
+    injectivity_failures = int(np.sum(~(np.max(np.abs(canon[a] - canon[b]), axis=1) < 1e-6)))
     return {
         "n": n,
         "samples": len(pts),

@@ -22,7 +22,9 @@ from logskel.complexes import (
     sphere_quotient_map_check,
     tate_strata,
 )
+from logskel.complexes import _close_pairs, _monic_coefficients, _sphere_images
 from logskel.polyhedra import Cone, Fan, derived_subdivision, fan_p2
+from sphere_oracle import all_close_pairs, sphere_check_oracle
 
 
 # -- link complexes ---------------------------------------------------------
@@ -343,6 +345,56 @@ def test_sphere_check_n3_small_sweep():
     rng = np.random.default_rng(3)
     rep = sphere_quotient_map_check(3, unit_samples(rng, 1500, 3))
     assert rep["passed"]
+
+
+def test_sphere_check_rejects_empty_and_nan_samples():
+    with pytest.raises(ValueError, match="samples must be a nonempty"):
+        sphere_quotient_map_check(2, np.empty((0, 2)))
+    with pytest.raises(ValueError, match="unit sphere"):
+        sphere_quotient_map_check(2, np.array([[np.nan, 1.0 + 0j]]))
+
+
+# (n, tolerance) where 1,500 random samples give close images of distinct
+# orbits, so the comparison with the oracle covers the injectivity count
+LOOSE_WITH_FAILURES = {(1, 1e-2), (2, 1e-2), (1, 5e-2), (2, 5e-2), (3, 5e-2)}
+
+
+@pytest.mark.parametrize("tolerance", [1e-9, 1e-2, 5e-2])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_sphere_check_matches_per_sample_oracle(n, tolerance):
+    z = unit_samples(np.random.default_rng(100 + n), 1500, n)
+    rep = sphere_quotient_map_check(n, z, tolerance=tolerance)
+    assert rep == sphere_check_oracle(n, z, tolerance=tolerance)
+    if (n, tolerance) in LOOSE_WITH_FAILURES:
+        assert rep["injectivity_failures"] > 0
+
+
+@pytest.mark.parametrize("tolerance", [1e-9, 1e-2])
+def test_close_pairs_matches_all_pairs_on_planted_probes(tolerance):
+    rng = np.random.default_rng(11)
+    z = unit_samples(rng, 600, 3)
+    # near-permutations: permuted copies of samples with 1e-12 noise
+    noisy = z[:40, [2, 0, 1]] + 1e-12 * (rng.normal(size=(40, 3)) + 1j * rng.normal(size=(40, 3)))
+    noisy /= np.linalg.norm(noisy, axis=1, keepdims=True)
+    images = _sphere_images(np.concatenate([z, noisy]), 1e-9)
+    # exact duplicates tie in the sort key
+    images = np.concatenate([images, images[40:80]])
+    # decoys: key 1.5 * tolerance ahead, so inside the sweep window but not close
+    decoys = images[80:120].copy()
+    decoys[:, 0] += 1.5 * tolerance
+    images = np.concatenate([images, decoys])
+    planted = {(i, 600 + i) for i in range(40)} | {(40 + i, 640 + i) for i in range(40)}
+    found = {(int(a), int(b)) for a, b in _close_pairs(images, tolerance)}
+    assert found == all_close_pairs(images, tolerance)
+    assert planted <= found
+    assert not found & {(80 + i, 680 + i) for i in range(40)}
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_monic_coefficients_match_np_poly(n):
+    z = unit_samples(np.random.default_rng(40 + n), 200, n)
+    expected = np.array([np.poly(row)[1:] for row in z])
+    assert np.max(np.abs(_monic_coefficients(z) - expected)) < 1e-12
 
 
 # -- tate strata -----------------------------------------------------------------------
