@@ -216,93 +216,92 @@ def barycentric_subdivision(k: SimplicialComplex) -> SimplicialComplex:
 # Orbit machinery.  ``_OrbitCells`` is the levelwise quotient of the
 # subdivided complex viewed as a simplicial set: cells in dimension d are
 # orbits of (d+1)-chains of faces; the i-th face of a chain drops its i-th
-# element, and the size order makes the boundary signs canonical.
+# element from the bottom, and the size order makes the boundary signs
+# canonical.
+#
+# Simplex ids run by dimension, then by label, so a cell is represented by
+# the member of its orbit whose top-first tuple (top, next, ..., bottom) is
+# least: its top t is the least simplex of the top's G-orbit, and the rest
+# is least under the stabilizer Stab(t).  Chains are therefore enumerated
+# only below one simplex per G-orbit and reduced by its stabilizer, which
+# costs about chains * |Stab| / |G| instead of every chain times |G|.  Cells
+# are numbered in the order of their representatives' top-first tuples.
 # --------------------------------------------------------------------------
 
 class _OrbitCells:
     def __init__(self, base: SimplicialComplex, action: GroupAction):
-        self.base = base
-        self.action = action
-        simplices = base.simplices_by_dim()
-        self.ids = {}
-        self.sims = []
-        for dim_list in simplices:
-            for s in dim_list:
-                self.ids[s] = len(self.sims)
-                self.sims.append(s)
-        # vertex permutations as simplex-id permutations
-        self.perms = []
-        for g in action.elements:
-            arr = [0] * len(self.sims)
-            for s, i in self.ids.items():
-                arr[i] = self.ids[tuple(sorted((g[v] for v in s), key=str))]
-            self.perms.append(arr)
-        # chains by dimension
         self.dim = base.dim()
-        self.chains = [[] for _ in range(self.dim + 1)]
-        self.chain_ids = [dict() for _ in range(self.dim + 1)]
-        self._enumerate_chains(simplices)
-        self.reps = [self._orbits(d) for d in range(self.dim + 1)]
-
-    def _enumerate_chains(self, simplices):
-        # proper-face id lists per simplex
-        faces_of = [[] for _ in self.sims]
-        for s, i in self.ids.items():
-            sl = list(s)
-            n = len(sl)
-            for kk in range(1, n):
-                for sub in itertools.combinations(sl, kk):
-                    faces_of[i].append(self.ids[tuple(sorted(sub, key=str))])
-        ending = [[] for _ in self.sims]  # chains with top element s, as tuples
-        order = sorted(range(len(self.sims)), key=lambda i: len(self.sims[i]))
-        for i in order:
-            mine = [(i,)]
-            for f in faces_of[i]:
-                for c in ending[f]:
-                    mine.append(c + (i,))
-            ending[i] = mine
-        for chains in ending:
-            for c in chains:
-                d = len(c) - 1
-                self.chain_ids[d][c] = len(self.chains[d])
-                self.chains[d].append(c)
-
-    def _orbits(self, d):
-        """Canonical representative index per chain, plus the list of reps."""
-        chains = self.chains[d]
-        ids = self.chain_ids[d]
-        rep_of = [-1] * len(chains)
-        reps = []
-        for i, c in enumerate(chains):
-            if rep_of[i] >= 0:
+        sims = [s for level in base.simplices_by_dim() for s in level]
+        ids = {s: i for i, s in enumerate(sims)}
+        perms = [[ids[tuple(sorted((g[v] for v in s), key=str))] for s in sims]
+                 for g in action.elements]
+        # proper faces of each simplex, in increasing id order
+        faces_of = [[ids[sub] for k in range(1, len(s)) for sub in itertools.combinations(s, k)]
+                    for s in sims]
+        inverses = [[0] * len(sims) for _ in perms]
+        for g, inverse in zip(perms, inverses):
+            for i, j in enumerate(g):
+                inverse[j] = i
+        # per simplex, the inverse of a group element taking the least simplex
+        # of its orbit to it (None for that least simplex), shared, so the
+        # table holds |G| permutations; Stab(t) for each least t
+        self._moves = [None] * len(sims)
+        stabs = {}
+        for t in range(len(sims)):
+            if self._moves[t] is not None:
                 continue
-            orbit = {i}
-            for arr in self.perms:
-                img = tuple(arr[x] for x in c)
-                orbit.add(ids[img])
-            r = len(reps)
-            reps.append(min(orbit))
-            for j in orbit:
-                rep_of[j] = r
-        return rep_of, reps
+            stabs[t] = [g for g in perms if g[t] == t]
+            for g, inverse in zip(perms, inverses):
+                if g[t] != t and self._moves[g[t]] is None:
+                    self._moves[g[t]] = inverse
+        # representatives per level; a depth-first walk with faces in id order
+        # visits chains in top-first lexicographic order, so levels come sorted
+        self.levels = [[] for _ in range(self.dim + 1)]
+
+        def walk(chain, fixers):
+            # fixers: the elements of Stab(t) that fix chain; the rest map it higher
+            self.levels[len(chain) - 1].append(chain)
+            for x in faces_of[chain[-1]]:
+                keep = []
+                for g in fixers:
+                    y = g[x]
+                    if y < x:
+                        break  # g maps chain + (x,) and all its extensions lower
+                    if y == x:
+                        keep.append(g)
+                else:
+                    walk(chain + (x,), keep)
+
+        for t, stab in stabs.items():
+            walk((t,), stab)
+        # every Stab(top)-image of each representative -> its cell index
+        self._index = [{} for _ in self.levels]
+        for index, level in zip(self._index, self.levels):
+            for j, chain in enumerate(level):
+                index[chain] = j  # the stored tuple is also the identity image's key
+                for g in stabs[chain[0]]:
+                    index[tuple(map(g.__getitem__, chain))] = j
+
+    def _cell(self, chain):
+        """Cell index of a top-first chain."""
+        move = self._moves[chain[0]]
+        if move is not None:
+            chain = tuple(map(move.__getitem__, chain))
+        return self._index[len(chain) - 1][chain]
 
     def cell_counts(self):
-        return [len(reps) for _, reps in self.reps]
+        return [len(level) for level in self.levels]
 
     def boundary_columns(self, d, skip):
         """Boundary matrix of the orbit cell complex in dimension d >= 1,
         without the columns of the cells indexed in ``skip``."""
-        rep_of_low, _ = self.reps[d - 1]
-        low_ids = self.chain_ids[d - 1]
         cols = []
-        for ridx, r in enumerate(self.reps[d][1]):
-            if ridx in skip:
+        for j, chain in enumerate(self.levels[d]):
+            if j in skip:
                 continue
-            chain = self.chains[d][r]
             col = {}
-            for i in range(len(chain)):
-                face = chain[:i] + chain[i + 1:]
-                row = rep_of_low[low_ids[face]]
+            for i in range(d + 1):  # the i-th element from the bottom
+                row = self._cell(chain[:d - i] + chain[d - i + 1:])
                 col[row] = col.get(row, 0) + (-1) ** i
             cols.append([(row, val) for row, val in col.items() if val])
         return cols
@@ -315,40 +314,27 @@ class _OrbitCells:
         genuine simplicial complex homeomorphic to the orbit space.
         """
         # face poset: orbit [c'] <= [c] iff some subchain of (a representative
-        # of) [c] lies in [c']; flags through top cells give the facets.
-        est = sum(len(reps) * math.factorial(d + 1)
-                  for d, (_, reps) in enumerate(self.reps) if d == self.dim)
+        # of) [c] lies in [c']; flags through maximal cells give the facets,
+        # (d+1)! of them per maximal d-cell.
+        masks = [self._maximal_mask(d) for d in range(self.dim + 1)]
+        est = sum(sum(mask) * math.factorial(d + 1) for d, mask in enumerate(masks))
         if est > max_facets:
             raise ComplexError(
                 f"orbit-space triangulation would need ~{est} facets (> {max_facets})")
         facets = []
-        for d in range(self.dim + 1):
-            rep_of_d, reps_d = self.reps[d]
-            maximal = self._maximal_mask(d)
-            for ridx, r in enumerate(reps_d):
-                if not maximal[ridx]:
-                    continue
-                chain = self.chains[d][r]
-                for flag in self._flags(chain):
-                    facets.append(frozenset(flag))
+        for level, mask in zip(self.levels, masks):
+            for chain, maximal in zip(level, mask):
+                if maximal:
+                    facets.extend(frozenset(flag) for flag in self._flags(chain))
         return SimplicialComplex.from_facets(facets)
 
     def _maximal_mask(self, d):
-        rep_of_d, reps_d = self.reps[d]
-        mask = [True] * len(reps_d)
+        """Per d-cell, whether it is a face of no (d+1)-cell."""
         if d == self.dim:
-            return mask
-        rep_set = set()
-        up_rep_of, up_reps = self.reps[d + 1]
-        for r in up_reps:
-            chain = self.chains[d + 1][r]
-            for i in range(len(chain)):
-                face = chain[:i] + chain[i + 1:]
-                rep_set.add(self.reps[d][0][self.chain_ids[d][face]])
-        for ridx in range(len(reps_d)):
-            if ridx in rep_set:
-                mask[ridx] = False
-        return mask
+            return [True] * len(self.levels[d])
+        faces = {self._cell(chain[:i] + chain[i + 1:])
+                 for chain in self.levels[d + 1] for i in range(d + 2)}
+        return [j not in faces for j in range(len(self.levels[d]))]
 
     def _flags(self, chain):
         """All maximal flags of subchains of ``chain``, as orbit-label tuples."""
@@ -357,8 +343,7 @@ class _OrbitCells:
 
         def lab(sub):
             if sub not in labels:
-                d = len(sub) - 1
-                labels[sub] = ("cell", d, self.reps[d][0][self.chain_ids[d][sub]])
+                labels[sub] = ("cell", len(sub) - 1, self._cell(sub))
             return labels[sub]
 
         out = []

@@ -1,0 +1,104 @@
+"""Reference implementation of the orbit cells of a barycentric subdivision.
+
+The materializing algorithm that ``logskel.complexes._OrbitCells`` replaced,
+kept as written so that its orbit-first enumeration can be compared with it
+cell for cell and column for column.  It stores every chain of the
+subdivision with a chain -> index dict and applies every group element to
+every chain: tests only.
+"""
+
+import itertools
+
+
+class OrbitCellsOracle:
+    """Orbit cells by brute force: cell d is the orbit of a (d+1)-chain of
+    faces, represented by its member of least index in the chain order."""
+
+    def __init__(self, base, action):
+        simplices = base.simplices_by_dim()
+        self.ids = {}
+        self.sims = []
+        for dim_list in simplices:
+            for s in dim_list:
+                self.ids[s] = len(self.sims)
+                self.sims.append(s)
+        # vertex permutations as simplex-id permutations
+        self.perms = []
+        for g in action.elements:
+            arr = [0] * len(self.sims)
+            for s, i in self.ids.items():
+                arr[i] = self.ids[tuple(sorted((g[v] for v in s), key=str))]
+            self.perms.append(arr)
+        # chains by dimension
+        self.dim = base.dim()
+        self.chains = [[] for _ in range(self.dim + 1)]
+        self.chain_ids = [dict() for _ in range(self.dim + 1)]
+        self._enumerate_chains()
+        self.reps = [self._orbits(d) for d in range(self.dim + 1)]
+
+    def _enumerate_chains(self):
+        # proper-face id lists per simplex
+        faces_of = [[] for _ in self.sims]
+        for s, i in self.ids.items():
+            sl = list(s)
+            n = len(sl)
+            for kk in range(1, n):
+                for sub in itertools.combinations(sl, kk):
+                    faces_of[i].append(self.ids[tuple(sorted(sub, key=str))])
+        ending = [[] for _ in self.sims]  # chains with top element s, as tuples
+        order = sorted(range(len(self.sims)), key=lambda i: len(self.sims[i]))
+        for i in order:
+            mine = [(i,)]
+            for f in faces_of[i]:
+                for c in ending[f]:
+                    mine.append(c + (i,))
+            ending[i] = mine
+        for chains in ending:
+            for c in chains:
+                d = len(c) - 1
+                self.chain_ids[d][c] = len(self.chains[d])
+                self.chains[d].append(c)
+
+    def _orbits(self, d):
+        """Canonical representative index per chain, plus the list of reps."""
+        chains = self.chains[d]
+        ids = self.chain_ids[d]
+        rep_of = [-1] * len(chains)
+        reps = []
+        for i, c in enumerate(chains):
+            if rep_of[i] >= 0:
+                continue
+            orbit = {i}
+            for arr in self.perms:
+                img = tuple(arr[x] for x in c)
+                orbit.add(ids[img])
+            r = len(reps)
+            reps.append(min(orbit))
+            for j in orbit:
+                rep_of[j] = r
+        return rep_of, reps
+
+    def cell_counts(self):
+        return [len(reps) for _, reps in self.reps]
+
+    def rep_chains(self, d):
+        """Representative chain of each d-cell, bottom to top, in cell order."""
+        return [self.chains[d][r] for r in self.reps[d][1]]
+
+    def boundary_columns(self, d, skip):
+        """Boundary matrix of the orbit cell complex in dimension d >= 1,
+        without the columns of the cells indexed in ``skip``."""
+        rep_of_low, _ = self.reps[d - 1]
+        low_ids = self.chain_ids[d - 1]
+        cols = []
+        for ridx, r in enumerate(self.reps[d][1]):
+            if ridx in skip:
+                continue
+            chain = self.chains[d][r]
+            col = {}
+            for i in range(len(chain)):
+                face = chain[:i] + chain[i + 1:]
+                row = rep_of_low[low_ids[face]]
+                col[row] = col.get(row, 0) + (-1) ** i
+            cols.append([(row, val) for row, val in col.items() if val])
+        return cols

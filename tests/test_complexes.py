@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 
 import numpy as np
@@ -22,8 +24,15 @@ from logskel.complexes import (
     sphere_quotient_map_check,
     tate_strata,
 )
-from logskel.complexes import _close_pairs, _monic_coefficients, _sphere_images
+from logskel.complexes import (
+    _character_variety_action,
+    _close_pairs,
+    _monic_coefficients,
+    _OrbitCells,
+    _sphere_images,
+)
 from logskel.polyhedra import Cone, Fan, derived_subdivision, fan_p2
+from orbit_oracle import OrbitCellsOracle
 from sphere_oracle import all_close_pairs, sphere_check_oracle
 
 
@@ -255,8 +264,6 @@ def test_quotient_swap_join_is_s3():
 
 
 def test_quotient_euler_characteristic_equals_orbit_count_sum():
-    from logskel.complexes import _OrbitCells
-
     k = join_all([cycle_complex(4)] * 2)
     swap = {(i, v): (1 - i, v) for (i, v) in k.vertices}
     action = GroupAction(k, [swap])
@@ -264,6 +271,92 @@ def test_quotient_euler_characteristic_equals_orbit_count_sum():
     counts = cells.cell_counts()
     alt = sum((-1) ** d * c for d, c in enumerate(counts))
     assert quotient(k, [swap]).euler_characteristic() == alt
+
+
+def _swap_on_join_of_squares():
+    k = join_all([cycle_complex(4)] * 2)
+    return k, [{(i, v): (1 - i, v) for (i, v) in k.vertices}]
+
+
+# Functions returning (complex, generators).  Of the five small actions,
+# the reflection fixes two vertices, the S5 action and the swap fix
+# simplices with faces below them, and the antipodal map and the rotation
+# act freely.
+ORBIT_CASES = {
+    **{f"{g}{n}": (lambda g=g, n=n: _character_variety_action(g, n))
+       for g, n in (("gl", 1), ("gl", 2), ("gl", 3), ("sl", 2), ("sl", 3))},
+    "reflected-square": lambda: (cycle_complex(4), [{0: 0, 1: 3, 2: 2, 3: 1}]),
+    "s5-on-simplex-boundary": lambda: (simplex_boundary_complex(4), [
+        {0: 1, 1: 0, 2: 2, 3: 3, 4: 4}, {i: (i + 1) % 5 for i in range(5)}]),
+    "antipodal-square": lambda: (cycle_complex(4), [{0: 2, 1: 3, 2: 0, 3: 1}]),
+    "rotated-triangle": lambda: (cycle_complex(3), [{0: 1, 1: 2, 2: 0}]),
+    "swap-on-join-of-squares": _swap_on_join_of_squares,
+}
+
+
+@pytest.mark.parametrize("case", sorted(ORBIT_CASES))
+def test_orbit_cells_match_materializing_oracle(case):
+    k, gens = ORBIT_CASES[case]()
+    action = GroupAction(k, gens)
+    cells, oracle = _OrbitCells(k, action), OrbitCellsOracle(k, action)
+    assert cells.cell_counts() == oracle.cell_counts()
+    for d in range(cells.dim + 1):
+        assert [chain[::-1] for chain in cells.levels[d]] == oracle.rep_chains(d)
+    for d in range(1, cells.dim + 1):
+        assert cells.boundary_columns(d, set()) == oracle.boundary_columns(d, set())
+        odd = set(range(1, cells.cell_counts()[d], 2))
+        assert cells.boundary_columns(d, odd) == oracle.boundary_columns(d, odd)
+
+
+def test_orbit_cells_share_one_move_per_group_element():
+    # the antipodal map of a 2000-cycle: 4,000 simplices, each off its orbit's
+    # least simplex by the one nontrivial element, so the transporter table
+    # must hold one permutation, not one per simplex
+    m = 1000
+    k = cycle_complex(2 * m)
+    anti = {v: (v + m) % (2 * m) for v in range(2 * m)}
+    cells = _OrbitCells(k, GroupAction(k, [anti]))
+    assert cells.cell_counts() == [2 * m, 2 * m]
+    moves = [move for move in cells._moves if move is not None]
+    assert len(moves) == 2 * m and len({id(move) for move in moves}) == 1
+    assert quotient_homology(k, [anti]) == sphere_profile(1)
+
+
+@pytest.mark.parametrize("case, counts", [("reflected-square", [5, 4]),
+                                          ("s5-on-simplex-boundary", [4, 6, 4, 1])])
+def test_orbit_cells_under_nontrivial_stabilizers(case, counts):
+    k, gens = ORBIT_CASES[case]()
+    assert _OrbitCells(k, GroupAction(k, gens)).cell_counts() == counts
+
+
+# sha256 of the sorted-key JSON of each orbit-space triangulation, with its
+# vertex and facet counts
+ORBIT_SPACE_DIGESTS = {
+    ("gl", 1): (4, 4, "4b1e2cf9366cd74af5908cec6cab7371af0d4684b88e26d6208e31e682444959"),
+    ("gl", 2): (856, 4608, "b5bd9aff28c7033f0107483b1a87518385ca4d5608845c7f02a37ba6114b9cb9"),
+    ("sl", 2): (8, 8, "94b3ad7980266e64fdaebe1d743cf25c26a68c286e888721b5d4a4f9e890d81a"),
+    ("sl", 3): (640, 3456, "648ab036b0c59d5485ca18d57d8b2aacdb85d749bdb9f8de4ff9862d5f0aea28"),
+}
+
+
+@pytest.mark.parametrize("group, n", sorted(ORBIT_SPACE_DIGESTS))
+def test_orbit_space_triangulation_is_pinned(group, n):
+    c = character_variety_complex(group, n)
+    doc = json.dumps(c.to_json_dict(), sort_keys=True)
+    assert (len(c.vertices), len(c.facets), hashlib.sha256(doc.encode()).hexdigest()) == \
+        ORBIT_SPACE_DIGESTS[(group, n)]
+
+
+def test_orbit_space_facet_bound_counts_every_maximal_cell():
+    # a fixed triangle (6 top cells, 3! flags each) plus an edge whose ends
+    # are swapped (one maximal 1-cell, 2! flags): 38 facets
+    k = SimplicialComplex.from_facets([(0, 1, 2), (3, 4)])
+    swap = {0: 0, 1: 1, 2: 2, 3: 4, 4: 3}
+    with pytest.raises(ComplexError):
+        quotient(k, [swap], max_facets=37)
+    q = quotient(k, [swap], max_facets=38)
+    assert len(q.facets) == 38
+    assert homology(q) == homology(SimplicialComplex.from_facets([(0, 1, 2), (3,)]))
 
 
 def test_non_simplicial_action_rejected():
