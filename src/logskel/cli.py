@@ -49,11 +49,14 @@ VALIDATION_ERRORS = (LogStructureError, FanError, ValuationError, WeightError,
 def _load_json(path):
     try:
         with open(path) as fh:
-            return json.load(fh)
+            doc = json.load(fh)
     except json.JSONDecodeError as exc:
         raise SystemExitWithCode(2, f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}")
     except OSError as exc:
         raise SystemExitWithCode(2, f"{path}: {exc}")
+    if type(doc) is not dict:
+        raise SystemExitWithCode(2, f"{path}: the top level is not a JSON object")
+    return doc
 
 
 class SystemExitWithCode(Exception):

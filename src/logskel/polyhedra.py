@@ -3,12 +3,12 @@
 All cones are rational and stored by primitive ray generators in canonical
 (lexicographically sorted) order, so cone equality is tuple comparison.
 Ranks, kernels and span coordinates come from the integer Smith normal
-form in ``lattice``, facet normals from integer maximal minors; Fractions
-appear only in the parallelepiped membership test of the Hilbert basis.
-Declared and built fans are closed under faces by one helper, and each
-cone a fan holds is the index set of its extreme rays, so the fan reads a
-cone's geometry off its rays.  ``derived_subdivision`` refines a fan to a
-simplicial one in a single pass.  Ambient ranks stay small (<= 8).
+form in ``lattice``, dual cones from double description in integers;
+Fractions appear only in the parallelepiped test of the Hilbert basis.
+A cone's facets, as (normal, rays on it), are computed once; its faces,
+face tests, pointedness and triangulations, and the pieces of a derived
+subdivision, are all read off them.  Each cone a fan holds is the index
+set of its extreme rays.  Ambient ranks stay small (<= 8).
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 from .lattice import (
@@ -53,12 +52,10 @@ def _check_rank(rank: int):
 def dual_rays(vectors, rank):
     """Generators of {m : <m, v> >= 0 for all v}, the cone dual to cone(vectors).
 
-    The pointed part is computed in coordinates on the span of the vectors
-    (dimension s): each (s-1)-subset of the input gives the candidate
-    normal y_j = (-1)^j det(subset without column j), the vector of signed
-    maximal minors, which is zero exactly when the subset has rank below
-    s-1.  The lineality space (span of the vectors)^perp is appended as +-
-    pairs of basis vectors.
+    The lineality space (span of the vectors)^perp gives +- pairs of basis
+    vectors.  The pointed part is the cone {y : <y, v> >= 0} in coordinates
+    on the span of the vectors, found by double description and lifted back
+    to Z^rank.
     """
     _check_rank(rank)
     vectors = [tuple(v) for v in vectors]
@@ -79,21 +76,50 @@ def dual_rays(vectors, rank):
     # rows of u are a unimodular change of coordinates; the first s rows
     # restrict to coordinates on span(vectors).
     vecs_s = [tuple(dot(u[i], v) for i in range(s)) for v in vectors]
-    rays_s = set()
-    for subset in itertools.combinations(vecs_s, s - 1) if s else ():
-        y = primitive([(-1) ** j * det([v[:j] + v[j + 1:] for v in subset]) for j in range(s)])
-        if not any(y):
-            continue
-        if all(dot(y, v) >= 0 for v in vecs_s):
-            rays_s.add(y)
-        if all(dot(y, v) <= 0 for v in vecs_s):
-            rays_s.add(tuple(-x for x in y))
     # lift y (functional on span coordinates) back to Z^rank: y . (first s
     # rows of u) is an integer functional extending y by 0 on the complement.
-    for y in rays_s:
+    for y in _double_description(vecs_s, s):
         lifted = tuple(sum(y[i] * u[i][j] for i in range(s)) for j in range(rank))
         out.append(primitive(lifted))
     return sorted(set(out))
+
+
+def _double_description(rows, s):
+    """Extreme rays of the pointed cone {y : <y, a> >= 0 for a in rows}, the
+    rows spanning Q^s, by double description (Motzkin-Raiffa-Thompson-Thrall
+    1953; Fukuda-Prodon 1996); a ray carries the mask of rows tight on it.
+
+    The first s independent rows cut out a simplicial cone whose ray j is
+    column j of their adjugate: the signed maximal minors of the other s-1.
+    Each further row a keeps the rays y with <y, a> >= 0 and adds
+    <p, a> n - <n, a> p for each p, n with <p, a> > 0 > <n, a> that are
+    adjacent: no third ray is tight on every row tight on both.
+    """
+    basis, echelon = [], []  # fraction-free row echelon form of the basis rows
+    for i, v in enumerate(rows):
+        for c, e in echelon:
+            v = primitive([e[c] * x - v[c] * y for x, y in zip(v, e)])
+        if any(v):
+            echelon.append((next(c for c, x in enumerate(v) if x), v))
+            basis.append(i)
+    full = sum(1 << i for i in basis)
+    rays = {}
+    for j in basis:
+        minors = [rows[i] for i in basis if i != j]
+        y = primitive([(-1) ** k * det([v[:k] + v[k + 1:] for v in minors]) for k in range(s)])
+        rays[y if dot(y, rows[j]) > 0 else tuple(-x for x in y)] = full & ~(1 << j)
+    for i, a in enumerate(rows):
+        if full >> i & 1:
+            continue
+        value = {y: dot(y, a) for y in rays}
+        kept = {y: z | 1 << i if value[y] == 0 else z for y, z in rays.items() if value[y] >= 0}
+        for (p, zp), (n, zn) in itertools.product(rays.items(), repeat=2):
+            common = zp & zn
+            if value[p] > 0 > value[n] and common.bit_count() >= s - 2 and not any(
+                    z & common == common for y, z in rays.items() if y != p and y != n):
+                kept[primitive([value[p] * x - value[n] * w for x, w in zip(n, p)])] = common | 1 << i
+        rays = kept
+    return list(rays)
 
 
 @dataclass(frozen=True)
@@ -129,19 +155,10 @@ class Cone:
         """H-representation; includes +- pairs forcing span membership."""
         return dual_rays(self.rays, self.rank)
 
-    def contains(self, vec) -> bool:
-        return all(dot(m, vec) >= 0 for m in self.facet_normals())
-
     def is_pointed(self) -> bool:
-        # pointed iff the dual cone is full-dimensional
-        duals = self.facet_normals()
-        if not duals:
-            return self.rank == 0
-        return len(span_snf(duals)[1]) == self.rank
+        return () in _faces(self.rays, self.rank)
 
     def is_simplicial(self) -> bool:
-        if not self.rays:
-            return True
         return len(self.rays) == self.dim()
 
     def __repr__(self):
@@ -154,27 +171,38 @@ def dual_cone(c: Cone) -> Cone:
     return Cone(rays=tuple(sorted(set(dual_rays(c.rays, c.rank)))), rank=c.rank)
 
 
-def _simplicial_subcones(c: Cone):
-    """Triangulate a pointed cone into simplicial subcones on its rays."""
-    if c.is_simplicial():
-        return [c.rays]
-    d = c.dim()
-    # placing triangulation: cone over triangulated facets from a fixed ray
-    apex = c.rays[0]
-    normals = c.facet_normals()
-    pieces = []
-    for m in normals:
-        if dot(m, apex) == 0:
-            continue
-        face_rays = tuple(r for r in c.rays if dot(m, r) == 0)
-        if not face_rays:
-            continue
-        face = Cone(rays=face_rays, rank=c.rank)
-        if face.dim() != d - 1:
-            continue
-        for sub in _simplicial_subcones(face):
-            pieces.append(tuple(sorted(set(sub) | {apex})))
-    return pieces
+@lru_cache(maxsize=None)
+def _facets(rays, rank):
+    """(normal, rays on it) for each facet of the cone on the sorted ``rays``:
+    the dual rays that are not zero on every ray."""
+    facets = ((m, tuple(r for r in rays if dot(m, r) == 0)) for m in dual_rays(rays, rank))
+    return tuple((m, on) for m, on in facets if len(on) < len(rays))
+
+
+@lru_cache(maxsize=None)
+def _faces(rays, rank):
+    """Ray tuples of the faces of the cone on the sorted ``rays``, by size
+    then rays: the closure of the cone under intersection with its facets,
+    one facet at a time.  The least face is the lineality space, so () is a
+    face exactly when the cone is pointed."""
+    walls = [sum(1 << i for i, r in enumerate(rays) if r in on) for _, on in _facets(rays, rank)]
+    faces = {(1 << len(rays)) - 1}
+    for w in walls:
+        faces |= {f & w for f in faces}
+    faces = (tuple(r for i, r in enumerate(rays) if f >> i & 1) for f in faces)
+    return tuple(sorted(faces, key=lambda f: (len(f), f)))
+
+
+def _simplicial_subcones(rays, rank):
+    """Triangulate a pointed cone into simplicial subcones on its rays: the
+    cones from its first ray over the triangulated facets that miss it.  A
+    pointed cone is simplicial exactly when each facet misses one ray."""
+    facets = _facets(rays, rank)
+    if all(len(on) == len(rays) - 1 for _, on in facets):
+        return [rays]
+    apex = rays[0]
+    return [tuple(sorted(sub + (apex,))) for _, on in facets if apex not in on
+            for sub in _simplicial_subcones(on, rank)]
 
 
 def _parallelepiped_points(rays, rank):
@@ -185,13 +213,9 @@ def _parallelepiped_points(rays, rank):
     pts = []
     for coords in itertools.product(*[range(lo[j], hi[j] + 1) for j in range(rank)]):
         t = rat_solve(cols, list(coords))
-        if t is None:
-            continue
-        # membership in span and half-open box
-        if all(0 <= ti < 1 for ti in t):
-            residual = [coords[j] - sum(Fraction(rays[i][j]) * t[i] for i in range(len(rays))) for j in range(rank)]
-            if all(x == 0 for x in residual):
-                pts.append(tuple(coords))
+        # membership in span (t is exact) and half-open box
+        if t is not None and all(0 <= ti < 1 for ti in t):
+            pts.append(tuple(coords))
     return pts
 
 
@@ -207,7 +231,7 @@ def hilbert_basis(c: Cone):
     if not c.rays:
         return []
     candidates = set(c.rays)
-    for sub in _simplicial_subcones(c):
+    for sub in _simplicial_subcones(c.rays, c.rank):
         for p in _parallelepiped_points(sub, c.rank):
             if any(p):
                 candidates.add(p)
@@ -219,17 +243,8 @@ def hilbert_basis(c: Cone):
 
     ordered = sorted(candidates, key=lambda v: (dot(grading, v), v))
     basis = []
-    for x in ordered:
-        reducible = False
-        for y in basis:
-            diff = tuple(a - b for a, b in zip(x, y))
-            if any(diff) and inside(diff):
-                reducible = True
-                break
-            if not any(diff):
-                reducible = True
-                break
-        if not reducible:
+    for x in ordered:  # reducible when x - y is in the cone (0 included)
+        if not any(inside(tuple(a - b for a, b in zip(x, y))) for y in basis):
             basis.append(x)
     return sorted(basis)
 
@@ -298,11 +313,13 @@ class Fan:
         return self._ray_index[ray]
 
     def _add_cone_with_faces(self, c: Cone):
-        faces = cone_faces(c)
-        if faces[0].rays:  # the least face is the lineality space
+        faces = _faces(c.rays, c.rank)
+        if faces[0]:  # the least face is the lineality space
             raise FanError(f"fan cones must be pointed: {c}")
+        # new rays are numbered in the order the sorted faces first list them
+        ids = {r: self._ray_id(r) for r in dict.fromkeys(r for face in faces for r in face)}
         for face in faces:
-            self.cones.append(frozenset(self._ray_id(r) for r in face.rays))
+            self.cones.append(frozenset(ids[r] for r in face))
 
     # -- geometry ------------------------------------------------------
 
@@ -317,27 +334,18 @@ class Fan:
         return maximal_sets(self.cones)
 
     def _is_face(self, small, big) -> bool:
-        if not small <= big:
-            return False
-        if small == big:
-            return True
-        cb = self.cone_geometry(big)
-        rays_small = [self.rays[i] for i in small]
-        active = [m for m in cb.facet_normals() if all(dot(m, r) == 0 for r in rays_small)]
-        face_rays = {r for r in cb.rays if all(dot(m, r) == 0 for m in active)}
-        return face_rays == set(rays_small)
+        return small <= big and self.cone_geometry(small).rays in _faces(
+            self.cone_geometry(big).rays, self.rank)
 
     def validate(self):
-        """Check the fan axioms pairwise (quadratic; for small fans)."""
-        for a, b in itertools.combinations(self.cones, 2):
+        """Check that maximal cones meet in a common face.  Every cone is a
+        face of a maximal one, and faces of a cone meet in faces, so then
+        any two cones do."""
+        for a, b in itertools.combinations(self.maximal_cones(), 2):
             ca, cb = self.cone_geometry(a), self.cone_geometry(b)
-            normals = list(ca.facet_normals()) + list(cb.facet_normals())
             # the meet of two pointed cones is pointed: these are its extreme rays
-            meet_rays = dual_rays(normals, self.rank)
-            idx = frozenset(self._ray_index.get(r, -1) for r in meet_rays)
-            if -1 in idx or idx not in set(map(frozenset, self.cones)):
-                raise FanError(f"intersection of {sorted(a)} and {sorted(b)} is not a common face")
-            if not (self._is_face(idx, a) and self._is_face(idx, b)):
+            meet = tuple(dual_rays(ca.facet_normals() + cb.facet_normals(), self.rank))
+            if meet not in _faces(ca.rays, self.rank) or meet not in _faces(cb.rays, self.rank):
                 raise FanError(f"intersection of {sorted(a)} and {sorted(b)} is not a common face")
 
     # -- serialization ---------------------------------------------------
@@ -356,8 +364,11 @@ class Fan:
     @staticmethod
     def from_json_dict(doc) -> "Fan":
         rank = doc["rank"]
-        if type(rank) is not int:
-            raise FanError(f"rank {rank!r} is not an integer")
+        if type(rank) is not int or rank < 0:
+            raise FanError(f"rank {rank!r} is not an integer >= 0")
+        for key in ("rays", "cones"):
+            if type(doc[key]) is not list:
+                raise FanError(f"{key} {doc[key]!r} is not a list")
         for r in doc["rays"]:
             if type(r) is not list or len(r) != rank or any(type(x) is not int for x in r):
                 raise FanError(f"ray {r!r} is not a list of {rank} integers")
@@ -368,7 +379,9 @@ class Fan:
             bad = [i for i in c if type(i) is not int or not 0 <= i < len(rays)]
             if bad:
                 raise FanError(f"cone {c}: {bad[0]!r} is not an index into the {len(rays)} rays")
-        return Fan(rank, rays, [frozenset(c) for c in doc["cones"]])
+        fan = Fan(rank, rays, [frozenset(c) for c in doc["cones"]])
+        fan.validate()
+        return fan
 
     def dumps(self) -> str:
         return json.dumps(self.to_json_dict(), sort_keys=True, indent=1)
@@ -382,21 +395,9 @@ class Fan:
         return f"Fan(rank={self.rank}, rays={len(self.rays)}, cones={len(self.cones)})"
 
 
-@lru_cache(maxsize=None)
-def _cone_faces_cached(rays, rank):
-    c = Cone(rays=rays, rank=rank)
-    normals = c.facet_normals()
-    faces = set()
-    for k in range(len(normals) + 1):
-        for subset in itertools.combinations(normals, k):
-            face_rays = tuple(sorted(r for r in c.rays if all(dot(m, r) == 0 for m in subset)))
-            faces.add(face_rays)
-    return tuple(Cone(rays=f, rank=rank) for f in sorted(faces, key=lambda f: (len(f), f)))
-
-
 def cone_faces(c: Cone):
     """All faces of a pointed cone (including 0 and the cone itself)."""
-    return list(_cone_faces_cached(c.rays, c.rank))
+    return [Cone(rays=f, rank=c.rank) for f in _faces(c.rays, c.rank)]
 
 
 def star_fan(fan: Fan, sigma) -> Fan:
@@ -451,9 +452,9 @@ def derived_subdivision(fan: Fan) -> Fan:
                 starred.append(rays)
                 continue
             # one piece per facet missing the new ray: its rays plus the ray
-            for m in dual_rays(rays, fan.rank):
+            for m, on in _facets(rays, fan.rank):
                 if dot(m, ray) > 0:
-                    starred.append(tuple(sorted([r for r in rays if dot(m, r) == 0] + [ray])))
+                    starred.append(tuple(sorted(on + (ray,))))
         cones = starred
     return Fan.from_cones([Cone(rays=c, rank=fan.rank) for c in cones], fan.rank)
 
@@ -471,18 +472,13 @@ def intersect_fan_subspace(fan: Fan, basis) -> Fan:
     if any(x != 1 for x in diag):
         raise FanError("subspace lattice is not saturated; coordinates would be fractional")
     k = len(basis)
-    cones = []
-    seen = set()
+    cones = {}
     for tau in fan.maximal_cones():
-        geom = fan.cone_geometry(tau)
-        normals = geom.facet_normals()
-        restricted = [tuple(dot(m, b) for b in basis) for m in normals]
+        restricted = [tuple(dot(m, b) for b in basis) for m in fan.cone_geometry(tau).facet_normals()]
         # tau meet V is pointed, so these are its extreme rays
-        c = Cone(rays=tuple(dual_rays(restricted, k)), rank=k)
-        if c.rays not in seen:
-            seen.add(c.rays)
-            cones.append(c)
-    return Fan.from_cones(cones, k)
+        rays = tuple(dual_rays(restricted, k))
+        cones.setdefault(rays, Cone(rays=rays, rank=k))
+    return Fan.from_cones(list(cones.values()), k)
 
 
 # -- standard fans used by fixtures and tests ---------------------------

@@ -1,0 +1,72 @@
+"""The subset-enumerating polyhedral kernels, kept as oracles.
+
+``dual_rays`` tests every (s-1)-subset of its inputs, in coordinates on
+their span, by the vector of signed maximal minors; ``cone_faces``
+intersects a cone with every subset of its normals, lineality +- pairs
+included.  Both are exponential in the input size.  They check the double
+description and the facet closure of ``logskel.polyhedra``.
+"""
+
+from __future__ import annotations
+
+import itertools
+
+from logskel.lattice import det, identity, int_kernel_basis, primitive, span_snf
+from logskel.polyhedra import dot
+
+
+def dual_rays(vectors, rank):
+    """Generators of the cone dual to cone(vectors), sorted: the +- pairs of
+    a basis of (span of the vectors)^perp, and in span coordinates every
+    signed-minor normal y of an (s-1)-subset that is >= 0 or <= 0 on every
+    vector."""
+    vectors = [tuple(v) for v in vectors]
+    if not vectors:
+        basis = identity(rank)
+        return [tuple(b) for b in basis] + [tuple(-x for x in b) for b in basis]
+    out = []
+    for b in int_kernel_basis([list(v) for v in vectors]):
+        out.append(primitive(b))
+        out.append(primitive([-x for x in b]))
+    u, diag = span_snf(vectors)
+    s = len(diag)
+    vecs_s = [tuple(dot(u[i], v) for i in range(s)) for v in vectors]
+    rays_s = set()
+    for subset in itertools.combinations(vecs_s, s - 1) if s else ():
+        y = primitive([(-1) ** j * det([v[:j] + v[j + 1:] for v in subset]) for j in range(s)])
+        if not any(y):
+            continue
+        if all(dot(y, v) >= 0 for v in vecs_s):
+            rays_s.add(y)
+        if all(dot(y, v) <= 0 for v in vecs_s):
+            rays_s.add(tuple(-x for x in y))
+    for y in rays_s:
+        out.append(primitive([sum(y[i] * u[i][j] for i in range(s)) for j in range(rank)]))
+    return sorted(set(out))
+
+
+def cone_faces(rays, normals):
+    """Ray tuples of every face of the cone on ``rays`` with the given
+    normals (``dual_rays(rays, rank)``), by (size, rays): the rays tight on
+    each subset of the normals."""
+    faces = set()
+    for k in range(len(normals) + 1):
+        for subset in itertools.combinations(normals, k):
+            faces.add(tuple(sorted(r for r in rays if all(dot(m, r) == 0 for m in subset))))
+    return sorted(faces, key=lambda f: (len(f), f))
+
+
+def is_pointed(normals, rank):
+    """A cone is pointed when its dual, generated by ``normals``, is
+    full-dimensional."""
+    if not normals:
+        return rank == 0
+    return len(span_snf(normals)[1]) == rank
+
+
+def is_face(rays, normals, small):
+    """``small``, a subset of ``rays``, spans a face of the cone on ``rays``
+    with the given normals when the rays tight on every normal tight on
+    ``small`` are ``small``."""
+    active = [m for m in normals if all(dot(m, r) == 0 for r in small)]
+    return {r for r in rays if all(dot(m, r) == 0 for m in active)} == set(small)

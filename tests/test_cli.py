@@ -131,6 +131,9 @@ def test_fan_json_bad_index_is_validation_error(tmp_path, cone, message):
     ({"rays": [[1, 0, 7], [0, 1], [1, 0]]}, "ray [1, 0, 7] is not a list of 2 integers"),
     ({"rays": [[1.5, 0], [0, 1], [1, 0]]}, "ray [1.5, 0] is not a list of 2 integers"),
     ({"rank": 2.5}, "rank 2.5 is not an integer"),
+    ({"rank": -1}, "rank -1 is not an integer >= 0"),
+    ({"rays": 5}, "rays 5 is not a list"),
+    ({"cones": 7}, "cones 7 is not a list"),
 ])
 def test_fan_json_bad_ray_or_rank_is_validation_error(tmp_path, edit, message):
     with open(os.path.join(FIX, "p2_fan.json")) as fh:
@@ -142,6 +145,33 @@ def test_fan_json_bad_ray_or_rank_is_validation_error(tmp_path, edit, message):
     assert out.returncode == 2
     assert out.stdout == ""
     assert message in out.stderr
+
+
+@pytest.mark.parametrize("flag", ["--fan", "--pair", "--form", "--points", "--complex"])
+def test_json_top_level_not_an_object_is_validation_error(tmp_path, flag):
+    files = {"--pair": os.path.join(FIX, "strict_inclusion_pair.json"),
+             "--form": os.path.join(FIX, "strict_inclusion_form.json"),
+             "--points": os.path.join(FIX, "strict_inclusion_points.json")}
+    bad = tmp_path / "bad.json"
+    bad.write_text("[1, 2]")
+    files[flag] = str(bad)
+    commands = {"--fan": ["skeleton", "--fan"], "--complex": ["homology", "--complex"]}
+    argv = commands[flag] + [files[flag]] if flag in commands else [
+        "weight", *(x for f in ("--pair", "--form", "--points") for x in (f, files[f]))]
+    out = run_cli(*argv)
+    assert out.returncode == 2
+    assert out.stdout == "" and "Traceback" not in out.stderr
+    assert f"{bad}: the top level is not a JSON object" in out.stderr
+
+
+def test_overlapping_fan_cones_are_validation_error(tmp_path):
+    doc = {"rank": 2, "rays": [[1, 0], [0, 1], [1, 1]], "cones": [[0, 1], [1, 2]]}
+    path = tmp_path / "fan.json"
+    path.write_text(json.dumps(doc))
+    out = run_cli("dual-complex", "--fan", str(path))
+    assert out.returncode == 2
+    assert out.stdout == ""
+    assert "intersection of [0, 1] and [1, 2] is not a common face" in out.stderr
 
 
 @pytest.mark.parametrize("facet,message", [

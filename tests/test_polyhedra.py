@@ -1,3 +1,4 @@
+import collections
 import itertools
 import random
 
@@ -11,6 +12,7 @@ from logskel.polyhedra import (
     NotPointedError,
     FanError,
     compactified_fan_strata,
+    cone_faces,
     derived_subdivision,
     dual_cone,
     dual_rays,
@@ -24,6 +26,7 @@ from logskel.polyhedra import (
     product_fan,
     star_fan,
 )
+import polyhedra_oracle as oracle
 
 
 # -- dual cone -------------------------------------------------------------
@@ -143,6 +146,70 @@ DUAL_RAYS_PINNED = [
 @pytest.mark.parametrize("vectors,rank,expected", DUAL_RAYS_PINNED)
 def test_dual_rays_pinned_values(vectors, rank, expected):
     assert dual_rays(vectors, rank) == expected
+
+
+def _oracle_draws(seed, count):
+    """Seeded generator lists at ranks 1-6: up to 10 vectors in [-3, 3],
+    with zero, repeated and opposite vectors mixed in."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        rank = rng.randint(1, 6)
+        vectors = []
+        for _ in range(rng.randint(0, 10)):
+            roll = rng.random()
+            if vectors and roll < 0.1:
+                vectors.append(rng.choice(vectors))
+            elif vectors and roll < 0.2:
+                vectors.append(tuple(-x for x in rng.choice(vectors)))
+            elif roll < 0.25:
+                vectors.append((0,) * rank)
+            else:
+                vectors.append(tuple(rng.randint(-3, 3) for _ in range(rank)))
+        yield vectors, rank
+
+
+def test_dual_rays_match_subset_oracle():
+    """Double description against the subset-minor kernel on 3,000 draws."""
+    kinds = collections.Counter()
+    for vectors, rank in _oracle_draws(41, 3000):
+        got = dual_rays(vectors, rank)
+        assert got == oracle.dual_rays(vectors, rank), (vectors, rank)
+        kinds["more vectors than rank" if len({v for v in vectors if any(v)}) > rank
+              else "dual with lineality" if len(got) > rank else "other"] += 1
+    assert min(kinds.values()) > 300, kinds
+
+
+def test_faces_match_normal_subset_oracle():
+    """Faces, pointedness and face tests against the 2^k normal-subset
+    enumeration, on the draws whose normals number at most 10."""
+    compared = pointed = 0
+    for vectors, rank in _oracle_draws(43, 2000):
+        c = Cone.from_generators(vectors, rank)
+        normals = oracle.dual_rays(c.rays, rank)
+        assert c.is_pointed() == oracle.is_pointed(normals, rank), c
+        if len(normals) > 10:
+            continue
+        faces = [f.rays for f in cone_faces(c)]
+        assert faces == oracle.cone_faces(c.rays, normals), c
+        compared += 1
+        if not c.is_pointed():
+            continue
+        pointed += 1
+        fan = Fan.from_cones([c], rank)
+        big = frozenset(range(len(fan.rays)))
+        for k in range(len(fan.rays) + 1):
+            for small in itertools.combinations(range(len(fan.rays)), k):
+                rays_small = [fan.rays[i] for i in small]
+                assert fan._is_face(frozenset(small), big) == oracle.is_face(c.rays, normals, rays_small)
+    assert compared > 1500 and pointed > 800
+
+
+def test_square_pyramid_faces_are_pinned():
+    c = Cone.from_generators([(1, 1, 0, 1), (1, -1, 0, 1), (-1, 1, 0, 1), (-1, -1, 0, 1), (0, 0, 1, 1)], 4)
+    faces = cone_faces(c)
+    assert len(faces) == 20  # 0, 5 rays, 8 edges, 4 triangles and the square, the cone
+    assert [len(f.rays) for f in faces] == [0] + [1] * 5 + [2] * 8 + [3] * 4 + [4, 5]
+    assert [f.rays for f in faces] == oracle.cone_faces(c.rays, oracle.dual_rays(c.rays, 4))
 
 
 def test_rank_limit():
@@ -451,6 +518,46 @@ def test_fan_rejects_non_pointed_cones(rays):
         Fan(rank, rays, [frozenset(range(len(rays)))])
     with pytest.raises(FanError, match="fan cones must be pointed"):
         Fan.from_cones([Cone.from_generators(rays, rank)], rank)
+
+
+def _all_pairs_fan_check(fan):
+    """Every two cones meet in a cone that is a face of both, by the
+    normal-subset face test: the check over all pairs that ``validate``
+    replaces by maximal pairs."""
+    normals, faces = {}, {}
+    for c in fan.cones:
+        rays = fan.cone_geometry(c).rays
+        normals[c] = oracle.dual_rays(rays, fan.rank)
+        faces[c] = oracle.cone_faces(rays, normals[c])
+    for a, b in itertools.combinations(fan.cones, 2):
+        meet = tuple(oracle.dual_rays(normals[a] + normals[b], fan.rank))
+        if meet not in faces[a] or meet not in faces[b]:
+            return False
+    return True
+
+
+def test_validate_checks_maximal_pairs_like_all_pairs():
+    fans = [fan_p1(), fan_p2(), fan_p1xp1(), fan_a2(), _sl_kernel_fan(2)]
+    rays = [(1, 0), (0, 1), (1, 1), (-1, 0)]
+    for cones in ([[0, 1], [1, 2]], [[0, 2], [1, 2]], [[0, 2], [1, 3]], [[0, 2], [2, 1], [1, 3]],
+                  [[0, 1], [2, 3]], [[0, 1], [2]]):
+        fans.append(Fan(2, rays, [frozenset(c) for c in cones]))
+    verdicts = []
+    for f in fans:
+        try:
+            f.validate()
+            verdicts.append(True)
+        except FanError as exc:
+            assert "is not a common face" in str(exc)
+            verdicts.append(False)
+        assert verdicts[-1] == _all_pairs_fan_check(f), f
+    assert verdicts == [True] * 5 + [False, True, True, True, False, False]
+
+
+def test_declared_overlapping_fan_is_rejected():
+    doc = {"rank": 2, "rays": [[1, 0], [0, 1], [1, 1]], "cones": [[0, 1], [1, 2]]}
+    with pytest.raises(FanError, match=r"intersection of \[0, 1\] and \[1, 2\] is not a common face"):
+        Fan.from_json_dict(doc)
 
 
 @pytest.mark.parametrize("cone", [[0, True], [0, 1.0]])
