@@ -85,9 +85,11 @@ def _load_form(args) -> PluriForm:
     return PluriForm.from_json_dict(_load_json(args.form))
 
 
-def _load_points(path):
-    doc = _load_json(path)
-    return [SkeletonPoint.from_json_dict(p) for p in doc["points"]]
+def _point_docs(path):
+    points = _load_json(path)["points"]
+    if type(points) is not list or any(type(p) is not dict for p in points):
+        raise ValuationError(f"points {points!r} is not a list of JSON objects")
+    return points
 
 
 def cmd_skeleton(args):
@@ -111,12 +113,12 @@ def cmd_skeleton(args):
 
 
 def cmd_closure(args):
-    doc_points = _load_json(args.points)
+    points = _point_docs(args.points)
     out = []
     if args.fan:
         fan = Fan.from_json_dict(_load_json(args.fan))
         strata = compactified_fan_strata(fan)
-        for p in doc_points["points"]:
+        for p in points:
             stratum, finite = classify_closure_point_toric(
                 fan, p["kato_point"], p["weights"])
             out.append({"point": p, "stratum_cone": list(stratum),
@@ -127,7 +129,7 @@ def cmd_closure(args):
     else:
         pair = _load_pair(args)
         fan = pair.kato_fan()
-        for pt in _load_points(args.points):
+        for pt in map(SkeletonPoint.from_json_dict, points):
             stratum, residualpt = classify_closure_point(pt, fan)
             out.append({"point": pt.to_json_dict(), "stratum": list(stratum),
                         "trace_point": residualpt.to_json_dict()})
@@ -139,7 +141,7 @@ def cmd_weight(args):
     pair = _load_pair(args)
     form = _load_form(args)
     values = []
-    for pt in _load_points(args.points):
+    for pt in map(SkeletonPoint.from_json_dict, _point_docs(args.points)):
         values.append({"point": pt.to_json_dict(), "weight": fmt(weight(form, pair, pt))})
     _emit({"schema": "1", "command": "weight", "values": values}, args)
 

@@ -89,6 +89,9 @@ class SimplicialComplex:
 
     @staticmethod
     def from_json_dict(doc) -> "SimplicialComplex":
+        for key in ("vertices", "facets"):
+            if type(doc[key]) is not list:
+                raise ComplexError(f"{key} {doc[key]!r} is not a list")
         verts = [_label_unjson(v) for v in doc["vertices"]]
         for f in doc["facets"]:
             if type(f) is not list:

@@ -139,6 +139,12 @@ def _json_int(value, name):
     return value
 
 
+def _json_objects(value, name):
+    if type(value) is not list or any(type(x) is not dict for x in value):
+        raise LogStructureError(f"{name} {value!r} is not a list of JSON objects")
+    return value
+
+
 def _sorted_key(ids) -> tuple:
     return tuple(sorted(ids))
 
@@ -301,13 +307,10 @@ class PairDescription:
         stratum = frozenset(stratum)
         if stratum not in {frozenset(s) for s in self.strata}:
             raise LogStructureError(f"{sorted(stratum)} is not a declared stratum")
-        alive = set()
-        for s in self.strata:
-            if stratum <= frozenset(s):
-                alive |= frozenset(s) - stratum
+        alive, indices = self._trace_charts(stratum)
         comps = {c: comp for c, comp in self.components.items() if c in alive}
         charts = []
-        for idx in self.trace_chart_indices(stratum):
+        for idx in indices:
             chart = self.charts[idx]
             drop_axes = sorted((chart.axis(c) for c in stratum), reverse=True)
             coords = [x for i, x in enumerate(chart.coordinates)
@@ -327,17 +330,17 @@ class PairDescription:
                                strata=strata, logcy=False)
 
     def trace_chart_indices(self, stratum):
-        """Indices of the charts surviving restriction to a stratum.
+        """Indices of the charts surviving restriction to a stratum."""
+        return self._trace_charts(frozenset(stratum))[1]
 
-        A chart survives when it covers the stratum and the equation of
-        every component still alive on the stratum restricts to a nonzero
+    def _trace_charts(self, stratum):
+        """The components still alive on a stratum (those of the strata
+        through it, outside it) and the indices of the charts surviving
+        restriction to it: a chart survives when it covers the stratum and
+        the equation of every alive component restricts to a nonzero
         expression there.
         """
-        stratum = frozenset(stratum)
-        alive = set()
-        for s in self.strata:
-            if stratum <= frozenset(s):
-                alive |= frozenset(s) - stratum
+        alive = set().union(*(frozenset(s) - stratum for s in self.strata if stratum <= frozenset(s)))
         out = []
         for idx, chart in enumerate(self.charts):
             if not chart.covers(stratum):
@@ -346,7 +349,7 @@ class PairDescription:
             if all(chart.equations[c].restrict(drop) is not None
                    for c in chart.equations if c in alive):
                 out.append(idx)
-        return out
+        return alive, out
 
     # -- serialization ------------------------------------------------
 
@@ -384,12 +387,16 @@ class PairDescription:
     def from_json_dict(doc) -> "PairDescription":
         components = {}
         charts = []
-        for chdoc in doc["charts"]:
+        for chdoc in _json_objects(doc["charts"], "charts"):
+            if type(chdoc["coords"]) is not list or any(type(x) is not str for x in chdoc["coords"]):
+                raise LogStructureError(f"coords {chdoc['coords']!r} is not a list of names")
             coords = tuple(chdoc["coords"])
             cut = {}
             eqs = {}
-            for b in chdoc["boundary"]:
+            for b in _json_objects(chdoc["boundary"], "boundary"):
                 cid = b["id"]
+                if type(cid) is not str:
+                    raise LogStructureError(f"component id {cid!r} is not a string")
                 pi = _json_int(b.get("pi_multiplicity", 0), "pi_multiplicity")
                 comp = BoundaryComponent(cid=cid, coefficient=q(b.get("coefficient", "1")),
                                          pi_multiplicity=pi)
@@ -399,6 +406,9 @@ class PairDescription:
                 if "equation" in b:
                     eqs[cid] = LaurentRational.from_json_dict(b["equation"])
                 if "coordinate" in b:
+                    if b["coordinate"] not in coords:
+                        raise LogStructureError(f"coordinate {b['coordinate']!r} of {cid} is not one of "
+                                                f"the chart coordinates {list(coords)}")
                     cut[b["coordinate"]] = cid
                 elif "equation" in b and eqs[cid].is_coordinate():
                     cut[coords[eqs[cid].coordinate_axis()]] = cid

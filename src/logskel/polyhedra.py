@@ -3,12 +3,13 @@
 All cones are rational and stored by primitive ray generators in canonical
 (lexicographically sorted) order, so cone equality is tuple comparison.
 Ranks, kernels and span coordinates come from the integer Smith normal
-form in ``lattice``, dual cones from double description in integers;
-Fractions appear only in the parallelepiped test of the Hilbert basis.
-A cone's facets, as (normal, rays on it), are computed once; its faces,
-face tests, pointedness and triangulations, and the pieces of a derived
-subdivision, are all read off them.  Each cone a fan holds is the index
-set of its extreme rays.  Ambient ranks stay small (<= 8).
+form in ``lattice``, dual cones from double description in integers; no
+Fraction arithmetic happens here.  A cone's walls, the rays of its dual,
+are computed once per ray tuple, and so are its facets as (normal, rays
+on it); its faces, face tests, pointedness and triangulations, the pieces
+of a derived subdivision and both membership tests of the Hilbert basis
+are all read off them.  Each cone a fan holds is the index set of its
+extreme rays.  Ambient ranks stay small (<= 8).
 """
 
 from __future__ import annotations
@@ -23,10 +24,8 @@ from .lattice import (
     identity,
     int_kernel_basis,
     primitive,
-    rat_solve,
     saturation_quotient_map,
     span_snf,
-    transpose,
 )
 
 DIM_LIMIT = 8
@@ -138,13 +137,11 @@ class Cone:
     @staticmethod
     def from_generators(generators, rank) -> "Cone":
         _check_rank(rank)
-        gens = [primitive(g) for g in generators if any(g)]
+        gens = tuple(sorted({primitive(g) for g in generators if any(g)}))
         if not gens:
             return Cone(rays=(), rank=rank)
         # extreme rays via double dualization (canonical for pointed cones)
-        halfspaces = dual_rays(gens, rank)
-        rays = dual_rays(halfspaces, rank)
-        return Cone(rays=tuple(sorted(set(rays))), rank=rank)
+        return Cone(rays=_walls(_walls(gens, rank), rank), rank=rank)
 
     def dim(self) -> int:
         if not self.rays:
@@ -153,7 +150,7 @@ class Cone:
 
     def facet_normals(self):
         """H-representation; includes +- pairs forcing span membership."""
-        return dual_rays(self.rays, self.rank)
+        return _walls(self.rays, self.rank)
 
     def is_pointed(self) -> bool:
         return () in _faces(self.rays, self.rank)
@@ -168,14 +165,21 @@ class Cone:
 def dual_cone(c: Cone) -> Cone:
     """The cone of linear functionals nonnegative on ``c``."""
     _check_rank(c.rank)
-    return Cone(rays=tuple(sorted(set(dual_rays(c.rays, c.rank)))), rank=c.rank)
+    return Cone(rays=_walls(c.rays, c.rank), rank=c.rank)
+
+
+@lru_cache(maxsize=None)
+def _walls(rays, rank):
+    """The rays of the dual of the cone on ``rays``, sorted: its facet
+    normals and the +- pairs of its lineality, once per ray tuple."""
+    return tuple(sorted(dual_rays(rays, rank)))
 
 
 @lru_cache(maxsize=None)
 def _facets(rays, rank):
     """(normal, rays on it) for each facet of the cone on the sorted ``rays``:
-    the dual rays that are not zero on every ray."""
-    facets = ((m, tuple(r for r in rays if dot(m, r) == 0)) for m in dual_rays(rays, rank))
+    the walls that are not zero on every ray."""
+    facets = ((m, tuple(r for r in rays if dot(m, r) == 0)) for m in _walls(rays, rank))
     return tuple((m, on) for m, on in facets if len(on) < len(rays))
 
 
@@ -206,17 +210,15 @@ def _simplicial_subcones(rays, rank):
 
 
 def _parallelepiped_points(rays, rank):
-    """Lattice points of {sum t_i r_i : 0 <= t_i < 1} for independent rays."""
-    cols = transpose([list(r) for r in rays])
-    lo = [sum(min(0, r[j]) for r in rays) for j in range(rank)]
-    hi = [sum(max(0, r[j]) for r in rays) for j in range(rank)]
-    pts = []
-    for coords in itertools.product(*[range(lo[j], hi[j] + 1) for j in range(rank)]):
-        t = rat_solve(cols, list(coords))
-        # membership in span (t is exact) and half-open box
-        if t is not None and all(0 <= ti < 1 for ti in t):
-            pts.append(tuple(coords))
-    return pts
+    """Lattice points of {sum t_i r_i : 0 <= t_i < 1} for independent rays:
+    the box points p with 0 <= <m, p> < h_m = max <m, r_i> on every wall m.
+    A facet normal is 0 on all rays but r_i, so this is 0 <= t_i < 1.  On a
+    lineality wall h_m = 0; the bound 1 used there forces <m, p> = 0, which
+    puts p in the span of the rays."""
+    walls = [(m, max(1, max(dot(m, r) for r in rays))) for m in _walls(rays, rank)]
+    box = [range(sum(min(0, r[j]) for r in rays), sum(max(0, r[j]) for r in rays) + 1)
+           for j in range(rank)]
+    return [p for p in itertools.product(*box) if all(0 <= dot(m, p) < h for m, h in walls)]
 
 
 def hilbert_basis(c: Cone):
@@ -225,16 +227,16 @@ def hilbert_basis(c: Cone):
     Bounded enumeration: candidates are the primitive rays plus the lattice
     points of the fundamental parallelepipeds of a triangulation; reduction
     removes every element that splits as a sum of two nonzero monoid points.
+    Both test membership in integers on walls: of each simplicial piece in
+    the parallelepiped step, of ``c`` in the reduction.
     """
     if not c.is_pointed():
         raise NotPointedError("Hilbert basis requires a pointed cone (units present)")
     if not c.rays:
         return []
     candidates = set(c.rays)
-    for sub in _simplicial_subcones(c.rays, c.rank):
-        for p in _parallelepiped_points(sub, c.rank):
-            if any(p):
-                candidates.add(p)
+    candidates.update(p for sub in _simplicial_subcones(c.rays, c.rank)
+                      for p in _parallelepiped_points(sub, c.rank) if any(p))
     normals = c.facet_normals()
     grading = [sum(m[j] for m in normals) for j in range(c.rank)]
 

@@ -205,9 +205,14 @@ class LaurentRational:
     @staticmethod
     def from_json_dict(doc) -> "LaurentRational":
         def load(entries):
+            if type(entries) is not list or any(type(e) is not dict or type(e.get("exp")) is not list
+                                                for e in entries):
+                raise ValuationError(f"terms {entries!r} are not a list of objects with an exponent list")
             return [(tuple(e["exp"]), q(e.get("coeff_val", 0)),
                      q(e["coeff"]) if "coeff" in e else None) for e in entries]
 
+        if type(doc) is not dict:
+            raise ValuationError(f"expression {doc!r} is not a JSON object")
         return LaurentRational(load(doc["num"]), load(doc["den"]) if doc.get("den") else None)
 
     def __repr__(self):

@@ -20,6 +20,7 @@ import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+from .lattice import det, rat_solve
 from .logstructure import LogChart, PairDescription
 from .rationals import INF, fmt, is_inf, q, xadd, xmin, xscale
 from .valuations import (
@@ -90,9 +91,15 @@ class PluriForm:
 
     @staticmethod
     def from_json_dict(doc) -> "PluriForm":
-        for name, value in [("m", doc["m"])] + [("chart", e["chart"]) for e in doc.get("charts", [])]:
+        charts = doc.get("charts", [])
+        if type(charts) is not list or any(type(e) is not dict for e in charts):
+            raise WeightError(f"charts {charts!r} is not a list of JSON objects")
+        for name, value in [("m", doc["m"])] + [("chart", e["chart"]) for e in charts]:
             if type(value) is not int:
                 raise WeightError(f"{name} {value!r} is not an integer")
+        for value in [doc["dlog"]] + [e["dlog"] for e in charts if "dlog" in e]:
+            if type(value) is not list:
+                raise WeightError(f"dlog {value!r} is not a list of component ids")
         if "charts" in doc:
             nums = {e["chart"]: LaurentRational.from_json_dict(e["numerator"])
                     for e in doc["charts"]}
@@ -181,18 +188,21 @@ def _dvf_normal_form_check(pair: PairDescription, chart: LogChart, dlog: frozens
             f"the dlog set; found {sorted(vertical_outside)}")
 
 
-def _outside_dlog_equation(chart, cid):
-    """Chart equation of a boundary component outside the dlog set.
-
-    Falls back to the cutting coordinate; None when the component does not
-    meet the chart at all (its equation is a unit there).
+def _outside_dlog_equations(pair, chart, dlog):
+    """Chart equations g_h of the boundary components outside the dlog set
+    that enter the weight, by component id: the horizontal ones in dvf mode,
+    all of them in trivial mode.  A component without an equation falls
+    back to its cutting coordinate; one that does not meet the chart is
+    left out (its equation is a unit there).
     """
-    eq = chart.equations.get(cid)
-    if eq is not None:
-        return eq
-    if cid in chart.coordinate_components():
-        return LaurentRational.coordinate(chart.axis(cid), len(chart.coordinates))
-    return None
+    ids = pair.horizontal_ids() if pair.mode == "dvf" else set(pair.components)
+    out = []
+    for cid in sorted(ids - dlog):
+        if cid in chart.equations:
+            out.append(chart.equations[cid])
+        elif cid in chart.coordinate_components():
+            out.append(LaurentRational.coordinate(chart.axis(cid), len(chart.coordinates)))
+    return out
 
 
 def _weight_on_vector(pair, chart, chart_index, form, coord_weights, kato):
@@ -202,20 +212,11 @@ def _weight_on_vector(pair, chart, chart_index, form, coord_weights, kato):
     val = f.value(coord_weights)
     if pair.mode == "dvf":
         _dvf_normal_form_check(pair, chart, dlog)
-        extra = Fraction(0)
-        for cid in sorted(pair.horizontal_ids() - dlog):
-            eq = _outside_dlog_equation(chart, cid)
-            if eq is None:
-                continue
-            extra = xadd(extra, eq.value(coord_weights))
-        return xadd(val, xscale(form.m, xadd(1, extra)))
-    # trivial mode
     extra = Fraction(0)
-    for cid in sorted(set(pair.components) - dlog):
-        eq = _outside_dlog_equation(chart, cid)
-        if eq is None:
-            continue
+    for eq in _outside_dlog_equations(pair, chart, dlog):
         extra = xadd(extra, eq.value(coord_weights))
+    if pair.mode == "dvf":
+        return xadd(val, xscale(form.m, xadd(1, extra)))
     correction = Fraction(0)
     for cid in kato:
         a = pair.components[cid].coefficient
@@ -272,11 +273,8 @@ def _trivial_ks_face(pair, chart, chart_index, form, kato):
     kato = tuple(sorted(kato))
     forced = {cid for cid in kato if pair.components[cid].coefficient != 1}
     summands = [_zero_options(form.numerator_for(chart_index), chart, kato)]
-    for cid in sorted(set(pair.components) - form.dlog_for(chart_index)):
-        eq = _outside_dlog_equation(chart, cid)
-        if eq is None:
-            continue
-        summands.append(_zero_options(eq, chart, kato))
+    summands += [_zero_options(eq, chart, kato)
+                 for eq in _outside_dlog_equations(pair, chart, form.dlog_for(chart_index))]
     pieces = set()
     for choice in itertools.product(*summands):
         zero = frozenset(forced | set().union(*choice) if choice else forced)
@@ -318,46 +316,30 @@ def ks_skeleton(pair: PairDescription, form: PluriForm) -> SubFan:
     vertices of the subdivision induced by the active linear pieces; the
     full argmin polyhedron is reported.
     """
-    fan = pair.kato_fan()
-    offender = None
-    for key in fan.points:
-        if not key:
-            continue
+    charted = []  # (face, chart index, chart) for each face a presenting chart covers
+    for key in pair.kato_fan().points:
         try:
-            idx, chart = _chart_for_face(pair, key, form)
+            charted.append((key, *_chart_for_face(pair, key, form)))
         except WeightError:
             continue
+    for key, idx, chart in charted:
         bad = _face_rays_check(pair, chart, idx, form, key)
         if bad is not None:
-            offender = (key, bad)
-            break
-    if offender is not None:
-        raise WeightError(
-            f"form is not regular: weight unbounded below on the ray {offender[1]} "
-            f"of the face {list(offender[0])}")
+            raise WeightError(
+                f"form is not regular: weight unbounded below on the ray {bad} "
+                f"of the face {list(key)}")
 
     if pair.mode == "trivial":
-        faces = []
-        for key in fan.points:
-            try:
-                idx, chart = _chart_for_face(pair, key, form)
-            except WeightError:
-                if key == ():
-                    faces.append(SubCone(kato=(), zero_set=()))
-                continue
+        # every chart covers the face (); it is left out only when no chart presents the form
+        faces = [] if charted else [SubCone(kato=(), zero_set=())]
+        for key, idx, chart in charted:
             faces.extend(_trivial_ks_face(pair, chart, idx, form, key))
         return SubFan(faces=_dedupe_subcones(faces), min_value=Fraction(0))
 
     # dvf: per-face linear programming over the compact slice
     best = INF
     argmin = []
-    for key in fan.points:
-        if not key:
-            continue
-        try:
-            idx, chart = _chart_for_face(pair, key, form)
-        except WeightError:
-            continue
+    for key, idx, chart in charted:
         b = pair.pi_vector(key)
         if all(x == 0 for x in b):
             continue  # purely horizontal face: no dvf points
@@ -449,13 +431,7 @@ def _minimize_face_slice(pair, chart, chart_index, form, kato, b):
         pieces.append([t.exps[ax] for ax in axes])
     for t in f.denominator:
         pieces.append([-t.exps[ax] for ax in axes])
-    dlog = form.dlog_for(chart_index)
-    eq_ids = (pair.horizontal_ids() - dlog) if pair.mode == "dvf" \
-        else (set(pair.components) - dlog)
-    for cid in sorted(eq_ids):
-        eq = _outside_dlog_equation(chart, cid)
-        if eq is None:
-            continue
+    for eq in _outside_dlog_equations(pair, chart, form.dlog_for(chart_index)):
         for t in list(eq.numerator) + list(eq.denominator):
             pieces.append([t.exps[ax] for ax in axes])
 
@@ -474,8 +450,6 @@ def _minimize_face_slice(pair, chart, chart_index, form, kato, b):
 
     slice_normal = list(b)
     candidates = set()
-    from .lattice import det, rat_solve
-
     for combo in itertools.combinations(range(len(hyperplanes)), n - 1) if n > 1 else [()]:
         rows = [slice_normal] + [hyperplanes[i][0] for i in combo]
         rhs = [1] + [hyperplanes[i][1] for i in combo]
@@ -565,9 +539,7 @@ def toric_essential_skeleton(fan) -> SubFan:
     from .logstructure import kato_fan_toric
 
     kfan = kato_fan_toric(fan)
-    return SubFan(faces=[SubCone(kato=p.key if isinstance(p.key, tuple) else (p.key,))
-                         for p in kfan.points.values()],
-                  min_value=Fraction(0))
+    return SubFan(faces=[SubCone(kato=key) for key in kfan.points], min_value=Fraction(0))
 
 
 def residue(form: PluriForm, pair: PairDescription, stratum) -> PluriForm:
@@ -663,7 +635,6 @@ def slice_dvf(pair: PairDescription, subfan: SubFan = None) -> SliceComplex:
     keys = subfan.face_keys() if subfan is not None else sorted(k for k in fan.points)
     cells = []
     notices = []
-    covered = set()
     for key in sorted(keys, key=lambda k: (-len(k), k)):
         if not key:
             continue
@@ -676,7 +647,6 @@ def slice_dvf(pair: PairDescription, subfan: SubFan = None) -> SliceComplex:
         verts, rays = face_slice_polytope(pair, key, b)
         cells.append(SliceCell(kato=tuple(sorted(key)), vertices=tuple(verts),
                                rays=tuple(rays)))
-        covered.add(key)
     return SliceComplex(cells=cells, notices=notices)
 
 

@@ -5,13 +5,15 @@ their span, by the vector of signed maximal minors; ``cone_faces``
 intersects a cone with every subset of its normals, lineality +- pairs
 included.  Both are exponential in the input size.  They check the double
 description and the facet closure of ``logskel.polyhedra``.
+``parallelepiped_points`` solves for the coordinates of each bounding-box
+point in Fractions; it checks the integer wall test of the Hilbert basis.
 """
 
 from __future__ import annotations
 
 import itertools
 
-from logskel.lattice import det, identity, int_kernel_basis, primitive, span_snf
+from logskel.lattice import det, identity, int_kernel_basis, primitive, rat_solve, span_snf, transpose
 from logskel.polyhedra import dot
 
 
@@ -70,3 +72,18 @@ def is_face(rays, normals, small):
     ``small`` are ``small``."""
     active = [m for m in normals if all(dot(m, r) == 0 for r in small)]
     return {r for r in rays if all(dot(m, r) == 0 for m in active)} == set(small)
+
+
+def parallelepiped_points(rays, rank):
+    """Lattice points of {sum t_i r_i : 0 <= t_i < 1} for independent rays:
+    the points of the bounding box whose exact coordinates t exist (the
+    point is in the span) and lie in [0, 1)."""
+    cols = transpose([list(r) for r in rays])
+    lo = [sum(min(0, r[j]) for r in rays) for j in range(rank)]
+    hi = [sum(max(0, r[j]) for r in rays) for j in range(rank)]
+    pts = []
+    for coords in itertools.product(*[range(lo[j], hi[j] + 1) for j in range(rank)]):
+        t = rat_solve(cols, list(coords))
+        if t is not None and all(0 <= ti < 1 for ti in t):
+            pts.append(tuple(coords))
+    return pts

@@ -164,6 +164,30 @@ def test_json_top_level_not_an_object_is_validation_error(tmp_path, flag):
     assert f"{bad}: the top level is not a JSON object" in out.stderr
 
 
+UNKNOWN_COORDINATE_PAIR = {"mode": "trivial", "strata": [["B"]],
+                           "charts": [{"coords": ["z"], "boundary": [{"id": "B", "coordinate": "q"}]}]}
+
+
+@pytest.mark.parametrize("argv,flag,doc,message", [
+    (["closure", "--fan", os.path.join(FIX, "p2_fan.json")], "--points", {"points": 5},
+     "points 5 is not a list of JSON objects"),
+    (["weight", "--pair", os.path.join(FIX, "strict_inclusion_pair.json"),
+      "--form", os.path.join(FIX, "strict_inclusion_form.json")], "--points", {"points": [5]},
+     "points [5] is not a list of JSON objects"),
+    (["homology"], "--complex", {"vertices": [0, 1], "facets": 5}, "facets 5 is not a list"),
+    (["homology"], "--complex", {"vertices": 3, "facets": [[0]]}, "vertices 3 is not a list"),
+    (["skeleton"], "--pair", UNKNOWN_COORDINATE_PAIR,
+     "coordinate 'q' of B is not one of the chart coordinates ['z']"),
+], ids=["points", "point", "facets", "vertices", "coordinate"])
+def test_json_bad_shape_is_validation_error(tmp_path, argv, flag, doc, message):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    out = run_cli(*argv, flag, str(path))
+    assert out.returncode == 2
+    assert out.stdout == "" and "Traceback" not in out.stderr
+    assert message in out.stderr
+
+
 def test_overlapping_fan_cones_are_validation_error(tmp_path):
     doc = {"rank": 2, "rays": [[1, 0], [0, 1], [1, 1]], "cones": [[0, 1], [1, 2]]}
     path = tmp_path / "fan.json"
@@ -281,7 +305,17 @@ def _set(path, value):
     ("pair", _set(["strata", 1], 5), "stratum 5 is not a list of component ids"),
     ("form", _set(["m"], 1.5), "m 1.5 is not an integer"),
     ("form", _set(["charts", 1, "chart"], 1.0), "chart 1.0 is not an integer"),
-], ids=["exponent", "pi_multiplicity", "relative_dimension", "stratum", "m", "chart"])
+    ("form", _set(["dlog"], 5), "dlog 5 is not a list of component ids"),
+    ("form", _set(["charts", 0, "numerator"], {"num": 5}),
+     "terms 5 are not a list of objects with an exponent list"),
+    ("form", _set(["charts", 0, "numerator"], 5), "expression 5 is not a JSON object"),
+    ("form", _set(["charts"], [5]), "charts [5] is not a list of JSON objects"),
+    ("pair", _set(["charts"], 5), "charts 5 is not a list of JSON objects"),
+    ("pair", _set(["charts", 0, "coords"], 5), "coords 5 is not a list of names"),
+    ("pair", _set(["charts", 0, "boundary"], 5), "boundary 5 is not a list of JSON objects"),
+    ("pair", _set(["charts", 0, "boundary", 0, "id"], ["B"]), "component id ['B'] is not a string"),
+], ids=["exponent", "pi_multiplicity", "relative_dimension", "stratum", "m", "chart",
+        "dlog", "terms", "numerator", "form-charts", "pair-charts", "coords", "boundary", "id"])
 def test_pair_or_form_non_int_is_validation_error(tmp_path, which, edit, message):
     paths = {}
     for kind in ("pair", "form"):

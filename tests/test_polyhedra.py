@@ -6,6 +6,7 @@ import pytest
 
 from logskel.complexes import HomologyProfile, homology, link_complex, sphere_profile
 from logskel.polyhedra import (
+    _parallelepiped_points,
     Cone,
     DimensionLimitError,
     Fan,
@@ -351,6 +352,37 @@ def test_hilbert_non_simplicial_pinned(gens, expected):
     c = Cone.from_generators(gens, 3)
     assert len(c.rays) == 4 and c.dim() == 3
     assert hilbert_basis(c) == box_hilbert_oracle(c) == expected
+
+
+def test_parallelepiped_walls_match_fraction_solve_off_full_rank():
+    """On simplicial cones of dimension below the rank, the lineality walls
+    do the span test: the integer wall test keeps exactly the points whose
+    exact coordinates lie in [0, 1).  Sparse entries keep the boxes small."""
+    rng = random.Random(41)
+    entries = (0, 0, 0, 0, -3, -2, -1, 1, 2, 3)
+    done, nontrivial = collections.Counter(), collections.Counter()
+    while sum(done.values()) < 240:
+        rank = rng.choice([2, 3, 4, 5])
+        gens = [tuple(rng.choice(entries) for _ in range(rank)) for _ in range(rng.randint(1, rank - 1))]
+        c = Cone.from_generators(gens, rank)
+        box = 1
+        for j in range(rank):
+            box *= sum(abs(r[j]) for r in c.rays) + 1
+        if not c.rays or c.dim() != len(c.rays) or box > 1000:
+            continue
+        got = _parallelepiped_points(c.rays, rank)
+        assert got == oracle.parallelepiped_points(c.rays, rank), c
+        nontrivial[rank] += len(got) > 1
+        done[rank] += 1
+    assert min(done.values()) >= 40 and len(done) == 4
+    assert min(nontrivial[r] for r in (3, 4, 5)) >= 5  # a rank-2 cone here is one primitive ray
+
+
+def test_hilbert_rank4_cone_matches_box_oracle():
+    c = Cone.from_generators([(5, -3, 2, 1), (-4, 5, 1, -2), (1, 2, 5, -3), (-2, -1, -3, 5)], 4)
+    basis = hilbert_basis(c)
+    assert len(basis) == 36
+    assert basis == box_hilbert_oracle(c)
 
 
 def test_hilbert_non_simplicial_random_against_box():
