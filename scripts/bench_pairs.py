@@ -4,11 +4,11 @@
     python3 scripts/bench_pairs.py --parent REV --seed S --out BENCH_<pr>.json
         [--pairs N]
 
-Run from inside the repository.  The parent is checked out in a temporary
-``git worktree`` (removed on exit).  Each pair runs the benchmark command of
-BENCHMARK.json (``perfbench/run.py``) once per side and workload on one seed,
-seeds S, S+1, ...; the side that goes first alternates from pair to pair, so
-drift of the host falls on both sides alike.  The benchmark's own checks
+Run from inside the repository.  The parent is exported with ``git archive``
+into a temporary directory (removed on exit).  Each pair runs the benchmark
+command of BENCHMARK.json (``perfbench/run.py``) once per side and workload on
+one seed, seeds S, S+1, ...; the side that goes first alternates from pair to
+pair, so drift of the host falls on both sides alike.  The benchmark's own checks
 decide whether a run is correct, and its run length, end-to-end metrics,
 directions and bounds come from BENCHMARK.json, so nothing is restated
 here.  One ``--trace 1`` run per side and workload on seed 1 records the
@@ -27,6 +27,7 @@ import argparse
 import json
 import os
 import platform
+import shutil
 import statistics
 import subprocess
 import sys
@@ -97,8 +98,11 @@ def main():
 
     tmp = tempfile.mkdtemp(prefix="bench-pairs-")
     parent_root = os.path.join(tmp, "parent")
-    git(root, "worktree", "add", "--detach", parent_root, parent_rev)
     try:
+        os.mkdir(parent_root)
+        archive = subprocess.run(["git", "archive", parent_rev], cwd=root, capture_output=True,
+                                 check=True)
+        subprocess.run(["tar", "-x", "-C", parent_root], input=archive.stdout, check=True)
         sides = {"parent": parent_root, "change": root}
         runs = {wl: {side: [] for side in sides} for wl in names}
         for i in range(args.pairs):
@@ -117,8 +121,7 @@ def main():
                                    TRACE_SECONDS, 1)
                        for side in sides} for wl in names}
     finally:
-        git(root, "worktree", "remove", "--force", parent_root)
-        os.rmdir(tmp)
+        shutil.rmtree(tmp)
 
     ok = True
     report = {

@@ -30,6 +30,7 @@ from .valuations import (
     ValuationError,
     classify_closure_point,
     classify_closure_point_toric,
+    json_list,
 )
 from .weights import (
     PluriForm,
@@ -120,7 +121,7 @@ def cmd_closure(args):
         strata = compactified_fan_strata(fan)
         for p in points:
             stratum, finite = classify_closure_point_toric(
-                fan, p["kato_point"], p["weights"])
+                fan, json_list(p, "kato_point"), json_list(p, "weights"))
             out.append({"point": p, "stratum_cone": list(stratum),
                         "finite_values": [[list(h), fmt(v)] for h, v in finite]})
         doc = {"schema": "1", "command": "closure", "strata_count": len(strata),

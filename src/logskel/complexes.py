@@ -228,86 +228,104 @@ def barycentric_subdivision(k: SimplicialComplex) -> SimplicialComplex:
 # is least under the stabilizer Stab(t).  Chains are therefore enumerated
 # only below one simplex per G-orbit and reduced by its stabilizer, which
 # costs about chains * |Stab| / |G| instead of every chain times |G|.  Cells
-# are numbered in the order of their representatives' top-first tuples.
+# are numbered in the order of their representatives' top-first tuples, kept
+# per level as one sorted int64 array of keys (the top, then each element's
+# index among the faces of the one above); a lookup moves the top to the least
+# of its orbit and binary-searches the least key over the Stab(top) images.
 # --------------------------------------------------------------------------
+
+def _chain_radices(simplices: int, dim: int):
+    """Key radices below the top (position j indexes the faces of an element
+    with at most dim + 2 - j vertices); refuses sizes that overflow int64."""
+    radices = [2 ** (dim + 2 - j) - 2 for j in range(1, dim + 1)]
+    if simplices * max(simplices, math.prod(radices)) > 2 ** 63:  # chain and face-table keys
+        raise ComplexError(f"packed orbit-cell keys overflow int64 ({simplices} simplices, dim {dim})")
+    return radices
+
 
 class _OrbitCells:
     def __init__(self, base: SimplicialComplex, action: GroupAction):
         self.dim = base.dim()
         sims = [s for level in base.simplices_by_dim() for s in level]
+        self._radices = _chain_radices(len(sims), self.dim)
         ids = {s: i for i, s in enumerate(sims)}
-        perms = [[ids[tuple(sorted((g[v] for v in s), key=str))] for s in sims]
-                 for g in action.elements]
-        # proper faces of each simplex, in increasing id order
-        faces_of = [[ids[sub] for k in range(1, len(s)) for sub in itertools.combinations(s, k)]
+        # one row per group element; per simplex, a row taking it to the least of its orbit
+        self._perms = np.array([[ids[tuple(sorted((g[v] for v in s), key=str))] for s in sims]
+                                for g in action.elements], dtype=np.intp)
+        self._moves = self._perms.argmin(axis=0)
+        # proper faces of each simplex in increasing id order; face i of t is
+        # _pairs[_offsets[t] + i] - t * len(sims), and _pairs is sorted
+        faces_of = [sorted(ids[sub] for k in range(1, len(s)) for sub in itertools.combinations(s, k))
                     for s in sims]
-        inverses = [[0] * len(sims) for _ in perms]
-        for g, inverse in zip(perms, inverses):
-            for i, j in enumerate(g):
-                inverse[j] = i
-        # per simplex, the inverse of a group element taking the least simplex
-        # of its orbit to it (None for that least simplex), shared, so the
-        # table holds |G| permutations; Stab(t) for each least t
-        self._moves = [None] * len(sims)
-        stabs = {}
-        for t in range(len(sims)):
-            if self._moves[t] is not None:
-                continue
-            stabs[t] = [g for g in perms if g[t] == t]
-            for g, inverse in zip(perms, inverses):
-                if g[t] != t and self._moves[g[t]] is None:
-                    self._moves[g[t]] = inverse
-        # representatives per level; a depth-first walk with faces in id order
-        # visits chains in top-first lexicographic order, so levels come sorted
-        self.levels = [[] for _ in range(self.dim + 1)]
+        self._pairs = np.array([t * len(sims) + f for t, fs in enumerate(faces_of) for f in fs],
+                               dtype=np.intp)
+        self._offsets = np.searchsorted(self._pairs, np.arange(len(sims)) * len(sims))
+        # a depth-first walk with faces in id order visits chains in top-first
+        # lexicographic order, so every level comes out sorted
+        import array  # loaded only where orbit cells are built
+        levels = [array.array("q") for _ in range(self.dim + 1)]
 
-        def walk(chain, fixers):
-            # fixers: the elements of Stab(t) that fix chain; the rest map it higher
-            self.levels[len(chain) - 1].append(chain)
-            for x in faces_of[chain[-1]]:
+        def walk(x, key, d, fixers):
+            # fixers: the elements of Stab(t) that fix the chain; the rest map it higher
+            levels[d].append(key)
+            for i, y in enumerate(faces_of[x]):
                 keep = []
                 for g in fixers:
-                    y = g[x]
-                    if y < x:
-                        break  # g maps chain + (x,) and all its extensions lower
-                    if y == x:
+                    z = g[y]
+                    if z < y:
+                        break  # g maps the chain + (y,) and all its extensions lower
+                    if z == y:
                         keep.append(g)
                 else:
-                    walk(chain + (x,), keep)
+                    walk(y, key * self._radices[d] + i, d + 1, keep)
 
-        for t, stab in stabs.items():
-            walk((t,), stab)
-        # every Stab(top)-image of each representative -> its cell index
-        self._index = [{} for _ in self.levels]
-        for index, level in zip(self._index, self.levels):
-            for j, chain in enumerate(level):
-                index[chain] = j  # the stored tuple is also the identity image's key
-                for g in stabs[chain[0]]:
-                    index[tuple(map(g.__getitem__, chain))] = j
-
-    def _cell(self, chain):
-        """Cell index of a top-first chain."""
-        move = self._moves[chain[0]]
-        if move is not None:
-            chain = tuple(map(move.__getitem__, chain))
-        return self._index[len(chain) - 1][chain]
+        perms = self._perms.tolist()
+        for t in np.flatnonzero(self._perms.min(axis=0) == np.arange(len(sims))).tolist():
+            walk(t, t, 0, [g for g in perms if g[t] == t])
+        self.keys = [np.frombuffer(level, dtype=np.int64) for level in levels]
 
     def cell_counts(self):
-        return [len(level) for level in self.levels]
+        return [len(keys) for keys in self.keys]
+
+    def chains(self, d, keys):
+        """Top-first chains (rows) of packed level-d keys."""
+        digits = []
+        for radix in reversed(self._radices[:d]):
+            keys, digit = np.divmod(keys, radix)
+            digits.append(digit)
+        rows = [keys]
+        for digit in reversed(digits):
+            rows.append(self._pairs[self._offsets[rows[-1]] + digit] - rows[-1] * self._moves.size)
+        return np.stack(rows, axis=1)
+
+    def _cells(self, chains):
+        """Cell indices of top-first chains (rows) of one length."""
+        chains = self._perms[self._moves[chains[:, :1]], chains]  # top to its orbit's least
+        best = np.full(len(chains), np.iinfo(np.int64).max)
+        for g in self._perms:  # the least key over the images under Stab(top)
+            hit = np.flatnonzero(g[chains[:, 0]] == chains[:, 0])
+            image = g[chains[hit]]
+            key = image[:, 0]
+            for j in range(1, image.shape[1]):
+                up = image[:, j - 1]
+                face = np.searchsorted(self._pairs, up * self._moves.size + image[:, j])
+                key = key * self._radices[j - 1] + face - self._offsets[up]
+            best[hit] = np.minimum(best[hit], key)
+        return np.searchsorted(self.keys[chains.shape[1] - 1], best)
+
+    def _face_cells(self, chains):
+        """Cell indices of the faces of chains: column i drops the i-th from the bottom."""
+        n = chains.shape[1]
+        faces = np.concatenate([np.delete(chains, n - 1 - i, axis=1) for i in range(n)])
+        return self._cells(faces).reshape(n, len(chains)).T
 
     def boundary_columns(self, d, skip):
-        """Boundary matrix of the orbit cell complex in dimension d >= 1,
-        without the columns of the cells indexed in ``skip``."""
-        cols = []
-        for j, chain in enumerate(self.levels[d]):
-            if j in skip:
-                continue
-            col = {}
-            for i in range(d + 1):  # the i-th element from the bottom
-                row = self._cell(chain[:d - i] + chain[d - i + 1:])
-                col[row] = col.get(row, 0) + (-1) ** i
-            cols.append([(row, val) for row, val in col.items() if val])
-        return cols
+        """Boundary matrix of the orbit cell complex in dimension d >= 1 as one
+        {row: value} dict per column, skipping the cells indexed in ``skip``."""
+        rows = self._face_cells(self.chains(d, np.delete(self.keys[d], list(skip))))
+        # faces drop elements of distinct sizes, so they lie in distinct orbits
+        signs = [(-1) ** i for i in range(d + 1)]
+        return [dict(zip(row, signs)) for row in rows.tolist()]
 
     def orbit_space_complex(self, max_facets: int = 2_000_000) -> SimplicialComplex:
         """Order complex of the orbit cell poset: triangulates the orbit space.
@@ -320,44 +338,36 @@ class _OrbitCells:
         # of) [c] lies in [c']; flags through maximal cells give the facets,
         # (d+1)! of them per maximal d-cell.
         masks = [self._maximal_mask(d) for d in range(self.dim + 1)]
-        est = sum(sum(mask) * math.factorial(d + 1) for d, mask in enumerate(masks))
+        est = sum(int(mask.sum()) * math.factorial(d + 1) for d, mask in enumerate(masks))
         if est > max_facets:
             raise ComplexError(
                 f"orbit-space triangulation would need ~{est} facets (> {max_facets})")
         facets = []
-        for level, mask in zip(self.levels, masks):
-            for chain, maximal in zip(level, mask):
-                if maximal:
-                    facets.extend(frozenset(flag) for flag in self._flags(chain))
+        for d, (keys, mask) in enumerate(zip(self.keys, masks)):
+            facets.extend(self._flags(self.chains(d, keys[mask])))
         return SimplicialComplex.from_facets(facets)
 
     def _maximal_mask(self, d):
         """Per d-cell, whether it is a face of no (d+1)-cell."""
-        if d == self.dim:
-            return [True] * len(self.levels[d])
-        faces = {self._cell(chain[:i] + chain[i + 1:])
-                 for chain in self.levels[d + 1] for i in range(d + 2)}
-        return [j not in faces for j in range(len(self.levels[d]))]
+        mask = np.ones(len(self.keys[d]), dtype=bool)
+        if d < self.dim:
+            mask[self._face_cells(self.chains(d + 1, self.keys[d + 1]))] = False
+        return mask
 
-    def _flags(self, chain):
-        """All maximal flags of subchains of ``chain``, as orbit-label tuples."""
-        n = len(chain)
-        labels = {}
-
-        def lab(sub):
-            if sub not in labels:
-                labels[sub] = ("cell", len(sub) - 1, self._cell(sub))
-            return labels[sub]
-
+    def _flags(self, chains):
+        """All maximal flags of subchains of top-first chains (rows), as
+        frozensets of orbit labels."""
+        n = chains.shape[1]
+        labels = {}  # bitmask of chain positions -> label of that subchain, per chain
+        for k in range(1, n + 1):
+            subs = list(itertools.combinations(range(n), k))
+            cells = self._cells(np.concatenate([chains[:, sub] for sub in subs]))
+            for sub, row in zip(subs, cells.reshape(len(subs), len(chains)).tolist()):
+                labels[sum(1 << i for i in sub)] = [("cell", k - 1, c) for c in row]
         out = []
         for perm in itertools.permutations(range(n)):
-            prefix = []
-            flag = []
-            for i in perm:
-                prefix.append(i)
-                sub = tuple(chain[j] for j in sorted(prefix))
-                flag.append(lab(sub))
-            out.append(tuple(flag))
+            prefixes = itertools.accumulate(1 << i for i in perm)
+            out.extend(map(frozenset, zip(*(labels[p] for p in prefixes))))
         return out
 
 
@@ -446,7 +456,7 @@ def sphere_profile(n: int) -> HomologyProfile:
 def _homology_from_boundaries(counts, boundary):
     """Homology of a chain complex from per-dim cell counts and
     ``boundary(d, skip)``, the columns of boundary_d for the d-cells not in
-    ``skip``.
+    ``skip``, one {row: value} dict each.
 
     Reduces from the top degree down with clearing: a d-cell that is a unit
     pivot row of boundary_{d+1} has a boundary in the Z-span of the
@@ -479,7 +489,7 @@ def homology(k: SimplicialComplex) -> HomologyProfile:
     ids = [{s: i for i, s in enumerate(level)} for level in simplices]
 
     def boundary(d, skip):
-        return [[(ids[d - 1][s[:i] + s[i + 1:]], (-1) ** i) for i in range(len(s))]
+        return [{ids[d - 1][s[:i] + s[i + 1:]]: (-1) ** i for i in range(len(s))}
                 for j, s in enumerate(simplices[d]) if j not in skip]
 
     return _homology_from_boundaries([len(level) for level in simplices], boundary)

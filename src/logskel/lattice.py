@@ -238,27 +238,17 @@ class SparseIntMatrix:
     """
 
     def __init__(self, columns, nrows):
-        self.rows = {}
-        self.cols = {}
-        self.nrows = nrows
-        self.ncols = len(columns)
+        """``columns[j]`` maps the rows of column j to its nonzero values.
+        The matrix takes these dicts over and changes them as it eliminates."""
+        self.nrows, self.ncols, self.pivot_rows = nrows, len(columns), []
+        self.cols, self.rows = {}, {}
         for j, col in enumerate(columns):
-            for i, val in col:
-                if val:
-                    self.rows.setdefault(i, {})[j] = self.rows.get(i, {}).get(j, 0) + val
-                    self.cols.setdefault(j, {})[i] = self.rows[i][j]
-        # clean explicit zeros produced by cancelling input pairs
-        for i in list(self.rows):
-            for j in list(self.rows[i]):
-                if self.rows[i][j] == 0:
-                    del self.rows[i][j]
-                    del self.cols[j][i]
-            if not self.rows[i]:
-                del self.rows[i]
-        for j in list(self.cols):
-            if not self.cols[j]:
-                del self.cols[j]
-        self.pivot_rows = []
+            if not all(col.values()):
+                raise ValueError(f"column {j} holds a zero")
+            if col:
+                self.cols[j] = col
+                for i, val in col.items():
+                    self.rows.setdefault(i, {})[j] = val
 
     def _eliminate(self, pi, pj):
         """Pivot on entry (pi, pj) (must be +-1) and delete its row/column,

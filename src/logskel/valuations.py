@@ -270,7 +270,15 @@ class SkeletonPoint:
 
     @staticmethod
     def from_json_dict(doc) -> "SkeletonPoint":
-        return SkeletonPoint.make(doc["kato_point"], doc["weights"], doc.get("mode", "trivial"))
+        return SkeletonPoint.make(json_list(doc, "kato_point"), json_list(doc, "weights"),
+                                  doc.get("mode", "trivial"))
+
+
+def json_list(doc, key):
+    """``doc[key]``, refused unless it is a JSON list."""
+    if type(doc[key]) is not list:
+        raise ValuationError(f"{key} {doc[key]!r} is not a list")
+    return doc[key]
 
 
 def chart_weight_vector(point: SkeletonPoint, chart):

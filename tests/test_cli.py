@@ -178,7 +178,11 @@ UNKNOWN_COORDINATE_PAIR = {"mode": "trivial", "strata": [["B"]],
     (["homology"], "--complex", {"vertices": 3, "facets": [[0]]}, "vertices 3 is not a list"),
     (["skeleton"], "--pair", UNKNOWN_COORDINATE_PAIR,
      "coordinate 'q' of B is not one of the chart coordinates ['z']"),
-], ids=["points", "point", "facets", "vertices", "coordinate"])
+    (["closure", "--fan", os.path.join(FIX, "p2_fan.json")], "--points",
+     {"points": [{"kato_point": 5, "weights": ["1"]}]}, "kato_point 5 is not a list"),
+    (["closure", "--pair", os.path.join(FIX, "a2_pair.json")], "--points",
+     {"points": [{"kato_point": ["B1"], "weights": 5}]}, "weights 5 is not a list"),
+], ids=["points", "point", "facets", "vertices", "coordinate", "toric-kato-point", "snc-weights"])
 def test_json_bad_shape_is_validation_error(tmp_path, argv, flag, doc, message):
     path = tmp_path / "doc.json"
     path.write_text(json.dumps(doc))

@@ -25,6 +25,7 @@ from logskel.complexes import (
     tate_strata,
 )
 from logskel.complexes import (
+    _chain_radices,
     _character_variety_action,
     _close_pairs,
     _monic_coefficients,
@@ -301,25 +302,37 @@ def test_orbit_cells_match_materializing_oracle(case):
     cells, oracle = _OrbitCells(k, action), OrbitCellsOracle(k, action)
     assert cells.cell_counts() == oracle.cell_counts()
     for d in range(cells.dim + 1):
-        assert [chain[::-1] for chain in cells.levels[d]] == oracle.rep_chains(d)
+        reps = cells.chains(d, cells.keys[d]).tolist()
+        assert [tuple(chain[::-1]) for chain in reps] == oracle.rep_chains(d)
     for d in range(1, cells.dim + 1):
-        assert cells.boundary_columns(d, set()) == oracle.boundary_columns(d, set())
-        odd = set(range(1, cells.cell_counts()[d], 2))
-        assert cells.boundary_columns(d, odd) == oracle.boundary_columns(d, odd)
+        for skip in (set(), set(range(1, cells.cell_counts()[d], 2))):
+            assert [list(col.items()) for col in cells.boundary_columns(d, skip)] == \
+                oracle.boundary_columns(d, skip)
 
 
 def test_orbit_cells_share_one_move_per_group_element():
-    # the antipodal map of a 2000-cycle: 4,000 simplices, each off its orbit's
-    # least simplex by the one nontrivial element, so the transporter table
-    # must hold one permutation, not one per simplex
+    # the antipodal map of a 2000-cycle: 4,000 simplices, half of them off
+    # their orbit's least simplex by the one nontrivial element, so the table
+    # holds the |G| = 2 permutations and each simplex indexes one of them
     m = 1000
     k = cycle_complex(2 * m)
     anti = {v: (v + m) % (2 * m) for v in range(2 * m)}
     cells = _OrbitCells(k, GroupAction(k, [anti]))
     assert cells.cell_counts() == [2 * m, 2 * m]
-    moves = [move for move in cells._moves if move is not None]
-    assert len(moves) == 2 * m and len({id(move) for move in moves}) == 1
+    assert cells._perms.shape == (2, 4 * m) and cells._moves.shape == (4 * m,)
+    least = cells._perms[cells._moves, np.arange(4 * m)]
+    assert np.array_equal(least, np.minimum(*cells._perms))
+    assert np.bincount(cells._moves).tolist() == [2 * m, 2 * m]
     assert quotient_homology(k, [anti]) == sphere_profile(1)
+
+
+def test_orbit_cell_keys_refuse_int64_overflow():
+    # gl n = 4: 6,560 simplices of dimension up to 7, keys below 6560 * 1e10
+    assert _chain_radices(6560, 7) == [254, 126, 62, 30, 14, 6, 2]
+    assert _chain_radices(1, 0) == []
+    for simplices, dim in ((6560, 10), (2 ** 32, 1), (2 ** 63 + 1, 0)):
+        with pytest.raises(ComplexError, match="overflow int64"):
+            _chain_radices(simplices, dim)
 
 
 @pytest.mark.parametrize("case, counts", [("reflected-square", [5, 4]),

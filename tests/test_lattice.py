@@ -1,5 +1,6 @@
 import random
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -54,9 +55,14 @@ def test_sparse_snf_matches_dense():
     for _ in range(60):
         rows, cols = rng.randint(2, 7), rng.randint(2, 7)
         m = random_matrix(rng, rows, cols, 4)
-        columns = [[(i, m[i][j]) for i in range(rows) if m[i][j]] for j in range(cols)]
+        columns = [{i: m[i][j] for i in range(rows) if m[i][j]} for j in range(cols)]
         got = SparseIntMatrix(columns, rows).diagonal_snf()
         assert sorted(got) == sorted(snf_diagonal(m))
+
+
+def test_sparse_matrix_refuses_zero_entries():
+    with pytest.raises(ValueError, match="column 1 holds a zero"):
+        SparseIntMatrix([{0: 1}, {0: 2, 1: 0}], 2)
 
 
 def _sympy_snf_diagonal(m):
@@ -87,7 +93,7 @@ def test_sparse_and_dense_snf_match_sympy(m):
     assert mat_mult(mat_mult(u, m), v) == d
     assert all(d[i][j] == 0 for i in range(rows) for j in range(cols) if i != j)
     assert [d[t][t] for t in range(min(rows, cols)) if d[t][t]] == expect
-    sparse = SparseIntMatrix([[(i, m[i][j]) for i in range(rows) if m[i][j]]
+    sparse = SparseIntMatrix([{i: m[i][j] for i in range(rows) if m[i][j]}
                               for j in range(cols)], rows)
     assert sparse.diagonal_snf() == expect
     # unit pivots remove distinct rows, one per unit of the diagonal at most

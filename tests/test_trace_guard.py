@@ -15,7 +15,7 @@ def test_tracer_installs_on_every_span():
             "t.install()\n"
             "from logskel import lattice\n"
             "assert lattice.snf_diagonal is not snf_diagonal\n"
-            "lattice.SparseIntMatrix([[(0, 2)]], 1).diagonal_snf()\n"
+            "lattice.SparseIntMatrix([{0: 2}], 1).diagonal_snf()\n"
             "assert t.calls['lattice.dense_core'] == 1, t.calls\n")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [os.path.join(ROOT, "src"), os.path.join(ROOT, "perfbench")]))
