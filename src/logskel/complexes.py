@@ -15,14 +15,14 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 import numpy as np
 
-from .lattice import SparseIntMatrix, rat_solve, transpose
+from .lattice import SparseIntMatrix, snf_with_transforms, transpose
 from .polyhedra import (
     Fan,
     derived_subdivision,
+    dot,
     fan_p1xp1,
     intersect_fan_subspace,
     maximal_sets,
@@ -552,19 +552,19 @@ def _sl_link_and_action(n: int):
     if n >= 3:
         perms.append({i: (i + 1) % n for i in range(n)})
     bmat = transpose([list(b) for b in basis])  # 2n x k columns
+    u, _, v = snf_with_transforms(bmat)  # U bmat V = [I; 0]: the basis is saturated
+    left = [[dot(row, col) for col in zip(*u[:len(basis)])] for row in v]  # left . bmat = I
     for p in perms:
-        vmap = {}
-        for ray in link.vertices:
-            amb = [sum(bmat[r][j] * ray[j] for j in range(len(ray))) for r in range(2 * n)]
-            permuted = [0] * (2 * n)
+        cols = []  # the permutation in kernel coordinates
+        for b in basis:
+            moved = [0] * (2 * n)
             for i in range(n):
-                permuted[2 * p[i]] = amb[2 * i]
-                permuted[2 * p[i] + 1] = amb[2 * i + 1]
-            sol = rat_solve([list(row) for row in bmat], permuted)
-            if sol is None or any(x.denominator != 1 for x in sol):
+                moved[2 * p[i]], moved[2 * p[i] + 1] = b[2 * i], b[2 * i + 1]
+            c = [dot(row, moved) for row in left]
+            if [dot(row, c) for row in bmat] != moved:
                 raise ComplexError("block permutation does not preserve the kernel lattice")
-            vmap[ray] = primitive([x.numerator for x in sol])
-        gens.append(vmap)
+            cols.append(c)
+        gens.append({ray: primitive([dot(row, ray) for row in zip(*cols)]) for ray in link.vertices})
     return link, gens
 
 

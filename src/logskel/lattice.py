@@ -1,15 +1,16 @@
 """Exact integer and rational linear algebra for lattice computations.
 
 Everything here works over Python ints and Fractions; no floating point.
-Matrices are lists of row lists.  The Smith normal form follows the dense
-scheme with pivoting by smallest nonzero magnitude; the sparse variant is
-the elimination backend for boundary matrices of simplicial complexes.
+Matrices are lists of row lists.  One fraction-free Gauss-Jordan elimination
+gives determinants, adjugates and rational solutions; the Smith normal form
+pivots by smallest nonzero magnitude; the sparse variant is the elimination
+backend for boundary matrices of simplicial complexes.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 
 def identity(n):
@@ -20,44 +21,62 @@ def transpose(a):
     return [list(col) for col in zip(*a)] if a else []
 
 
+def _gauss_jordan(rows, ncols):
+    """Fraction-free Gauss-Jordan elimination (Bareiss 1968) of an integer
+    matrix, pivoting on its first ``ncols`` columns only.
+
+    Returns (reduced rows, pivot columns, d, sign): with P the row swaps,
+    of sign ``sign``, and B the pivot block of P times the input, the rows
+    are d B^-1 P times the input and d = det B, so pivot row k holds d at
+    column ``pivots[k]`` and the other rows 0.  Every division is exact.
+    """
+    m = [list(map(int, row)) for row in rows]
+    pivots, d, sign = [], 1, 1
+    for c in range(ncols):
+        r = len(pivots)
+        p = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if p is None:
+            continue
+        if p != r:
+            m[r], m[p] = m[p], m[r]
+            sign = -sign
+        top, piv = m[r], m[r][c]
+        for i, row in enumerate(m):
+            if i != r:
+                f = row[c]
+                m[i] = [(piv * x - f * y) // d for x, y in zip(row, top)]
+        pivots.append(c)
+        d = piv
+        if len(pivots) == len(m):
+            break
+    return m, pivots, d, sign
+
+
+def adjugate(a):
+    """(det a, adj a) for a square integer matrix, adj read off the reduced
+    [a | I] so that a adj = det I; adj is None when det a = 0."""
+    n = len(a)
+    red, pivots, d, sign = _gauss_jordan([list(row) + e for row, e in zip(a, identity(n))], n)
+    if len(pivots) < n:
+        return 0, None
+    return sign * d, [[sign * x for x in row[n:]] for row in red]
+
+
 def rat_solve(a, b):
     """Solve a x = b exactly over Q; returns None if inconsistent.
 
-    ``a`` is m x n (rows), ``b`` length m.  When the solution is not unique
-    an arbitrary representative (free variables set to 0) is returned.
+    ``a`` is m x n (rows), ``b`` length m; entries may be Fractions, and
+    each row of [a | b] is scaled to integers first.  When the solution is
+    not unique, the free variables are set to 0.
     """
-    m = len(a)
     n = len(a[0]) if a else 0
-    aug = [[Fraction(x) for x in a[i]] + [Fraction(b[i])] for i in range(m)]
-    pivots = []
-    row = 0
-    for c in range(n):
-        piv = None
-        for r in range(row, m):
-            if aug[r][c] != 0:
-                piv = r
-                break
-        if piv is None:
-            continue
-        aug[row], aug[piv] = aug[piv], aug[row]
-        pr = aug[row]
-        inv = 1 / pr[c]
-        aug[row] = [x * inv for x in pr]
-        for r in range(m):
-            if r != row and aug[r][c] != 0:
-                f = aug[r][c]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[row])]
-        pivots.append(c)
-        row += 1
-        if row == m:
-            break
-    for r in range(row, m):
-        if aug[r][n] != 0:
-            return None
-    x = [Fraction(0)] * n
-    for r, c in enumerate(pivots):
-        x[c] = aug[r][n]
-    return x
+    aug = [[Fraction(x) for x in row] + [Fraction(y)] for row, y in zip(a, b)]
+    scale = [lcm(*(x.denominator for x in row)) for row in aug]
+    red, pivots, d, _ = _gauss_jordan([[x * k for x in row] for row, k in zip(aug, scale)], n)
+    if any(row[n] for row in red[len(pivots):]):
+        return None
+    sol = dict(zip(pivots, red))
+    return [Fraction(sol[c][n], d) if c in sol else Fraction(0) for c in range(n)]
 
 
 def _snf(a, transforms):
@@ -164,29 +183,6 @@ def span_snf(vectors):
     """
     u, d, _ = snf_with_transforms(transpose(list(vectors)))
     return u, [d[i][i] for i in range(min(len(d), len(d[0]))) if d[i][i] != 0]
-
-
-def det(a) -> int:
-    """Determinant of an integer matrix by Bareiss fraction-free elimination."""
-    n = len(a)
-    if n == 0:
-        return 1
-    m = [list(map(int, row)) for row in a]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            piv = next((i for i in range(k + 1, n) if m[i][k] != 0), None)
-            if piv is None:
-                return 0
-            m[k], m[piv] = m[piv], m[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
 
 
 def int_kernel_basis(a):

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .lattice import (
-    det,
+    _gauss_jordan,
     identity,
     int_kernel_basis,
     primitive,
@@ -88,25 +88,17 @@ def _double_description(rows, s):
     rows spanning Q^s, by double description (Motzkin-Raiffa-Thompson-Thrall
     1953; Fukuda-Prodon 1996); a ray carries the mask of rows tight on it.
 
-    The first s independent rows cut out a simplicial cone whose ray j is
-    column j of their adjugate: the signed maximal minors of the other s-1.
-    Each further row a keeps the rays y with <y, a> >= 0 and adds
-    <p, a> n - <n, a> p for each p, n with <p, a> > 0 > <n, a> that are
-    adjacent: no third ray is tight on every row tight on both.
+    The first s independent rows (the pivots of one fraction-free Gauss-Jordan
+    pass over [rows^T | I]) cut out a simplicial cone whose rays are their
+    adjugate columns.  Each further row a keeps the rays y with <y, a> >= 0
+    and adds <p, a> n - <n, a> p for each p, n with <p, a> > 0 > <n, a>
+    that are adjacent: no third ray is tight on every row tight on both.
     """
-    basis, echelon = [], []  # fraction-free row echelon form of the basis rows
-    for i, v in enumerate(rows):
-        for c, e in echelon:
-            v = primitive([e[c] * x - v[c] * y for x, y in zip(v, e)])
-        if any(v):
-            echelon.append((next(c for c, x in enumerate(v) if x), v))
-            basis.append(i)
+    k = len(rows)
+    red, basis, d, _ = _gauss_jordan([list(c) + e for c, e in zip(zip(*rows), identity(s))], k)
     full = sum(1 << i for i in basis)
-    rays = {}
-    for j in basis:
-        minors = [rows[i] for i in basis if i != j]
-        y = primitive([(-1) ** k * det([v[:k] + v[k + 1:] for v in minors]) for k in range(s)])
-        rays[y if dot(y, rows[j]) > 0 else tuple(-x for x in y)] = full & ~(1 << j)
+    # reduced row t: d on rows[basis[t]], 0 on the other basis rows
+    rays = {primitive([d * x for x in row[k:]]): full & ~(1 << j) for row, j in zip(red, basis)}
     for i, a in enumerate(rows):
         if full >> i & 1:
             continue

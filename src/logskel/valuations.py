@@ -270,8 +270,10 @@ class SkeletonPoint:
 
     @staticmethod
     def from_json_dict(doc) -> "SkeletonPoint":
-        return SkeletonPoint.make(json_list(doc, "kato_point"), json_list(doc, "weights"),
-                                  doc.get("mode", "trivial"))
+        kato = json_list(doc, "kato_point")
+        if any(type(c) is not str for c in kato):
+            raise ValuationError(f"kato_point {kato!r} is not a list of component ids")
+        return SkeletonPoint.make(kato, json_list(doc, "weights"), doc.get("mode", "trivial"))
 
 
 def json_list(doc, key):
@@ -350,6 +352,9 @@ def classify_closure_point(point: SkeletonPoint, fan):
     weight; the remaining finite weights define a point of the skeleton of
     the trace.  Finite points return the generic stratum unchanged.
     """
+    unknown = [c for c in point.kato if not any(c in key for key in fan.points)]
+    if unknown:
+        raise ValuationError(f"{unknown} are not boundary components of the pair")
     infinite = tuple(sorted(c for c, w in zip(point.kato, point.weights) if is_inf(w)))
     if not infinite:
         return (), point
@@ -373,6 +378,9 @@ def classify_closure_point_toric(fan, cone_indices, generator_values):
     """
     from .logstructure import kato_fan_toric  # local import to avoid a cycle
 
+    for i in cone_indices:
+        if type(i) is not int or not 0 <= i < len(fan.rays):
+            raise ValuationError(f"{i!r} is not an index into the {len(fan.rays)} rays")
     kfan = kato_fan_toric(fan)
     key = ("cone", tuple(sorted(cone_indices)))
     if key not in kfan:

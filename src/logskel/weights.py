@@ -20,7 +20,7 @@ import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .lattice import det, rat_solve
+from .lattice import adjugate
 from .logstructure import LogChart, PairDescription
 from .rationals import INF, fmt, is_inf, q, xadd, xmin, xscale
 from .valuations import (
@@ -453,9 +453,10 @@ def _minimize_face_slice(pair, chart, chart_index, form, kato, b):
     for combo in itertools.combinations(range(len(hyperplanes)), n - 1) if n > 1 else [()]:
         rows = [slice_normal] + [hyperplanes[i][0] for i in combo]
         rhs = [1] + [hyperplanes[i][1] for i in combo]
-        if det(rows) == 0:
+        d, adj = adjugate(rows)
+        if d == 0:
             continue
-        sol = rat_solve(rows, rhs)  # unique: rows is nonsingular
+        sol = [Fraction(sum(x * y for x, y in zip(row, rhs)), d) for row in adj]  # Cramer
         if all(x >= 0 for x in sol):
             candidates.add(tuple(sol))
     if not candidates:

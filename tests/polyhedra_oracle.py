@@ -13,7 +13,8 @@ from __future__ import annotations
 
 import itertools
 
-from logskel.lattice import det, identity, int_kernel_basis, primitive, rat_solve, span_snf, transpose
+from lattice_oracle import det, rat_solve
+from logskel.lattice import identity, int_kernel_basis, primitive, span_snf, transpose
 from logskel.polyhedra import dot
 
 

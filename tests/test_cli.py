@@ -182,7 +182,18 @@ UNKNOWN_COORDINATE_PAIR = {"mode": "trivial", "strata": [["B"]],
      {"points": [{"kato_point": 5, "weights": ["1"]}]}, "kato_point 5 is not a list"),
     (["closure", "--pair", os.path.join(FIX, "a2_pair.json")], "--points",
      {"points": [{"kato_point": ["B1"], "weights": 5}]}, "weights 5 is not a list"),
-], ids=["points", "point", "facets", "vertices", "coordinate", "toric-kato-point", "snc-weights"])
+    (["closure", "--fan", os.path.join(FIX, "p2_fan.json")], "--points",
+     {"points": [{"kato_point": [[0]], "weights": ["1"]}]}, "[0] is not an index into the 3 rays"),
+    (["closure", "--fan", os.path.join(FIX, "p2_fan.json")], "--points",
+     {"points": [{"kato_point": [True], "weights": ["1"]}]}, "True is not an index into the 3 rays"),
+    (["closure", "--pair", os.path.join(FIX, "a2_pair.json")], "--points",
+     {"points": [{"kato_point": ["Z9"], "weights": ["1"]}]},
+     "['Z9'] are not boundary components of the pair"),
+    (["closure", "--pair", os.path.join(FIX, "a2_pair.json")], "--points",
+     {"points": [{"kato_point": [[0]], "weights": ["1"]}]},
+     "kato_point [[0]] is not a list of component ids"),
+], ids=["points", "point", "facets", "vertices", "coordinate", "toric-kato-point", "snc-weights",
+        "toric-nested-index", "toric-bool-index", "snc-unknown-component", "snc-nested-id"])
 def test_json_bad_shape_is_validation_error(tmp_path, argv, flag, doc, message):
     path = tmp_path / "doc.json"
     path.write_text(json.dumps(doc))

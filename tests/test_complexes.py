@@ -30,9 +30,11 @@ from logskel.complexes import (
     _close_pairs,
     _monic_coefficients,
     _OrbitCells,
+    _sl_link_and_action,
     _sphere_images,
 )
-from logskel.polyhedra import Cone, Fan, derived_subdivision, fan_p2
+from logskel.polyhedra import Cone, Fan, derived_subdivision, fan_p2, primitive
+from lattice_oracle import rat_solve
 from orbit_oracle import OrbitCellsOracle
 from sphere_oracle import all_close_pairs, sphere_check_oracle
 
@@ -412,6 +414,35 @@ def test_sl_2_is_circle():
 
 def test_sl_3_sphere_profile():
     assert character_variety_homology("sl", 3) == sphere_profile(3)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_sl_generators_match_per_vertex_solve(n):
+    """Each generator, one integer matrix in kernel coordinates, maps every
+    link vertex where the exact solve of its block-permuted ambient vector
+    against the kernel basis does."""
+    link, gens = _sl_link_and_action(n)
+    basis = []  # the difference basis of {sum x_i = 0, sum y_i = 0}
+    for i in range(n - 1):
+        for off in (0, 1):
+            v = [0] * (2 * n)
+            v[2 * i + off], v[2 * (i + 1) + off] = 1, -1
+            basis.append(v)
+    cols = [list(row) for row in zip(*basis)]
+    perms = [[1, 0, *range(2, n)]] + ([[(i + 1) % n for i in range(n)]] if n >= 3 else [])
+    assert len(gens) == len(perms)
+    for vmap, p in zip(gens, perms):
+        expect = {}
+        for ray in link.vertices:
+            amb = [sum(c * x for c, x in zip(row, ray)) for row in cols]
+            moved = [0] * (2 * n)
+            for i in range(n):
+                moved[2 * p[i]], moved[2 * p[i] + 1] = amb[2 * i], amb[2 * i + 1]
+            sol = rat_solve(cols, moved)
+            assert sol is not None and all(x.denominator == 1 for x in sol)
+            expect[ray] = primitive([x.numerator for x in sol])
+        assert vmap == expect
+        assert sorted(vmap.values()) == sorted(link.vertices)  # a permutation of the vertices
 
 
 def test_character_variety_range_check():

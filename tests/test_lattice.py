@@ -1,12 +1,15 @@
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import lattice_oracle as oracle
 from logskel.lattice import (
-    det,
+    adjugate,
     int_kernel_basis,
+    rat_solve,
     snf_diagonal,
     snf_with_transforms,
     span_snf,
@@ -108,7 +111,75 @@ def test_kernel_is_saturated():
     assert all(x == 1 for x in span_snf(ker)[1])  # Z-span of ker is saturated
 
 
-def test_det_bareiss():
-    assert det([[1, 2], [3, 4]]) == -2
-    assert det([[2, 0], [0, 3]]) == 6
-    assert det([[1, 1], [1, 1]]) == 0
+def test_adjugate_small_examples():
+    assert adjugate([[1, 2], [3, 4]]) == (-2, [[4, -2], [-3, 1]])
+    assert adjugate([[2, 0], [0, 3]]) == (6, [[3, 0], [0, 2]])
+    assert adjugate([[0, 1], [1, 0]]) == (-1, [[0, -1], [-1, 0]])  # one row swap
+    assert adjugate([[1, 1], [1, 1]]) == (0, None)
+    assert adjugate([]) == (1, [])
+
+
+def test_adjugate_seeded_sweep_against_bareiss_and_sympy():
+    from sympy import Matrix
+
+    rng = random.Random(20121)
+    singular = 0
+    for _ in range(300):
+        n = rng.randint(1, 6)
+        a = random_matrix(rng, n, n, bound=rng.choice([1, 3, 9]))
+        if n > 1 and rng.random() < 0.25:  # force a dependent row
+            i, j = rng.sample(range(n), 2)
+            c = rng.randint(-2, 2)
+            a[i] = [c * x for x in a[j]]
+        d, adj = adjugate(a)
+        assert d == oracle.det(a) == Matrix(a).det()
+        if d == 0:
+            singular += 1
+            assert adj is None
+            continue
+        scaled = [[d if i == j else 0 for j in range(n)] for i in range(n)]
+        assert mat_mult(a, adj) == scaled and mat_mult(adj, a) == scaled
+    assert 40 <= singular <= 260  # both branches are exercised
+
+
+def _random_system(rng):
+    m, n = rng.randint(1, 5), rng.randint(1, 5)
+    a = random_matrix(rng, m, n, bound=4)
+    x = [Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(n)]
+    b = [sum(r * t for r, t in zip(row, x)) for row in a]
+    kind = rng.choice(["consistent", "deficient", "inconsistent"])
+    if kind != "consistent" and m > 1:  # a combination of two rows
+        i, j = rng.sample(range(m), 2)
+        c = rng.choice([-2, -1, 1, 2])
+        a[i] = [c * y for y in a[j]]
+        b[i] = c * b[j] + (rng.randint(1, 3) if kind == "inconsistent" else 0)
+    if rng.random() < 0.3:  # Fraction entries in the matrix too
+        k = rng.randint(2, 5)
+        a = [[Fraction(y, k) for y in row] for row in a]
+        b = [Fraction(y, k) for y in b]
+    return a, b
+
+
+def test_rat_solve_seeded_sweep_against_fraction_oracle():
+    from sympy import Matrix
+
+    rng = random.Random(20122)
+    outcomes = {"none": 0, "unique": 0, "free": 0}
+    for _ in range(400):
+        a, b = _random_system(rng)
+        got = rat_solve(a, b)
+        assert got == oracle.rat_solve(a, b)
+        if got is None:
+            outcomes["none"] += 1
+            continue
+        assert all(type(t) is Fraction for t in got)
+        assert [sum(r * t for r, t in zip(row, got)) for row in a] == b
+        outcomes["unique" if Matrix(a).rank() == len(a[0]) else "free"] += 1
+    assert min(outcomes.values()) >= 30, outcomes
+
+
+def test_rat_solve_edge_cases():
+    assert rat_solve([[0, 0]], [0]) == [0, 0]
+    assert rat_solve([[0, 0]], [1]) is None
+    assert rat_solve([[2, 4]], [Fraction(1, 3)]) == [Fraction(1, 6), 0]
+    assert rat_solve([], []) == []

@@ -225,7 +225,7 @@ def zonotope_hilbert_oracle(c: Cone):
     generator zonotope (exact membership test), decomposables removed."""
     from fractions import Fraction
 
-    from logskel.lattice import rat_solve
+    from lattice_oracle import rat_solve
 
     rank = c.rank
     gens = c.rays
