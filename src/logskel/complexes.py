@@ -30,6 +30,8 @@ from .polyhedra import (
     product_fan,
 )
 
+_FACE_BLOCK = 1 << 12  # chains per lookup in _OrbitCells.faces; bounds its peak memory
+
 
 class ComplexError(ValueError):
     pass
@@ -319,13 +321,14 @@ class _OrbitCells:
         faces = np.concatenate([np.delete(chains, n - 1 - i, axis=1) for i in range(n)])
         return self._cells(faces).reshape(n, len(chains)).T
 
-    def boundary_columns(self, d, skip):
-        """Boundary matrix of the orbit cell complex in dimension d >= 1 as one
-        {row: value} dict per column, skipping the cells indexed in ``skip``."""
-        rows = self._face_cells(self.chains(d, np.delete(self.keys[d], list(skip))))
-        # faces drop elements of distinct sizes, so they lie in distinct orbits
-        signs = [(-1) ** i for i in range(d + 1)]
-        return [dict(zip(row, signs)) for row in rows.tolist()]
+    def faces(self, d):
+        """Face array of the d-cells, d >= 1: entry [j, i] is the (d-1)-cell of
+        face i of d-cell j, looked up _FACE_BLOCK chains at a time.  Faces drop
+        elements of distinct sizes, so they lie in distinct orbits."""
+        keys, out = self.keys[d], np.empty((len(self.keys[d]), d + 1), dtype=np.int32)
+        for lo in range(0, len(keys), _FACE_BLOCK):
+            out[lo:lo + _FACE_BLOCK] = self._face_cells(self.chains(d, keys[lo:lo + _FACE_BLOCK]))
+        return out
 
     def orbit_space_complex(self, max_facets: int = 2_000_000) -> SimplicialComplex:
         """Order complex of the orbit cell poset: triangulates the orbit space.
@@ -351,7 +354,7 @@ class _OrbitCells:
         """Per d-cell, whether it is a face of no (d+1)-cell."""
         mask = np.ones(len(self.keys[d]), dtype=bool)
         if d < self.dim:
-            mask[self._face_cells(self.chains(d + 1, self.keys[d + 1]))] = False
+            mask[self.faces(d + 1)] = False
         return mask
 
     def _flags(self, chains):
@@ -394,7 +397,7 @@ def quotient_homology(k: SimplicialComplex, action_generators) -> "HomologyProfi
     """Integral homology of the orbit space, computed on orbit cells directly."""
     cells = _orbit_cells(k, action_generators)
     return homology(k) if cells is None else \
-        _homology_from_boundaries(cells.cell_counts(), cells.boundary_columns)
+        _homology_from_boundaries(cells.cell_counts(), cells.faces)
 
 
 @dataclass
@@ -453,34 +456,62 @@ def sphere_profile(n: int) -> HomologyProfile:
     return HomologyProfile(degrees)
 
 
-def _homology_from_boundaries(counts, boundary):
-    """Homology of a chain complex from per-dim cell counts and
-    ``boundary(d, skip)``, the columns of boundary_d for the d-cells not in
-    ``skip``, one {row: value} dict each.
+def _homology_from_boundaries(counts, faces):
+    """Homology of a chain complex from per-dim cell counts and ``faces(d)``,
+    an int array of shape (counts[d], d + 1): entry [j, i] is the (d-1)-cell
+    of face i of d-cell j, with sign (-1)^i; distinct faces make it a unit.
 
-    Reduces from the top degree down with clearing: a d-cell that is a unit
-    pivot row of boundary_{d+1} has a boundary in the Z-span of the
-    boundaries of the unpivoted d-cells (the pivot block is unimodular and
-    boundary_d boundary_{d+1} = 0), so its column of boundary_d is dropped
-    before it is computed, without changing the image lattice or the
-    nonzero SNF diagonal.
+    Runs from degree 1 up, clearing in the cohomology direction (de Silva,
+    Morozov, Vejdemo-Johansson 2011): delta_d = boundary_{d+1}^T has the same
+    SNF, and delta_d delta_{d-1} = 0.  If d-cells P and (d-1)-cells Q index a
+    unimodular pivot block of delta_{d-1} (P the unit pivot columns of
+    boundary_d), then delta_d[:, P] = -delta_d[:, ~P] delta_{d-1}[~P, Q]
+    delta_{d-1}[P, Q]^-1, so dropping the rows P of boundary_{d+1} keeps its
+    image lattice and its nonzero SNF diagonal.
+
+    Each degree is first peeled in numpy rounds (Kaczynski, Mrozek, Slusarek
+    1998): a line with one live entry is a unit pivot without fill, so each
+    round pivots on all of them, on distinct rows and columns, and drops their
+    lines, until a round removes under 1/16 of the live entries.  The rest (a
+    long path's slow collapse, say) goes to ``SparseIntMatrix``, linear on
+    singleton chains, as delta_{d-1}'s columns; its pivot rows are cleared too.
     """
     dims = len(counts)
-    diag = [[] for _ in range(dims)]
-    cleared = set()
-    for d in range(dims - 1, 0, -1):
-        mat = SparseIntMatrix(boundary(d, cleared), counts[d - 1])
-        diag[d] = mat.diagonal_snf()
-        cleared = set(mat.pivot_rows)
-    ranks = [len(dg) for dg in diag]  # rank of boundary_d
-    degrees = []
-    for d in range(dims):
-        rank_d = ranks[d]
-        rank_up = ranks[d + 1] if d + 1 < dims else 0
-        free = counts[d] - rank_d - rank_up
-        torsion = sorted(x for x in (diag[d + 1] if d + 1 < dims else []) if x > 1)
-        degrees.append((free, torsion))
-    return HomologyProfile(degrees)
+    ranks, torsion = [0] * (dims + 1), [[] for _ in range(dims + 1)]  # of boundary_d
+    cleared = np.zeros(sum(counts[:1]), dtype=bool)
+    for d in range(1, dims):
+        cells = faces(d)
+        if any((cells[:, i] == cells[:, j]).any() for j in range(d + 1) for i in range(j)):
+            raise ComplexError(f"a {d}-cell has a repeated face")
+        rows, face = cells.ravel(), np.tile(np.arange(d + 1, dtype=np.int8), counts[d])
+        cols = np.repeat(np.arange(counts[d], dtype=np.int32), d + 1)
+        dead, before = np.zeros(counts[d], dtype=bool), np.inf  # dead: the d-cells to clear
+        while True:
+            live = ~(cleared[rows] | dead[cols])
+            rows, cols, face = rows[live], cols[live], face[live]
+            if 16 * len(rows) >= 15 * before:  # under 1/16 peeled; a round costs O(live + cells)
+                break
+            single = (np.bincount(rows, minlength=counts[d - 1])[rows] == 1) | \
+                (np.bincount(cols, minlength=counts[d])[cols] == 1)
+            pr, pc, before = rows[single], cols[single], len(rows)
+            for side, n in ((0, counts[d - 1]), (1, counts[d])):  # distinct rows, then columns
+                slot, at = np.empty(n, dtype=np.intp), np.arange(len(pr))
+                slot[(pr, pc)[side]] = at
+                keep = slot[(pr, pc)[side]] == at  # one entry per line, the last written
+                pr, pc = pr[keep], pc[keep]
+            cleared[pr], dead[pc] = True, True
+            ranks[d] += len(pr)
+        if len(rows):
+            cobound = {}
+            for r, c, i in zip(rows.tolist(), cols.tolist(), face.tolist()):
+                cobound.setdefault(r, {})[c] = (-1) ** i
+            mat = SparseIntMatrix(list(cobound.values()), counts[d])
+            diag = mat.diagonal_snf()
+            ranks[d], torsion[d] = ranks[d] + len(diag), sorted(x for x in diag if x > 1)
+            dead[mat.pivot_rows] = True
+        cleared = dead
+    return HomologyProfile([(counts[d] - ranks[d] - ranks[d + 1], torsion[d + 1])
+                            for d in range(dims)])
 
 
 def homology(k: SimplicialComplex) -> HomologyProfile:
@@ -488,11 +519,11 @@ def homology(k: SimplicialComplex) -> HomologyProfile:
     simplices = k.simplices_by_dim()
     ids = [{s: i for i, s in enumerate(level)} for level in simplices]
 
-    def boundary(d, skip):
-        return [{ids[d - 1][s[:i] + s[i + 1:]]: (-1) ** i for i in range(len(s))}
-                for j, s in enumerate(simplices[d]) if j not in skip]
+    def faces(d):
+        return np.array([[ids[d - 1][s[:i] + s[i + 1:]] for i in range(d + 1)]
+                         for s in simplices[d]], dtype=np.int32)
 
-    return _homology_from_boundaries([len(level) for level in simplices], boundary)
+    return _homology_from_boundaries([len(level) for level in simplices], faces)
 
 
 # --------------------------------------------------------------------------
@@ -574,15 +605,13 @@ def _character_variety_action(group: str, n: int):
     gl: (n-fold join of 4-cycles) / factor permutations; sl: link of the
     kernel fan of the coordinatewise sum map, quotiented the same way.
     """
-    if not 1 <= n <= 3:
-        raise ComplexError("desk scale handles n in {1, 2, 3}")
-    if group == "gl":
-        return _gl_join_and_action(n)
-    if group == "sl":
-        if n < 2:
-            raise ComplexError("the sl pipeline needs n >= 2")
-        return _sl_link_and_action(n)
-    raise ComplexError(f"unknown group {group!r}")
+    limits = {"gl": (1, 4), "sl": (2, 3)}  # sl needs n >= 2
+    if group not in limits:
+        raise ComplexError(f"unknown group {group!r}")
+    lo, hi = limits[group]
+    if not lo <= n <= hi:
+        raise ComplexError(f"desk scale handles {group} with {lo} <= n <= {hi}")
+    return (_gl_join_and_action if group == "gl" else _sl_link_and_action)(n)
 
 
 def character_variety_complex(group: str, n: int, max_facets: int = 2_000_000) -> SimplicialComplex:

@@ -284,8 +284,8 @@ class SparseIntMatrix:
         is deleted, so what is left is exactly the non-unit remainder; the
         dense transform-free SNF runs on it only when it is nonempty.  The
         rows removed by unit pivots, by either route, are recorded in
-        ``self.pivot_rows``: for a boundary matrix they are the cells whose
-        boundaries the next lower boundary matrix may skip.
+        ``self.pivot_rows``: for a coboundary matrix they are the cells whose
+        rows the next higher boundary matrix may drop.
         """
         import heapq
         from collections import deque

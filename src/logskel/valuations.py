@@ -241,13 +241,15 @@ class SkeletonPoint:
 
     @staticmethod
     def make(kato, weights, mode="trivial") -> "SkeletonPoint":
-        if isinstance(weights, dict):
-            kato = tuple(sorted(kato))
-            weights = tuple(parse_ext(weights[c]) for c in kato)
-        else:
-            kato = tuple(sorted(kato))
-            weights = tuple(parse_ext(w) for w in weights)
-        return SkeletonPoint(kato=kato, weights=weights, mode=mode)
+        kato = tuple(kato)
+        if len(set(kato)) < len(kato):
+            raise ValuationError(f"kato_point {list(kato)!r} names a component twice")
+        weights = [weights[c] for c in kato] if isinstance(weights, dict) else list(weights)
+        if len(kato) != len(weights):
+            raise ValuationError("one weight per monoid generator")
+        order = sorted(range(len(kato)), key=kato.__getitem__)
+        return SkeletonPoint(kato=tuple(kato[i] for i in order),
+                             weights=tuple(parse_ext(weights[i]) for i in order), mode=mode)
 
     def weight_of(self, cid):
         try:

@@ -1,0 +1,63 @@
+"""Reference homology engine: top-down elimination with column clearing.
+
+The engine that ``logskel.complexes._homology_from_boundaries`` replaced,
+kept as written so that the bottom-up engine can be compared with it
+degree for degree.  It builds one ``{row: value}`` dict per boundary
+column and hands every degree whole to ``SparseIntMatrix``: tests only.
+"""
+
+from logskel.complexes import HomologyProfile
+from logskel.lattice import SparseIntMatrix
+
+
+def homology_from_boundaries(counts, boundary):
+    """Homology of a chain complex from per-dim cell counts and
+    ``boundary(d, skip)``, the columns of boundary_d for the d-cells not in
+    ``skip``, one {row: value} dict each.
+
+    Reduces from the top degree down with clearing: a d-cell that is a unit
+    pivot row of boundary_{d+1} has a boundary in the Z-span of the
+    boundaries of the unpivoted d-cells (the pivot block is unimodular and
+    boundary_d boundary_{d+1} = 0), so its column of boundary_d is dropped
+    before it is computed, without changing the image lattice or the
+    nonzero SNF diagonal.
+    """
+    dims = len(counts)
+    diag = [[] for _ in range(dims)]
+    cleared = set()
+    for d in range(dims - 1, 0, -1):
+        mat = SparseIntMatrix(boundary(d, cleared), counts[d - 1])
+        diag[d] = mat.diagonal_snf()
+        cleared = set(mat.pivot_rows)
+    ranks = [len(dg) for dg in diag]  # rank of boundary_d
+    degrees = []
+    for d in range(dims):
+        rank_d = ranks[d]
+        rank_up = ranks[d + 1] if d + 1 < dims else 0
+        free = counts[d] - rank_d - rank_up
+        torsion = sorted(x for x in (diag[d + 1] if d + 1 < dims else []) if x > 1)
+        degrees.append((free, torsion))
+    return HomologyProfile(degrees)
+
+
+def homology(k):
+    """Simplicial homology of a complex through the reference engine."""
+    simplices = k.simplices_by_dim()
+    ids = [{s: i for i, s in enumerate(level)} for level in simplices]
+
+    def boundary(d, skip):
+        return [{ids[d - 1][s[:i] + s[i + 1:]]: (-1) ** i for i in range(len(s))}
+                for j, s in enumerate(simplices[d]) if j not in skip]
+
+    return homology_from_boundaries([len(level) for level in simplices], boundary)
+
+
+def homology_of_faces(counts, faces):
+    """The reference engine on a chain complex given by face arrays:
+    entry [j, i] of ``faces(d)`` is the (d-1)-cell of face i of d-cell j,
+    with sign (-1)^i."""
+    def boundary(d, skip):
+        return [{row: (-1) ** i for i, row in enumerate(cell)}
+                for j, cell in enumerate(faces(d).tolist()) if j not in skip]
+
+    return homology_from_boundaries(counts, boundary)

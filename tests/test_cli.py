@@ -192,8 +192,16 @@ UNKNOWN_COORDINATE_PAIR = {"mode": "trivial", "strata": [["B"]],
     (["closure", "--pair", os.path.join(FIX, "a2_pair.json")], "--points",
      {"points": [{"kato_point": [[0]], "weights": ["1"]}]},
      "kato_point [[0]] is not a list of component ids"),
+    (["weight", "--pair", os.path.join(FIX, "strict_inclusion_pair.json"),
+      "--form", os.path.join(FIX, "strict_inclusion_form.json")], "--points",
+     {"points": [{"kato_point": ["D1", "D1"], "weights": ["1", "2"]}]},
+     "kato_point ['D1', 'D1'] names a component twice"),
+    (["closure", "--pair", os.path.join(FIX, "a2_pair.json")], "--points",
+     {"points": [{"kato_point": ["B1", "B1"], "weights": ["inf", "2"]}]},
+     "kato_point ['B1', 'B1'] names a component twice"),
 ], ids=["points", "point", "facets", "vertices", "coordinate", "toric-kato-point", "snc-weights",
-        "toric-nested-index", "toric-bool-index", "snc-unknown-component", "snc-nested-id"])
+        "toric-nested-index", "toric-bool-index", "snc-unknown-component", "snc-nested-id",
+        "weight-repeated-id", "closure-repeated-id"])
 def test_json_bad_shape_is_validation_error(tmp_path, argv, flag, doc, message):
     path = tmp_path / "doc.json"
     path.write_text(json.dumps(doc))
@@ -201,6 +209,21 @@ def test_json_bad_shape_is_validation_error(tmp_path, argv, flag, doc, message):
     assert out.returncode == 2
     assert out.stdout == "" and "Traceback" not in out.stderr
     assert message in out.stderr
+
+
+def test_points_out_of_order_keep_their_weights(tmp_path):
+    # the same point given in both orders: the infinite weight sits on B2
+    reports = []
+    for kato, weights in ((["B2", "B1"], ["inf", "1"]), (["B1", "B2"], ["1", "inf"])):
+        path = tmp_path / "points.json"
+        path.write_text(json.dumps({"points": [{"kato_point": kato, "weights": weights}]}))
+        out = run_cli("closure", "--pair", os.path.join(FIX, "a2_pair.json"), "--points", str(path))
+        assert out.returncode == 0, out.stderr
+        reports.append(json.loads(out.stdout))
+    assert reports[0] == reports[1]
+    (point,) = reports[0]["classified"]
+    assert point["stratum"] == ["B2"]
+    assert point["point"]["kato_point"] == ["B1", "B2"] and point["point"]["weights"] == ["1", "inf"]
 
 
 def test_overlapping_fan_cones_are_validation_error(tmp_path):

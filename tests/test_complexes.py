@@ -28,12 +28,14 @@ from logskel.complexes import (
     _chain_radices,
     _character_variety_action,
     _close_pairs,
+    _homology_from_boundaries,
     _monic_coefficients,
     _OrbitCells,
     _sl_link_and_action,
     _sphere_images,
 )
 from logskel.polyhedra import Cone, Fan, derived_subdivision, fan_p2, primitive
+import homology_oracle
 from lattice_oracle import rat_solve
 from orbit_oracle import OrbitCellsOracle
 from sphere_oracle import all_close_pairs, sphere_check_oracle
@@ -187,8 +189,79 @@ def test_clearing_matches_unreduced_sympy_snf():
     for k in cases:
         expect = _sympy_homology(k)
         assert homology(k).degrees == expect
+        assert homology_oracle.homology(k).degrees == expect
         torsion_seen += sum(len(t) for _, t in expect)
     assert torsion_seen >= 3  # RP^2 and its two joins carry Z/2
+
+
+def _random_complex(rng):
+    """A small random complex; about half of them start from a relabelled RP^2
+    (so Z/2 torsion is common) and add random facets or a join factor."""
+    facets = [tuple(rng.sample(range(8), rng.randint(1, 4))) for _ in range(rng.randint(1, 9))]
+    if rng.random() < 0.5:
+        label = rng.sample(range(8), 6)
+        facets = [tuple(label[v] for v in f) for f in _rp2().facets] + facets[:rng.randint(0, 3)]
+    k = SimplicialComplex.from_facets(facets)
+    if rng.random() < 0.25:
+        k = join(k, rng.choice([cycle_complex(3), SimplicialComplex.from_facets([(0,), (1,)])]))
+    return k
+
+
+def test_bottom_up_engine_matches_top_down_oracle_on_random_complexes():
+    rng = random.Random(13)
+    torsion_seen = 0
+    for _ in range(320):
+        k = _random_complex(rng)
+        got = homology(k)
+        assert got.degrees == homology_oracle.homology(k).degrees
+        torsion_seen += any(t for _, t in got.degrees)
+    assert torsion_seen >= 60, torsion_seen  # the torsion path is exercised
+
+
+def test_bottom_up_engine_matches_oracle_on_rp2_joins():
+    rp2 = _rp2()
+    for k in (rp2, join(rp2, rp2), join(rp2, cycle_complex(4)), barycentric_subdivision(rp2)):
+        got = homology(k)
+        assert got.degrees == homology_oracle.homology(k).degrees
+    assert homology(join(rp2, rp2)).torsion(3) == [2]  # the join carries H_3 = Z/2
+
+
+def test_engine_refuses_a_repeated_face():
+    faces = {1: np.array([[0, 1], [1, 1]], dtype=np.int32)}
+    with pytest.raises(ComplexError, match="repeated face"):
+        _homology_from_boundaries([2, 2], faces.get)
+
+
+@pytest.fixture
+def sparse_built(monkeypatch):
+    """(columns, rows) of every SparseIntMatrix the homology engine builds."""
+    from logskel import complexes
+
+    built = []
+    real = complexes.SparseIntMatrix
+
+    def spy(columns, nrows):
+        built.append((len(columns), nrows))
+        return real(columns, nrows)
+
+    monkeypatch.setattr(complexes, "SparseIntMatrix", spy)
+    return built
+
+
+def test_only_the_degree_one_remainder_reaches_sparse_elimination(sparse_built):
+    assert character_variety_homology("gl", 3) == sphere_profile(5)
+    # the coboundary of the 164 vertices into the 2,596 edges; every higher
+    # degree is peeled away by unit pivots
+    assert sparse_built == [(164, 2596)]
+
+
+def test_slow_collapse_is_left_to_sparse_elimination(sparse_built):
+    # a path frees only its two end vertices per peel round; after the first
+    # round the peel hands the other 19,999 vertices over instead of running
+    # 10,000 rounds of O(path) each
+    path = SimplicialComplex.from_facets([(i, i + 1) for i in range(20_000)])
+    assert homology(path).degrees == [(1, []), (0, [])]
+    assert sparse_built == [(19_999, 20_000)]
 
 
 def test_dense_core_gets_no_empty_lines(monkeypatch):
@@ -298,7 +371,9 @@ ORBIT_CASES = {
 
 
 @pytest.mark.parametrize("case", sorted(ORBIT_CASES))
-def test_orbit_cells_match_materializing_oracle(case):
+def test_orbit_cells_match_materializing_oracle(case, monkeypatch):
+    from logskel import complexes
+
     k, gens = ORBIT_CASES[case]()
     action = GroupAction(k, gens)
     cells, oracle = _OrbitCells(k, action), OrbitCellsOracle(k, action)
@@ -306,10 +381,22 @@ def test_orbit_cells_match_materializing_oracle(case):
     for d in range(cells.dim + 1):
         reps = cells.chains(d, cells.keys[d]).tolist()
         assert [tuple(chain[::-1]) for chain in reps] == oracle.rep_chains(d)
+    whole = [cells.faces(d) for d in range(1, cells.dim + 1)]
+    monkeypatch.setattr(complexes, "_FACE_BLOCK", 7)  # several blocks per level
     for d in range(1, cells.dim + 1):
-        for skip in (set(), set(range(1, cells.cell_counts()[d], 2))):
-            assert [list(col.items()) for col in cells.boundary_columns(d, skip)] == \
-                oracle.boundary_columns(d, skip)
+        faces = cells.faces(d)
+        assert faces.dtype == np.int32 and faces.shape == (cells.cell_counts()[d], d + 1)
+        assert [[(row, (-1) ** i) for i, row in enumerate(cell)] for cell in faces.tolist()] == \
+            oracle.boundary_columns(d, set())
+        assert np.array_equal(faces, whole[d - 1])
+
+
+@pytest.mark.parametrize("case", sorted(ORBIT_CASES))
+def test_bottom_up_engine_matches_top_down_oracle_on_orbit_cells(case):
+    k, gens = ORBIT_CASES[case]()
+    cells = _OrbitCells(k, GroupAction(k, gens))
+    expect = homology_oracle.homology_of_faces(cells.cell_counts(), cells.faces)
+    assert quotient_homology(k, gens).degrees == expect.degrees
 
 
 def test_orbit_cells_share_one_move_per_group_element():
@@ -446,10 +533,9 @@ def test_sl_generators_match_per_vertex_solve(n):
 
 
 def test_character_variety_range_check():
-    with pytest.raises(ComplexError):
-        character_variety_homology("gl", 4)
-    with pytest.raises(ComplexError):
-        character_variety_homology("sl", 1)
+    for group, n in (("gl", 0), ("gl", 5), ("sl", 1), ("sl", 4), ("pgl", 2)):
+        with pytest.raises(ComplexError):
+            character_variety_homology(group, n)
 
 
 # -- sphere quotient map ------------------------------------------------------------
