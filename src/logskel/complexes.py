@@ -30,7 +30,9 @@ from .polyhedra import (
     product_fan,
 )
 
-_FACE_BLOCK = 1 << 12  # chains per lookup in _OrbitCells.faces; bounds its peak memory
+_FACE_BLOCK = 1 << 12  # chains per block in _OrbitCells; bounds its peak memory
+_MAX_GROUP_ORDER = 20_000  # group closure bound
+_MAX_FACETS = 2_000_000  # orbit-space triangulation bound, in (d+1)! flags per maximal d-cell
 
 
 class ComplexError(ValueError):
@@ -63,14 +65,14 @@ class SimplicialComplex:
 
     def simplices_by_dim(self):
         """List of sorted simplex tuples per dimension (0..dim)."""
+        order = sorted(self.vertices, key=str)  # ranks sort as the labels' str would
+        rank = {v: i for i, v in enumerate(order)}
         by_dim = [set() for _ in range(self.dim() + 1)]
         for f in self.facets:
-            fl = sorted(f, key=str)
-            n = len(fl)
-            for k in range(1, n + 1):
-                for sub in itertools.combinations(fl, k):
-                    by_dim[k - 1].add(sub)
-        return [sorted(s, key=lambda t: tuple(map(str, t))) for s in by_dim]
+            fl = sorted(rank[v] for v in f)
+            for k in range(1, len(fl) + 1):
+                by_dim[k - 1].update(itertools.combinations(fl, k))
+        return [[tuple(order[i] for i in t) for t in sorted(s)] for s in by_dim]
 
     def euler_characteristic(self) -> int:
         return sum((-1) ** d * len(s) for d, s in enumerate(self.simplices_by_dim()))
@@ -142,7 +144,7 @@ def simplex_boundary_complex(n: int) -> SimplicialComplex:
 class GroupAction:
     """Finite permutation group on the vertices of a complex, by generators."""
 
-    def __init__(self, complex_: SimplicialComplex, generators, max_order: int = 20000):
+    def __init__(self, complex_: SimplicialComplex, generators):
         self.complex = complex_
         verts = set(complex_.vertices)
         gens = []
@@ -156,10 +158,10 @@ class GroupAction:
             for f in facets:
                 if frozenset(g[v] for v in f) not in facets:
                     raise ComplexError("generator does not map facets to facets (non-simplicial action)")
-        self.elements = self._closure(gens, verts, max_order)
+        self.elements = self._closure(gens, verts)
 
     @staticmethod
-    def _closure(gens, verts, max_order):
+    def _closure(gens, verts):
         ident = {v: v for v in verts}
         seen = {_perm_key(ident): ident}
         frontier = [ident]
@@ -172,7 +174,7 @@ class GroupAction:
                     if k not in seen:
                         seen[k] = comp
                         nxt.append(comp)
-                        if len(seen) > max_order:
+                        if len(seen) > _MAX_GROUP_ORDER:
                             raise ComplexError("group closure exceeds the desk-scale bound")
             frontier = nxt
         return list(seen.values())
@@ -227,13 +229,16 @@ def barycentric_subdivision(k: SimplicialComplex) -> SimplicialComplex:
 # Simplex ids run by dimension, then by label, so a cell is represented by
 # the member of its orbit whose top-first tuple (top, next, ..., bottom) is
 # least: its top t is the least simplex of the top's G-orbit, and the rest
-# is least under the stabilizer Stab(t).  Chains are therefore enumerated
-# only below one simplex per G-orbit and reduced by its stabilizer, which
-# costs about chains * |Stab| / |G| instead of every chain times |G|.  Cells
-# are numbered in the order of their representatives' top-first tuples, kept
-# per level as one sorted int64 array of keys (the top, then each element's
-# index among the faces of the one above); a lookup moves the top to the least
-# of its orbit and binary-searches the least key over the Stab(top) images.
+# is least under the stabilizer Stab(t).  Cells are numbered in that order,
+# kept per level as one sorted int64 array of keys (the top, then each
+# element's index among the faces of the one above, so key order is tuple
+# order).  ``_least`` is the one Stab(top) minimisation: a lookup moves the
+# top to the least of its orbit and binary-searches the key ``_least`` gives.
+# It also drives the enumeration, by orderly generation (Read 1978; McKay
+# 1998): an element of Stab(t) that maps a chain lower maps every extension
+# lower, so a chain is a representative only if its prefix is, and the
+# level-(d+1) keys are the one-element extensions of the level-d keys that
+# ``_least`` leaves in place.  Extensions of sorted keys come out sorted.
 # --------------------------------------------------------------------------
 
 def _chain_radices(simplices: int, dim: int):
@@ -256,35 +261,23 @@ class _OrbitCells:
                                 for g in action.elements], dtype=np.intp)
         self._moves = self._perms.argmin(axis=0)
         # proper faces of each simplex in increasing id order; face i of t is
-        # _pairs[_offsets[t] + i] - t * len(sims), and _pairs is sorted
-        faces_of = [sorted(ids[sub] for k in range(1, len(s)) for sub in itertools.combinations(s, k))
-                    for s in sims]
-        self._pairs = np.array([t * len(sims) + f for t, fs in enumerate(faces_of) for f in fs],
-                               dtype=np.intp)
-        self._offsets = np.searchsorted(self._pairs, np.arange(len(sims)) * len(sims))
-        # a depth-first walk with faces in id order visits chains in top-first
-        # lexicographic order, so every level comes out sorted
-        import array  # loaded only where orbit cells are built
-        levels = [array.array("q") for _ in range(self.dim + 1)]
-
-        def walk(x, key, d, fixers):
-            # fixers: the elements of Stab(t) that fix the chain; the rest map it higher
-            levels[d].append(key)
-            for i, y in enumerate(faces_of[x]):
-                keep = []
-                for g in fixers:
-                    z = g[y]
-                    if z < y:
-                        break  # g maps the chain + (y,) and all its extensions lower
-                    if z == y:
-                        keep.append(g)
-                else:
-                    walk(y, key * self._radices[d] + i, d + 1, keep)
-
-        perms = self._perms.tolist()
-        for t in np.flatnonzero(self._perms.min(axis=0) == np.arange(len(sims))).tolist():
-            walk(t, t, 0, [g for g in perms if g[t] == t])
-        self.keys = [np.frombuffer(level, dtype=np.int64) for level in levels]
+        # _pairs[_offsets[t] + i] - t * len(sims), _pairs is sorted, and
+        # _offsets[len(sims)] = len(_pairs)
+        faces_of = (sorted(ids[sub] for k in range(1, len(s)) for sub in itertools.combinations(s, k))
+                    for s in sims)
+        self._pairs = np.array([t * len(sims) + f for t, fs in enumerate(faces_of) for f in fs], dtype=np.intp)
+        self._offsets = np.searchsorted(self._pairs, np.arange(len(sims) + 1) * len(sims))
+        self.keys = [np.flatnonzero(self._perms.min(axis=0) == np.arange(len(sims)))]
+        for d in range(self.dim):
+            level = []
+            for lo in range(0, len(self.keys[d]), _FACE_BLOCK):
+                parents = self.keys[d][lo:lo + _FACE_BLOCK]
+                bottom = self.chains(d, parents)[:, -1]
+                counts = self._offsets[bottom + 1] - self._offsets[bottom]
+                first = parents * self._radices[d] - np.cumsum(counts) + counts  # minus its slot
+                children = np.repeat(first, counts) + np.arange(counts.sum())
+                level.append(children[self._least(self.chains(d + 1, children)) == children])
+            self.keys.append(np.concatenate(level))
 
     def cell_counts(self):
         return [len(keys) for keys in self.keys]
@@ -300,37 +293,41 @@ class _OrbitCells:
             rows.append(self._pairs[self._offsets[rows[-1]] + digit] - rows[-1] * self._moves.size)
         return np.stack(rows, axis=1)
 
+    def _least(self, chains):
+        """The least packed key over the images of top-first chains (rows)
+        under the stabilizer of their top, itself the least of its orbit."""
+        best = chains.copy()  # key order is tuple order: keep the least image, then encode it
+        for g in self._perms:
+            hit = np.flatnonzero(g[chains[:, 0]] == chains[:, 0])
+            image, held = g[chains[hit]], best[hit]
+            first = (image != held).argmax(axis=1)  # 0 where they are equal
+            lower = np.take_along_axis(image < held, first[:, None], axis=1)[:, 0]
+            best[hit[lower]] = image[lower]
+        key = best[:, 0]
+        for j in range(1, best.shape[1]):
+            up = best[:, j - 1]
+            face = np.searchsorted(self._pairs, up * self._moves.size + best[:, j])
+            key = key * self._radices[j - 1] + face - self._offsets[up]
+        return key
+
     def _cells(self, chains):
         """Cell indices of top-first chains (rows) of one length."""
         chains = self._perms[self._moves[chains[:, :1]], chains]  # top to its orbit's least
-        best = np.full(len(chains), np.iinfo(np.int64).max)
-        for g in self._perms:  # the least key over the images under Stab(top)
-            hit = np.flatnonzero(g[chains[:, 0]] == chains[:, 0])
-            image = g[chains[hit]]
-            key = image[:, 0]
-            for j in range(1, image.shape[1]):
-                up = image[:, j - 1]
-                face = np.searchsorted(self._pairs, up * self._moves.size + image[:, j])
-                key = key * self._radices[j - 1] + face - self._offsets[up]
-            best[hit] = np.minimum(best[hit], key)
-        return np.searchsorted(self.keys[chains.shape[1] - 1], best)
-
-    def _face_cells(self, chains):
-        """Cell indices of the faces of chains: column i drops the i-th from the bottom."""
-        n = chains.shape[1]
-        faces = np.concatenate([np.delete(chains, n - 1 - i, axis=1) for i in range(n)])
-        return self._cells(faces).reshape(n, len(chains)).T
+        return np.searchsorted(self.keys[chains.shape[1] - 1], self._least(chains))
 
     def faces(self, d):
         """Face array of the d-cells, d >= 1: entry [j, i] is the (d-1)-cell of
-        face i of d-cell j, looked up _FACE_BLOCK chains at a time.  Faces drop
-        elements of distinct sizes, so they lie in distinct orbits."""
+        face i of d-cell j, its chain without the i-th element from the bottom,
+        looked up _FACE_BLOCK chains at a time.  Faces drop elements of
+        distinct sizes, so they lie in distinct orbits."""
         keys, out = self.keys[d], np.empty((len(self.keys[d]), d + 1), dtype=np.int32)
         for lo in range(0, len(keys), _FACE_BLOCK):
-            out[lo:lo + _FACE_BLOCK] = self._face_cells(self.chains(d, keys[lo:lo + _FACE_BLOCK]))
+            chains = self.chains(d, keys[lo:lo + _FACE_BLOCK])
+            cells = self._cells(np.concatenate([np.delete(chains, d - i, axis=1) for i in range(d + 1)]))
+            out[lo:lo + _FACE_BLOCK] = cells.reshape(d + 1, len(chains)).T
         return out
 
-    def orbit_space_complex(self, max_facets: int = 2_000_000) -> SimplicialComplex:
+    def orbit_space_complex(self) -> SimplicialComplex:
         """Order complex of the orbit cell poset: triangulates the orbit space.
 
         The orbit cells form a regular CW complex (faces of a chain lie in
@@ -338,40 +335,27 @@ class _OrbitCells:
         genuine simplicial complex homeomorphic to the orbit space.
         """
         # face poset: orbit [c'] <= [c] iff some subchain of (a representative
-        # of) [c] lies in [c']; flags through maximal cells give the facets,
-        # (d+1)! of them per maximal d-cell.
-        masks = [self._maximal_mask(d) for d in range(self.dim + 1)]
-        est = sum(int(mask.sum()) * math.factorial(d + 1) for d, mask in enumerate(masks))
-        if est > max_facets:
+        # of) [c] lies in [c'].  A maximal d-cell is a face of no (d+1)-cell,
+        # and its (d+1)! flags drop one element at a time: the paths cell ->
+        # faces(d)[cell, i] -> faces(d-1)[., j] -> ...  The group keeps simplex
+        # sizes, so face i of a representative drops the same position as face
+        # i of any chain in its orbit, and each path is one flag of subchains.
+        faces = [None] + [self.faces(d) for d in range(1, self.dim + 1)] + [np.empty(0, dtype=np.int32)]
+        maximal = [np.flatnonzero(np.bincount(up.ravel(), minlength=len(keys)) == 0)
+                   for keys, up in zip(self.keys, faces[1:])]
+        est = sum(len(cells) * math.factorial(d + 1) for d, cells in enumerate(maximal))
+        if est > _MAX_FACETS:
             raise ComplexError(
-                f"orbit-space triangulation would need ~{est} facets (> {max_facets})")
+                f"orbit-space triangulation would need ~{est} facets (> {_MAX_FACETS})")
+        labels = [[("cell", d, c) for c in range(len(keys))] for d, keys in enumerate(self.keys)]
         facets = []
-        for d, (keys, mask) in enumerate(zip(self.keys, masks)):
-            facets.extend(self._flags(self.chains(d, keys[mask])))
+        for d, paths in enumerate(maximal):
+            paths = paths[:, None]  # column j holds (d - j)-cells
+            for e in range(d, 0, -1):
+                paths = np.column_stack([np.repeat(paths, e + 1, axis=0), faces[e][paths[:, -1]].ravel()])
+            columns = (map(labels[d - j].__getitem__, col) for j, col in enumerate(paths.T.tolist()))
+            facets.extend(map(frozenset, zip(*columns)))
         return SimplicialComplex.from_facets(facets)
-
-    def _maximal_mask(self, d):
-        """Per d-cell, whether it is a face of no (d+1)-cell."""
-        mask = np.ones(len(self.keys[d]), dtype=bool)
-        if d < self.dim:
-            mask[self.faces(d + 1)] = False
-        return mask
-
-    def _flags(self, chains):
-        """All maximal flags of subchains of top-first chains (rows), as
-        frozensets of orbit labels."""
-        n = chains.shape[1]
-        labels = {}  # bitmask of chain positions -> label of that subchain, per chain
-        for k in range(1, n + 1):
-            subs = list(itertools.combinations(range(n), k))
-            cells = self._cells(np.concatenate([chains[:, sub] for sub in subs]))
-            for sub, row in zip(subs, cells.reshape(len(subs), len(chains)).tolist()):
-                labels[sum(1 << i for i in sub)] = [("cell", k - 1, c) for c in row]
-        out = []
-        for perm in itertools.permutations(range(n)):
-            prefixes = itertools.accumulate(1 << i for i in perm)
-            out.extend(map(frozenset, zip(*(labels[p] for p in prefixes))))
-        return out
 
 
 def _orbit_cells(k: SimplicialComplex, action_generators):
@@ -382,7 +366,7 @@ def _orbit_cells(k: SimplicialComplex, action_generators):
     return None if action.order() == 1 else _OrbitCells(k, action)
 
 
-def quotient(k: SimplicialComplex, action_generators, max_facets: int = 2_000_000) -> SimplicialComplex:
+def quotient(k: SimplicialComplex, action_generators) -> SimplicialComplex:
     """Quotient of a complex by a finite simplicial group action.
 
     Subdivides once (making the action rigid on the chain model), forms the
@@ -390,7 +374,7 @@ def quotient(k: SimplicialComplex, action_generators, max_facets: int = 2_000_00
     the orbit space.  The trivial group returns the complex unchanged.
     """
     cells = _orbit_cells(k, action_generators)
-    return k if cells is None else cells.orbit_space_complex(max_facets=max_facets)
+    return k if cells is None else cells.orbit_space_complex()
 
 
 def quotient_homology(k: SimplicialComplex, action_generators) -> "HomologyProfile":
@@ -614,9 +598,9 @@ def _character_variety_action(group: str, n: int):
     return (_gl_join_and_action if group == "gl" else _sl_link_and_action)(n)
 
 
-def character_variety_complex(group: str, n: int, max_facets: int = 2_000_000) -> SimplicialComplex:
+def character_variety_complex(group: str, n: int) -> SimplicialComplex:
     """Quotient complex underlying the genus-one character-variety boundary."""
-    return quotient(*_character_variety_action(group, n), max_facets=max_facets)
+    return quotient(*_character_variety_action(group, n))
 
 
 def character_variety_homology(group: str, n: int) -> HomologyProfile:

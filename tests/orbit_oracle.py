@@ -4,7 +4,8 @@ The materializing algorithm that ``logskel.complexes._OrbitCells`` replaced,
 kept as written so that its orbit-first enumeration can be compared with it
 cell for cell and column for column.  It stores every chain of the
 subdivision with a chain -> index dict and applies every group element to
-every chain: tests only.
+every chain: tests only.  ``orbit_space_flags`` is the subchain flag
+construction that the face-path flags of ``orbit_space_complex`` replaced.
 """
 
 import itertools
@@ -102,3 +103,34 @@ class OrbitCellsOracle:
                 col[row] = col.get(row, 0) + (-1) ** i
             cols.append([(row, val) for row, val in col.items() if val])
         return cols
+
+    def maximal_cells(self):
+        """Per dimension, the cells that are a face of no cell one dimension up."""
+        out = []
+        for d in range(self.dim + 1):
+            faces = set()
+            if d < self.dim:
+                rep_of, _ = self.reps[d]
+                for chain in self.rep_chains(d + 1):
+                    faces.update(rep_of[self.chain_ids[d][chain[:i] + chain[i + 1:]]]
+                                 for i in range(len(chain)))
+            out.append([c for c in range(len(self.reps[d][1])) if c not in faces])
+        return out
+
+    def orbit_space_flags(self, maximal):
+        """The maximal flags of the orbit cell poset through the given maximal
+        cells: per representative chain, the labels of all its subchains, then
+        one flag per order in which its positions are added."""
+        out = []
+        for d, cells in enumerate(maximal):
+            n = d + 1
+            for chain in (self.rep_chains(d)[c] for c in cells):
+                labels = {}  # bitmask of chain positions -> label of that subchain
+                for k in range(1, n + 1):
+                    rep_of, _ = self.reps[k - 1]
+                    for sub in itertools.combinations(range(n), k):
+                        cell = rep_of[self.chain_ids[k - 1][tuple(chain[i] for i in sub)]]
+                        labels[sum(1 << i for i in sub)] = ("cell", k - 1, cell)
+                for perm in itertools.permutations(range(n)):
+                    out.append(frozenset(labels[p] for p in itertools.accumulate(1 << i for i in perm)))
+        return out

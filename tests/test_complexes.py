@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import random
 
 import numpy as np
@@ -383,12 +384,35 @@ def test_orbit_cells_match_materializing_oracle(case, monkeypatch):
         assert [tuple(chain[::-1]) for chain in reps] == oracle.rep_chains(d)
     whole = [cells.faces(d) for d in range(1, cells.dim + 1)]
     monkeypatch.setattr(complexes, "_FACE_BLOCK", 7)  # several blocks per level
+    blocked = _OrbitCells(k, action)
+    assert len(blocked.keys) == len(cells.keys)
+    for keys, expect in zip(blocked.keys, cells.keys):
+        assert keys.dtype == np.int64 and np.array_equal(keys, expect)
     for d in range(1, cells.dim + 1):
         faces = cells.faces(d)
         assert faces.dtype == np.int32 and faces.shape == (cells.cell_counts()[d], d + 1)
         assert [[(row, (-1) ** i) for i, row in enumerate(cell)] for cell in faces.tolist()] == \
             oracle.boundary_columns(d, set())
         assert np.array_equal(faces, whole[d - 1])
+
+
+@pytest.mark.parametrize("case", sorted(ORBIT_CASES))
+def test_orbit_space_flags_match_subchain_oracle(case):
+    # the face-path flags against every subchain of every maximal representative,
+    # looked up by brute force; the stabilizer-heavy cases test that face i of
+    # a representative drops the position that face i of its orbit's chains does
+    from logskel import complexes
+
+    k, gens = ORBIT_CASES[case]()
+    action = GroupAction(k, gens)
+    oracle = OrbitCellsOracle(k, action)
+    maximal = oracle.maximal_cells()
+    if sum(len(cells) * math.factorial(d + 1) for d, cells in enumerate(maximal)) > complexes._MAX_FACETS:
+        with pytest.raises(ComplexError, match="facets"):  # gl3: 7,680 top cells, 720 flags each
+            _OrbitCells(k, action).orbit_space_complex()
+        return
+    assert _OrbitCells(k, action).orbit_space_complex() == \
+        SimplicialComplex.from_facets(oracle.orbit_space_flags(maximal))
 
 
 @pytest.mark.parametrize("case", sorted(ORBIT_CASES))
@@ -449,14 +473,18 @@ def test_orbit_space_triangulation_is_pinned(group, n):
         ORBIT_SPACE_DIGESTS[(group, n)]
 
 
-def test_orbit_space_facet_bound_counts_every_maximal_cell():
+def test_orbit_space_facet_bound_counts_every_maximal_cell(monkeypatch):
+    from logskel import complexes
+
     # a fixed triangle (6 top cells, 3! flags each) plus an edge whose ends
     # are swapped (one maximal 1-cell, 2! flags): 38 facets
     k = SimplicialComplex.from_facets([(0, 1, 2), (3, 4)])
     swap = {0: 0, 1: 1, 2: 2, 3: 4, 4: 3}
+    monkeypatch.setattr(complexes, "_MAX_FACETS", 37)
     with pytest.raises(ComplexError):
-        quotient(k, [swap], max_facets=37)
-    q = quotient(k, [swap], max_facets=38)
+        quotient(k, [swap])
+    monkeypatch.setattr(complexes, "_MAX_FACETS", 38)
+    q = quotient(k, [swap])
     assert len(q.facets) == 38
     assert homology(q) == homology(SimplicialComplex.from_facets([(0, 1, 2), (3,)]))
 
