@@ -8,6 +8,7 @@ mismatch in the ``fixtures`` regression run.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -303,6 +304,7 @@ def cmd_fixtures(args):
 
 # --------------------------------------------------------------------------
 
+@functools.cache  # parse_args leaves the parser unchanged, so in-process callers share one
 def build_parser():
     ap = argparse.ArgumentParser(
         prog="logskel",

@@ -232,13 +232,19 @@ def barycentric_subdivision(k: SimplicialComplex) -> SimplicialComplex:
 # is least under the stabilizer Stab(t).  Cells are numbered in that order,
 # kept per level as one sorted int64 array of keys (the top, then each
 # element's index among the faces of the one above, so key order is tuple
-# order).  ``_least`` is the one Stab(top) minimisation: a lookup moves the
-# top to the least of its orbit and binary-searches the key ``_least`` gives.
-# It also drives the enumeration, by orderly generation (Read 1978; McKay
-# 1998): an element of Stab(t) that maps a chain lower maps every extension
-# lower, so a chain is a representative only if its prefix is, and the
-# level-(d+1) keys are the one-element extensions of the level-d keys that
-# ``_least`` leaves in place.  Extensions of sorted keys come out sorted.
+# order).  ``_least`` is the one Stab(top) minimisation.  It tries only the
+# non-identity elements of Stab(t), read from tables built once per simplex
+# (``_stab_sizes[t]`` rows of ``_perms`` listed in ``_stab`` from
+# ``_stab_offsets[t]``), so a chain whose top has a trivial stabilizer is
+# only encoded.  It also drives the enumeration, by orderly generation (Read
+# 1978; McKay 1998): an element of Stab(t) that maps a chain lower maps every
+# extension lower, so a chain is a representative only if its prefix is, and
+# the level-(d+1) keys are the one-element extensions of the level-d keys
+# that ``_least`` leaves in place (it sees only those under a nontrivial
+# Stab(top)).  Extensions of sorted keys come out sorted.  Of the faces of a
+# representative, face 0 is its prefix, whose key is its own without the last
+# digit; faces 1..d-1 keep the top, already least, and go straight to
+# ``_least``; only face d moves its new top to the least of its orbit first.
 # --------------------------------------------------------------------------
 
 def _chain_radices(simplices: int, dim: int):
@@ -255,15 +261,20 @@ class _OrbitCells:
         self.dim = base.dim()
         sims = [s for level in base.simplices_by_dim() for s in level]
         self._radices = _chain_radices(len(sims), self.dim)
-        ids = {s: i for i, s in enumerate(sims)}
+        ids = {frozenset(s): i for i, s in enumerate(sims)}
         # one row per group element; per simplex, a row taking it to the least of its orbit
-        self._perms = np.array([[ids[tuple(sorted((g[v] for v in s), key=str))] for s in sims]
+        self._perms = np.array([[ids[frozenset(map(g.__getitem__, s))] for s in sims]
                                 for g in action.elements], dtype=np.intp)
         self._moves = self._perms.argmin(axis=0)
+        fixed = self._perms == np.arange(len(sims))
+        fixed[fixed.all(axis=1)] = False
+        tops, self._stab = np.nonzero(fixed.T)
+        self._stab_sizes = np.bincount(tops, minlength=len(sims))
+        self._stab_offsets = np.cumsum(self._stab_sizes) - self._stab_sizes
         # proper faces of each simplex in increasing id order; face i of t is
         # _pairs[_offsets[t] + i] - t * len(sims), _pairs is sorted, and
         # _offsets[len(sims)] = len(_pairs)
-        faces_of = (sorted(ids[sub] for k in range(1, len(s)) for sub in itertools.combinations(s, k))
+        faces_of = (sorted(ids[frozenset(f)] for k in range(1, len(s)) for f in itertools.combinations(s, k))
                     for s in sims)
         self._pairs = np.array([t * len(sims) + f for t, fs in enumerate(faces_of) for f in fs], dtype=np.intp)
         self._offsets = np.searchsorted(self._pairs, np.arange(len(sims) + 1) * len(sims))
@@ -272,11 +283,14 @@ class _OrbitCells:
             level = []
             for lo in range(0, len(self.keys[d]), _FACE_BLOCK):
                 parents = self.keys[d][lo:lo + _FACE_BLOCK]
-                bottom = self.chains(d, parents)[:, -1]
-                counts = self._offsets[bottom + 1] - self._offsets[bottom]
+                chains = self.chains(d, parents)
+                counts = self._offsets[chains[:, -1] + 1] - self._offsets[chains[:, -1]]
                 first = parents * self._radices[d] - np.cumsum(counts) + counts  # minus its slot
                 children = np.repeat(first, counts) + np.arange(counts.sum())
-                level.append(children[self._least(self.chains(d + 1, children)) == children])
+                keep = np.ones(len(children), dtype=bool)
+                search = np.flatnonzero(np.repeat(self._stab_sizes[chains[:, 0]], counts))
+                keep[search] = self._least(self.chains(d + 1, children[search])) == children[search]
+                level.append(children[keep])
             self.keys.append(np.concatenate(level))
 
     def cell_counts(self):
@@ -297,9 +311,11 @@ class _OrbitCells:
         """The least packed key over the images of top-first chains (rows)
         under the stabilizer of their top, itself the least of its orbit."""
         best = chains.copy()  # key order is tuple order: keep the least image, then encode it
-        for g in self._perms:
-            hit = np.flatnonzero(g[chains[:, 0]] == chains[:, 0])
-            image, held = g[chains[hit]], best[hit]
+        sizes, starts = self._stab_sizes[chains[:, 0]], self._stab_offsets[chains[:, 0]]
+        hit = np.arange(len(chains))
+        for j in range(sizes.max(initial=0)):
+            hit = hit[sizes[hit] > j]  # rows whose top has a j-th non-identity stabilizer element
+            image, held = self._perms[self._stab[starts[hit] + j, None], chains[hit]], best[hit]
             first = (image != held).argmax(axis=1)  # 0 where they are equal
             lower = np.take_along_axis(image < held, first[:, None], axis=1)[:, 0]
             best[hit[lower]] = image[lower]
@@ -310,11 +326,6 @@ class _OrbitCells:
             key = key * self._radices[j - 1] + face - self._offsets[up]
         return key
 
-    def _cells(self, chains):
-        """Cell indices of top-first chains (rows) of one length."""
-        chains = self._perms[self._moves[chains[:, :1]], chains]  # top to its orbit's least
-        return np.searchsorted(self.keys[chains.shape[1] - 1], self._least(chains))
-
     def faces(self, d):
         """Face array of the d-cells, d >= 1: entry [j, i] is the (d-1)-cell of
         face i of d-cell j, its chain without the i-th element from the bottom,
@@ -322,8 +333,13 @@ class _OrbitCells:
         distinct sizes, so they lie in distinct orbits."""
         keys, out = self.keys[d], np.empty((len(self.keys[d]), d + 1), dtype=np.int32)
         for lo in range(0, len(keys), _FACE_BLOCK):
-            chains = self.chains(d, keys[lo:lo + _FACE_BLOCK])
-            cells = self._cells(np.concatenate([np.delete(chains, d - i, axis=1) for i in range(d + 1)]))
+            block = keys[lo:lo + _FACE_BLOCK]
+            chains = self.chains(d, block)
+            rest = chains[:, 1:]  # face d
+            kept = [np.delete(chains, d - i, axis=1) for i in range(1, d)]
+            least = self._least(np.concatenate(kept + [self._perms[self._moves[rest[:, :1]], rest]]))
+            prefix = block // self._radices[d - 1]  # face 0
+            cells = np.searchsorted(self.keys[d - 1], np.concatenate([prefix, least]))
             out[lo:lo + _FACE_BLOCK] = cells.reshape(d + 1, len(chains)).T
         return out
 
@@ -340,10 +356,12 @@ class _OrbitCells:
         # faces(d)[cell, i] -> faces(d-1)[., j] -> ...  The group keeps simplex
         # sizes, so face i of a representative drops the same position as face
         # i of any chain in its orbit, and each path is one flag of subchains.
-        faces = [None] + [self.faces(d) for d in range(1, self.dim + 1)] + [np.empty(0, dtype=np.int32)]
-        maximal = [np.flatnonzero(np.bincount(up.ravel(), minlength=len(keys)) == 0)
-                   for keys, up in zip(self.keys, faces[1:])]
-        est = sum(len(cells) * math.factorial(d + 1) for d, cells in enumerate(maximal))
+        est = len(self.keys[-1]) * math.factorial(self.dim + 1)  # top cells alone, all maximal
+        if est <= _MAX_FACETS:
+            faces = [None] + [self.faces(d) for d in range(1, self.dim + 1)] + [np.empty(0, dtype=np.int32)]
+            maximal = [np.flatnonzero(np.bincount(up.ravel(), minlength=len(keys)) == 0)
+                       for keys, up in zip(self.keys, faces[1:])]
+            est = sum(len(cells) * math.factorial(d + 1) for d, cells in enumerate(maximal))
         if est > _MAX_FACETS:
             raise ComplexError(
                 f"orbit-space triangulation would need ~{est} facets (> {_MAX_FACETS})")

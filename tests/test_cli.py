@@ -439,3 +439,28 @@ def test_output_file_and_env_dir(tmp_path):
     assert out.returncode == 0
     doc = json.loads((tmp_path / "report.json").read_text())
     assert doc["identity_holds"] is True
+
+
+def test_in_process_runs_share_no_parser_state(tmp_path, monkeypatch, capsys):
+    # main() reuses one parser per process: a repeated `--form` must not pile
+    # up across calls, and another subcommand in between must leave no trace
+    from logskel import cli
+
+    seen, essential_skeleton = [], cli.essential_skeleton
+
+    def spy(pair, forms):
+        seen.append(len(forms))
+        return essential_skeleton(pair, forms)
+
+    monkeypatch.setattr(cli, "essential_skeleton", spy)
+    argv = ["essential", "--pair", os.path.join(FIX, "a2_pair.json"),
+            "--form", os.path.join(FIX, "a2_form_z1.json"),
+            "--form", os.path.join(FIX, "a2_form_z1_plus_z2.json"), "-o"]
+    assert cli.main(argv + [str(tmp_path / "first.json")]) == 0
+    assert cli.main(["ks", "--pair", os.path.join(FIX, "a2_pair.json"),
+                     "--form", os.path.join(FIX, "a2_form_z1.json"), "-o", str(tmp_path / "ks.json")]) == 0
+    assert cli.main(argv + [str(tmp_path / "second.json")]) == 0
+    assert seen == [2, 2]
+    assert (tmp_path / "first.json").read_bytes() == (tmp_path / "second.json").read_bytes()
+    assert capsys.readouterr() == ("", "")
+    assert cli.build_parser() is cli.build_parser()

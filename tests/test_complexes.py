@@ -423,6 +423,56 @@ def test_bottom_up_engine_matches_top_down_oracle_on_orbit_cells(case):
     assert quotient_homology(k, gens).degrees == expect.degrees
 
 
+def _stabilizers(k, action):
+    """Per simplex id, the indices of the non-identity group elements fixing it."""
+    sims = [s for level in k.simplices_by_dim() for s in level]
+    moving = [i for i, g in enumerate(action.elements) if any(g[v] != v for v in g)]
+    return sims, [[i for i in moving if {action.elements[i][v] for v in s} == set(s)] for s in sims]
+
+
+@pytest.mark.parametrize("case", sorted(ORBIT_CASES))
+def test_stabilizer_tables_match_brute_force(case):
+    k, gens = ORBIT_CASES[case]()
+    action = GroupAction(k, gens)
+    cells = _OrbitCells(k, action)
+    _, stabs = _stabilizers(k, action)
+    assert cells._stab_sizes.tolist() == [len(stab) for stab in stabs]
+    assert len(cells._stab) == sum(map(len, stabs))
+    for t, stab in enumerate(stabs):
+        start = cells._stab_offsets[t]
+        assert cells._stab[start:start + len(stab)].tolist() == stab
+
+
+@pytest.mark.parametrize("case", sorted(ORBIT_CASES))
+def test_least_matches_brute_force_minimum_over_the_whole_group(case):
+    # random top-first chains under least-of-orbit tops, half of them under a
+    # top with the largest stabilizer; gl3 has simplices fixed by all of G
+    k, gens = ORBIT_CASES[case]()
+    action = GroupAction(k, gens)
+    cells = _OrbitCells(k, action)
+    sims, stabs = _stabilizers(k, action)
+    ids = {frozenset(s): i for i, s in enumerate(sims)}
+    tops = cells.keys[0].tolist()
+    most = max(len(stabs[t]) for t in tops)
+    widest = [t for t in tops if len(stabs[t]) == most]
+    if case == "gl3":
+        assert len(stabs[widest[0]]) == action.order() - 1
+    rng = random.Random(f"least-{case}")
+    by_length = {}
+    for _ in range(400):
+        top = sims[rng.choice(rng.choice((tops, widest)))]
+        chain, below = [top], list(top)
+        for size in sorted(rng.sample(range(1, len(top)), rng.randint(0, len(top) - 1)), reverse=True):
+            below = rng.sample(below, size)
+            chain.append(below)
+        by_length.setdefault(len(chain), []).append([ids[frozenset(s)] for s in chain])
+    for length, rows in by_length.items():
+        least = cells.chains(length - 1, cells._least(np.array(rows)))
+        expect = [min(tuple(ids[frozenset(map(g.__getitem__, sims[c]))] for c in row)
+                      for g in action.elements) for row in rows]
+        assert [tuple(row) for row in least.tolist()] == expect
+
+
 def test_orbit_cells_share_one_move_per_group_element():
     # the antipodal map of a 2000-cycle: 4,000 simplices, half of them off
     # their orbit's least simplex by the one nontrivial element, so the table
@@ -487,6 +537,19 @@ def test_orbit_space_facet_bound_counts_every_maximal_cell(monkeypatch):
     q = quotient(k, [swap])
     assert len(q.facets) == 38
     assert homology(q) == homology(SimplicialComplex.from_facets([(0, 1, 2), (3,)]))
+
+
+def test_orbit_space_facet_bound_refuses_on_top_cells_before_any_face_lookup(monkeypatch):
+    from logskel import complexes
+
+    k, gens = ORBIT_CASES["gl2"]()
+    cells = _OrbitCells(k, GroupAction(k, gens))
+    calls, faces = [], _OrbitCells.faces
+    monkeypatch.setattr(_OrbitCells, "faces", lambda self, d: calls.append(d) or faces(self, d))
+    monkeypatch.setattr(complexes, "_MAX_FACETS", len(cells.keys[-1]) * math.factorial(cells.dim + 1) - 1)
+    with pytest.raises(ComplexError, match="facets"):
+        cells.orbit_space_complex()
+    assert calls == []
 
 
 def test_non_simplicial_action_rejected():
