@@ -21,7 +21,7 @@ import numpy as np
 from .lattice import SparseIntMatrix, snf_with_transforms, transpose
 from .polyhedra import (
     Fan,
-    derived_subdivision,
+    _derived_pieces,
     dot,
     fan_p1xp1,
     intersect_fan_subspace,
@@ -33,6 +33,7 @@ from .polyhedra import (
 _FACE_BLOCK = 1 << 12  # chains per block in _OrbitCells; bounds its peak memory
 _MAX_GROUP_ORDER = 20_000  # group closure bound
 _MAX_FACETS = 2_000_000  # orbit-space triangulation bound, in (d+1)! flags per maximal d-cell
+_MAX_TATE_ROWS = 1 << 20  # negative-case (J, j) rows, n * 2^(n-1): accepts n <= 16
 
 
 class ComplexError(ValueError):
@@ -533,12 +534,9 @@ def homology(k: SimplicialComplex) -> HomologyProfile:
 # --------------------------------------------------------------------------
 
 def link_complex(fan: Fan) -> SimplicialComplex:
-    """Link of a fan: vertices are rays, simplices are (simplicial) cones."""
-    fan = derived_subdivision(fan)
-    facets = []
-    for c in fan.maximal_cones():
-        if c:
-            facets.append(frozenset(fan.rays[i] for i in c))
+    """Link of a fan: vertices are rays, facets are the non-zero maximal cones
+    of its derived subdivision, the pieces of ``_derived_pieces``."""
+    facets = [c for c in _derived_pieces(fan)[0] if c]
     if not facets:
         raise ComplexError("link of the zero fan is empty")
     return SimplicialComplex.from_facets(facets)
@@ -607,7 +605,7 @@ def _character_variety_action(group: str, n: int):
     gl: (n-fold join of 4-cycles) / factor permutations; sl: link of the
     kernel fan of the coordinatewise sum map, quotiented the same way.
     """
-    limits = {"gl": (1, 4), "sl": (2, 3)}  # sl needs n >= 2
+    limits = {"gl": (1, 4), "sl": (2, 4)}  # sl needs n >= 2
     if group not in limits:
         raise ComplexError(f"unknown group {group!r}")
     lo, hi = limits[group]
@@ -710,7 +708,8 @@ def tate_strata(n: int, alpha):
     Case table on s = |alpha|: s > 0 has no special strata; s = 0 has one
     boundary divisor with local model G_m^{n-1} x A^1; s < 0 classifies the
     (J, j) strata: contained iff |J| + s in {0, 1}, cut by the x-coordinate
-    when the sum is 0 and by the y-coordinate when it is 1.
+    when the sum is 0 and by the y-coordinate when it is 1.  The n 2^(n-1)
+    rows of that case are counted, and refused past _MAX_TATE_ROWS, first.
     """
     alpha = list(alpha)
     if not alpha:
@@ -731,6 +730,8 @@ def tate_strata(n: int, alpha):
         result["divisor_coordinate"] = "y"
         result["strata"] = [{"J": list(range(1, n + 1)), "contained": True}]
         return result
+    if n << (n - 1) > _MAX_TATE_ROWS:
+        raise ValueError(f"n = {n} has {n << (n - 1)} (J, j) strata, over the desk-scale {_MAX_TATE_ROWS}")
     result["case"] = "negative"
     strata = []
     for size in range(1, n + 1):

@@ -420,24 +420,16 @@ def compactified_fan_strata(fan: Fan):
     return [(fan.cone_geometry(sigma), star_fan(fan, sigma)) for sigma in fan.cones]
 
 
-def derived_subdivision(fan: Fan) -> Fan:
-    """Simplicial refinement with the same support: the fan starred once at
-    the barycentre ray of each non-simplicial cone, largest dimension first.
-
-    Starring at a cone keeps its proper faces, so the smaller non-simplicial
-    cones are still there to be starred, and the pass ends simplicial.  The
-    barycentre of primitive rays commutes with every lattice automorphism
-    of the fan.  A simplicial fan is returned as it is.
-    """
-    def non_simplicial(c):
-        return len(c) > 2 and not fan.cone_geometry(c).is_simplicial()
-
-    maximal = fan.maximal_cones()
-    bad = {d for c in maximal if non_simplicial(c) for d in fan.cones if d <= c and non_simplicial(d)}
-    if not bad:
-        return fan
-    cones = [fan.cone_geometry(c).rays for c in maximal]
-    for face in sorted((fan.cone_geometry(d) for d in bad), key=lambda f: (-f.dim(), f.rays)):
+def _derived_pieces(fan: Fan):
+    """The maximal cones of the derived subdivision as ray tuples, and
+    whether any cone was starred: the fan starred once at the barycentre
+    ray of each non-simplicial cone, largest dimension first.  A face of a
+    simplicial cone is simplicial, so those cones are read off ``fan.cones``.
+    Starring keeps a cone's proper faces, so smaller ones are still there to
+    star, and replaces it by pieces of its dimension: the maximal cones."""
+    bad = [g for g in map(fan.cone_geometry, fan.cones) if len(g.rays) > 2 and not g.is_simplicial()]
+    cones = [fan.cone_geometry(c).rays for c in fan.maximal_cones()]
+    for face in sorted(bad, key=lambda f: (-f.dim(), f.rays)):
         ray = primitive([sum(col) for col in zip(*face.rays)])
         face_rays = set(face.rays)
         starred = []
@@ -450,7 +442,16 @@ def derived_subdivision(fan: Fan) -> Fan:
                 if dot(m, ray) > 0:
                     starred.append(tuple(sorted(on + (ray,))))
         cones = starred
-    return Fan.from_cones([Cone(rays=c, rank=fan.rank) for c in cones], fan.rank)
+    return cones, bool(bad)
+
+
+def derived_subdivision(fan: Fan) -> Fan:
+    """Simplicial refinement with the same support, which commutes with every
+    lattice automorphism of the fan.  A simplicial fan is returned as it is."""
+    pieces, starred = _derived_pieces(fan)
+    if not starred:
+        return fan
+    return Fan.from_cones([Cone(rays=c, rank=fan.rank) for c in pieces], fan.rank)
 
 
 def intersect_fan_subspace(fan: Fan, basis) -> Fan:

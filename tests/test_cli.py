@@ -75,6 +75,12 @@ def test_tate_command():
     assert contained == {((1, 2), 1), ((1, 2), 2)}
 
 
+def test_tate_command_refuses_past_desk_scale():
+    out = run_cli("tate", "--n", "17", "--alpha", "-1", *["0"] * 16, timeout=30)
+    assert out.returncode == 2 and out.stdout == ""
+    assert "strata" in out.stderr
+
+
 def test_slice_command_dwork_circle():
     out = run_cli("slice", "--pair", os.path.join(FIX, "dwork_pair.json"),
                   "--essential")

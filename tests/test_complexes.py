@@ -35,7 +35,9 @@ from logskel.complexes import (
     _sl_link_and_action,
     _sphere_images,
 )
-from logskel.polyhedra import Cone, Fan, derived_subdivision, fan_p2, primitive
+from logskel import complexes
+from logskel.logstructure import kato_fan_toric, product
+from logskel.polyhedra import Cone, Fan, derived_subdivision, fan_p1xp1, fan_p2, primitive
 import homology_oracle
 from lattice_oracle import rat_solve
 from orbit_oracle import OrbitCellsOracle
@@ -139,6 +141,32 @@ def test_join_of_three_squares_is_s5():
     assert prof == sphere_profile(5)
     # cross-check the Euler characteristic against the f-vector
     assert j.euler_characteristic() == 0
+
+
+def test_gl_join_is_the_dual_complex_of_the_product_kato_fan():
+    """The n-fold join of 4-cycles is the dual complex of the boundary of
+    (P^1 x P^1)^n: vertices are the rank-1 points of the product Kato fan,
+    and each closed point gives the facet of rank-1 points it lies under."""
+    def factors(key):  # product keys nest to the left: ((k0, k1), k2)
+        return (key,) if key[0] == "cone" else factors(key[0]) + (key[1],)
+
+    def vertex(key):  # the rank-1 point with ray v in factor i is (i, v)
+        [(i, v)] = [(i, c[1][0]) for i, c in enumerate(factors(key)) if c[1]]
+        return i, v
+
+    factor = kato_fan_toric(fan_p1xp1())
+    k = factor
+    for n in (1, 2, 3):
+        if n > 1:
+            k = product(k, factor)
+        rank1 = [x for x, p in k.points.items() if p.rank == 1]
+        closed = set(k.points) - {y for _, y in k.order}
+        dual = SimplicialComplex.from_facets(
+            [frozenset(vertex(y) for y in rank1 if k.specializes(x, y)) for x in closed])
+        join = join_all([cycle_complex(4)] * n)
+        assert sorted(map(vertex, rank1)) == sorted(join.vertices)
+        assert len(closed) == len(join.facets) == 4 ** n
+        assert dual == join
 
 
 def _rp2():
@@ -624,7 +652,7 @@ def test_sl_generators_match_per_vertex_solve(n):
 
 
 def test_character_variety_range_check():
-    for group, n in (("gl", 0), ("gl", 5), ("sl", 1), ("sl", 4), ("pgl", 2)):
+    for group, n in (("gl", 0), ("gl", 5), ("sl", 1), ("sl", 5), ("pgl", 2)):
         with pytest.raises(ComplexError):
             character_variety_homology(group, n)
 
@@ -749,3 +777,15 @@ def test_tate_input_validation():
         tate_strata(2, ())
     with pytest.raises(ValueError):
         tate_strata(1, (0,))
+
+
+def test_tate_negative_case_is_bounded_up_front(monkeypatch):
+    with pytest.raises(ValueError, match="strata"):
+        tate_strata(17, [-1] + [0] * 16)  # 17 * 2^16 rows, over 2^20
+    assert tate_strata(17, [1] * 17)["case"] == "generic"
+    assert tate_strata(17, [0] * 17)["case"] == "single_divisor"
+    # the bound is on n 2^(n-1) rows: 3 * 2^2 = 12 is accepted, 4 * 2^3 is not
+    monkeypatch.setattr(complexes, "_MAX_TATE_ROWS", 12)
+    assert len(tate_strata(3, (-1, 0, 0))["strata"]) == 12
+    with pytest.raises(ValueError, match="strata"):
+        tate_strata(4, (-1, 0, 0, 0))

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from logskel.complexes import HomologyProfile, homology, link_complex, sphere_profile
+from logskel.complexes import HomologyProfile, SimplicialComplex, homology, link_complex, sphere_profile
 from logskel.polyhedra import (
     _parallelepiped_points,
     Cone,
@@ -505,11 +505,15 @@ def test_derived_subdivision_leaves_simplicial_fans_alone():
         assert derived_subdivision(f) is f
 
 
+def _glued_pyramids():
+    rays = [(x, y, 0, 1) for x in (1, -1) for y in (1, -1)] + [(0, 0, 1, 1), (0, 0, -1, 1)]
+    return Fan(4, rays, [frozenset({0, 1, 2, 3, 4}), frozenset({0, 1, 2, 3, 5})])
+
+
 def test_derived_subdivision_of_glued_pyramids():
     """Two square pyramids glued along their base: each pyramid and the
     shared square are starred once."""
-    rays = [(x, y, 0, 1) for x in (1, -1) for y in (1, -1)] + [(0, 0, 1, 1), (0, 0, -1, 1)]
-    f = Fan(4, rays, [frozenset({0, 1, 2, 3, 4}), frozenset({0, 1, 2, 3, 5})])
+    f = _glued_pyramids()
     out = derived_subdivision(f)
     maximal = [out.cone_geometry(c) for c in out.maximal_cones()]
     assert len(out.rays) == 9 and len(maximal) == 16
@@ -528,6 +532,24 @@ def test_derived_subdivision_of_glued_pyramids():
     cones = {frozenset(c.rays) for c in maximal}
     for g in (lambda r: (r[0], r[1], -r[2], r[3]), lambda r: (-r[1], r[0], r[2], r[3])):
         assert {frozenset(map(g, c)) for c in cones} == cones
+
+
+def test_link_is_the_derived_fan_link():
+    """The link read off the subdivision's pieces equals the link of the
+    built derived fan: its non-zero maximal cones as ray sets."""
+    # a square cone next to a ray: a non-simplicial maximal cone in a fan
+    # that is not pure, so the pieces of unequal dimensions all stay facets
+    square = [(1, 1, 1), (1, -1, 1), (-1, 1, 1), (-1, -1, 1), (0, 0, -1)]
+    square_and_ray = Fan(3, square, [frozenset({0, 1, 2, 3}), frozenset({4})])
+    fans = [fan_p2(), fan_p1xp1(), product_fan(fan_p2(), fan_p2()), product_fan(fan_p2(), fan_p1xp1()),
+            product_fan(fan_p1xp1(), fan_p1xp1()), _glued_pyramids(), square_and_ray,
+            _sl_kernel_fan(2), _sl_kernel_fan(3)]
+    for f in fans:
+        out = derived_subdivision(f)
+        reference = SimplicialComplex.from_facets(
+            [frozenset(out.rays[i] for i in c) for c in out.maximal_cones() if c])
+        assert link_complex(f).to_json_dict() == reference.to_json_dict()
+    assert len(link_complex(square_and_ray).facets) == 5  # four triangles and the ray
 
 
 def test_intersect_rejects_non_saturated():
