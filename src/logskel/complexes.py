@@ -18,11 +18,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .lattice import SparseIntMatrix, snf_with_transforms, transpose
+from .lattice import SparseIntMatrix
 from .polyhedra import (
     Fan,
     _derived_pieces,
-    dot,
     fan_p1xp1,
     intersect_fan_subspace,
     maximal_sets,
@@ -33,6 +32,7 @@ from .polyhedra import (
 _FACE_BLOCK = 1 << 12  # chains per block in _OrbitCells; bounds its peak memory
 _MAX_GROUP_ORDER = 20_000  # group closure bound
 _MAX_FACETS = 2_000_000  # orbit-space triangulation bound, in (d+1)! flags per maximal d-cell
+_MAX_SIMPLICES = 1 << 20  # simplex enumeration bound, sum of 2^|f| - 1 over facets f
 _MAX_TATE_ROWS = 1 << 20  # negative-case (J, j) rows, n * 2^(n-1): accepts n <= 16
 
 
@@ -66,6 +66,10 @@ class SimplicialComplex:
 
     def simplices_by_dim(self):
         """List of sorted simplex tuples per dimension (0..dim)."""
+        bound = sum((1 << len(f)) - 1 for f in self.facets)
+        if bound > _MAX_SIMPLICES:
+            raise ComplexError(
+                f"the facets have up to {bound} faces, over the desk-scale {_MAX_SIMPLICES}")
         order = sorted(self.vertices, key=str)  # ranks sort as the labels' str would
         rank = {v: i for i, v in enumerate(order)}
         by_dim = [set() for _ in range(self.dim() + 1)]
@@ -417,13 +421,7 @@ class HomologyProfile:
 
     def is_sphere(self, n: int) -> bool:
         """Profile of S^n: free rank 1 in degrees 0 and n, nothing else."""
-        if any(t for _, t in self.degrees):
-            return False
-        want = {0: 1, n: 1} if n > 0 else {0: 2}
-        for d, (r, _) in enumerate(self.degrees):
-            if r != want.get(d, 0):
-                return False
-        return all(self.rank(d) == want[d] for d in want)
+        return self == sphere_profile(n)
 
     def to_json_dict(self):
         return {"degree": [{"rank": r, "torsion": list(t)} for r, t in self.degrees]}
@@ -576,27 +574,25 @@ def _sl_link_and_action(n: int):
         basis.append(tuple(vy))
     link = link_complex(intersect_fan_subspace(model, basis))
     # block permutations of (x_i, y_i) expressed in kernel coordinates
-    gens = []
     perms = []
     if n >= 2:
         perms.append({0: 1, 1: 0, **{i: i for i in range(2, n)}})
     if n >= 3:
         perms.append({i: (i + 1) % n for i in range(n)})
-    bmat = transpose([list(b) for b in basis])  # 2n x k columns
-    u, _, v = snf_with_transforms(bmat)  # U bmat V = [I; 0]: the basis is saturated
-    left = [[dot(row, col) for col in zip(*u[:len(basis)])] for row in v]  # left . bmat = I
-    for p in perms:
-        cols = []  # the permutation in kernel coordinates
-        for b in basis:
-            moved = [0] * (2 * n)
-            for i in range(n):
-                moved[2 * p[i]], moved[2 * p[i] + 1] = b[2 * i], b[2 * i + 1]
-            c = [dot(row, moved) for row in left]
-            if [dot(row, c) for row in bmat] != moved:
-                raise ComplexError("block permutation does not preserve the kernel lattice")
-            cols.append(c)
-        gens.append({ray: primitive([dot(row, ray) for row in zip(*cols)]) for ray in link.vertices})
-    return link, gens
+
+    def moved(p, ray):
+        # w = sum_j ray[j] p(basis[j]), with basis[2i + t] = e[2i + t] - e[2i + 2 + t]
+        w = [0] * (2 * n)
+        for j, c in enumerate(ray):
+            i, t = divmod(j, 2)
+            w[2 * p[i] + t] += c
+            w[2 * p[i + 1] + t] -= c
+        # its difference-basis coordinates are the prefix sums of its x- and
+        # y-parts, the last of which are 0
+        sums = zip(itertools.accumulate(w[0::2]), itertools.accumulate(w[1::2]))
+        return primitive([c for xy in list(sums)[:-1] for c in xy])
+
+    return link, [{ray: moved(p, ray) for ray in link.vertices} for p in perms]
 
 
 def _character_variety_action(group: str, n: int):

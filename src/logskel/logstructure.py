@@ -152,20 +152,19 @@ def _sorted_key(ids) -> tuple:
 def kato_fan_snc(component_ids, strata) -> KatoFan:
     """Kato fan of an snc pair from its declared stratum family.
 
-    Strata are component-id sets; the family must contain the empty set and
-    be closed under the induced poset (every subset of a declared stratum
-    that is itself an intersection pattern must be declared meet-closed).
+    Strata are component-id sets; the empty set is added, and the family
+    must be closed under subsets: in an snc pair every subset of the
+    components through a stratum meets.
     """
     strata = {frozenset(s) for s in strata}
     strata.add(frozenset())
     for s in strata:
         if not s <= set(component_ids):
             raise LogStructureError(f"stratum {sorted(s)} uses unknown components")
-    for a in strata:
-        for b in strata:
-            if (a & b) not in strata:
-                raise LogStructureError(
-                    f"stratum family not meet-closed: {sorted(a)} and {sorted(b)}")
+        for c in sorted(s):
+            if s - {c} not in strata:
+                raise LogStructureError(f"stratum family not closed under subsets: "
+                                        f"{sorted(s)} is declared but {sorted(s - {c})} is not")
     points = []
     order = []
     for s in strata:

@@ -11,25 +11,20 @@ with g_h the chart equations of the boundary components outside the dlog
 set, B the full boundary, H the horizontal part, a_i the pair coefficients
 and alpha the weight vector.  The dvf form must be in chart normal form:
 exactly one vertical chart component outside P (the eliminated coordinate).
+In trivial mode the Kontsevich-Soibelman skeleton is a union of closed
+faces: those where the weight vanishes at the all-ones point.
 """
 
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .lattice import adjugate
 from .logstructure import LogChart, PairDescription
-from .rationals import INF, fmt, is_inf, q, xadd, xmin, xscale
-from .valuations import (
-    LaurentRational,
-    SkeletonPoint,
-    ValuationError,
-    chart_weight_vector,
-    evaluate,
-)
+from .rationals import INF, fmt, is_inf, q, xadd, xscale
+from .valuations import LaurentRational, SkeletonPoint, chart_weight_vector
 
 
 class WeightError(ValueError):
@@ -116,20 +111,17 @@ class PluriForm:
 class SubCone:
     """A polyhedral piece of one skeleton face.
 
-    ``zero_set`` lists generators pinned to 0 (coordinate subcones, the
-    trivial-mode output); ``vertices``/``rays`` describe dvf argmin
-    polyhedra inside the normalized slice.
+    With no ``vertices`` or ``rays`` it is the whole closed face (the
+    trivial-mode and essential-skeleton output); otherwise they describe a
+    dvf argmin polyhedron inside the normalized slice.
     """
 
     kato: tuple
-    zero_set: tuple = ()
     vertices: tuple = ()
     rays: tuple = ()
 
     def to_json_dict(self):
         out = {"kato_point": list(self.kato)}
-        if self.zero_set:
-            out["constraints"] = [{"generator": g, "eq": "0"} for g in self.zero_set]
         if self.vertices:
             out["vertices"] = [[fmt(x) for x in v] for v in self.vertices]
         if self.rays:
@@ -150,7 +142,7 @@ class SubFan:
     def to_json_dict(self):
         return {
             "faces": [f.to_json_dict() for f in
-                      sorted(self.faces, key=lambda f: (f.kato, f.zero_set))],
+                      sorted(self.faces, key=lambda f: f.kato)],
             "min_value": fmt(self.min_value),
         }
 
@@ -236,65 +228,6 @@ def weight(form: PluriForm, pair: PairDescription, point: SkeletonPoint):
 # -- Kontsevich-Soibelman skeletons ----------------------------------------
 
 
-def _zero_options(expr, chart, kato):
-    """Per-term coordinate conditions making the tropical value vanish.
-
-    Each minimal-coefficient term yields the set of face components whose
-    weight must be pinned to 0; the value is then zero on that subcone.
-    """
-    den = expr.denominator
-    if len(den) != 1:
-        raise WeightError("trivial-mode minimization expects a monomial denominator")
-    dexp = den[0].exps
-    options = []
-    for t in expr.numerator:
-        if t.coeff_val != 0:
-            continue
-        touched = set()
-        for i in range(len(t.exps)):
-            if t.exps[i] - dexp[i] == 0:
-                continue
-            cid = chart.cut.get(chart.coordinates[i])
-            if cid is not None and cid in kato:
-                touched.add(cid)
-            # exponents on unit directions of this face contribute 0 anyway
-        options.append(frozenset(touched))
-    return options
-
-
-def _trivial_ks_face(pair, chart, chart_index, form, kato):
-    """Coordinate subcones of one face where the trivial weight vanishes.
-
-    The weight is a sum of tropical values plus the coefficient correction;
-    each summand vanishes on a union of coordinate subcones, so the zero
-    locus is the union, over choices of one vanishing term per summand, of
-    the intersections.  A generic-point evaluation double-checks each piece.
-    """
-    kato = tuple(sorted(kato))
-    forced = {cid for cid in kato if pair.components[cid].coefficient != 1}
-    summands = [_zero_options(form.numerator_for(chart_index), chart, kato)]
-    summands += [_zero_options(eq, chart, kato)
-                 for eq in _outside_dlog_equations(pair, chart, form.dlog_for(chart_index))]
-    pieces = set()
-    for choice in itertools.product(*summands):
-        zero = frozenset(forced | set().union(*choice) if choice else forced)
-        pieces.add(tuple(sorted(zero)))
-    # keep maximal subcones (smallest zero sets) and verify them generically
-    minimal = [z for z in pieces if not any(set(w) < set(z) for w in pieces)]
-    verified = []
-    primes = [2, 3, 5, 7, 11, 13, 17, 19]
-    for z in sorted(minimal):
-        witness = {}
-        alive = [c for c in kato if c not in z]
-        for k, cid in enumerate(alive):
-            witness[cid] = Fraction(primes[k % len(primes)], k + 1)
-        point = SkeletonPoint.make(kato, {c: witness.get(c, 0) for c in kato})
-        coord_weights = chart_weight_vector(point, chart)
-        if _weight_on_vector(pair, chart, chart_index, form, coord_weights, kato) == 0:
-            verified.append(SubCone(kato=kato, zero_set=z))
-    return verified
-
-
 def _face_rays_check(pair, chart, chart_index, form, kato):
     """Regularity on one face: weight nonnegative on every ray generator."""
     arity = len(chart.coordinates)
@@ -311,17 +244,30 @@ def ks_skeleton(pair: PairDescription, form: PluriForm) -> SubFan:
     """Minimality locus of the weight function of ``form``.
 
     Trivial mode: the minimum is 0 (attained at the trivial valuation) and
-    the locus is a union of coordinate subcones per face.  Dvf mode: the
+    the locus is the union of the closed faces where the weight vanishes.
+    With monomial denominators and zero coefficient valuations (both checked
+    up front) the weight is concave and homogeneous on each face, and the
+    ray check makes it nonnegative there, so it vanishes on the whole face
+    as soon as it vanishes at the face's all-ones point.  Dvf mode: the
     weight is minimized over each normalized slice by enumerating the
     vertices of the subdivision induced by the active linear pieces; the
     full argmin polyhedron is reported.
     """
     charted = []  # (face, chart index, chart) for each face a presenting chart covers
-    for key in pair.kato_fan().points:
+    for key in sorted(pair.kato_fan().points):
         try:
             charted.append((key, *_chart_for_face(pair, key, form)))
         except WeightError:
             continue
+    if pair.mode == "trivial":
+        for idx, chart in {idx: chart for _, idx, chart in charted}.items():
+            eqs = _outside_dlog_equations(pair, chart, form.dlog_for(idx))
+            for expr in [form.numerator_for(idx), *eqs]:
+                if len(expr.denominator) != 1:
+                    raise WeightError("trivial-mode minimization expects a monomial denominator")
+                if any(t.coeff_val != 0 for t in expr.numerator + expr.denominator):
+                    raise WeightError(
+                        "trivial mode takes coefficient valuations 0: the field is trivially valued")
     for key, idx, chart in charted:
         bad = _face_rays_check(pair, chart, idx, form, key)
         if bad is not None:
@@ -330,11 +276,11 @@ def ks_skeleton(pair: PairDescription, form: PluriForm) -> SubFan:
                 f"of the face {list(key)}")
 
     if pair.mode == "trivial":
+        faces = [SubCone(kato=key) for key, idx, chart in charted
+                 if _weight_on_vector(pair, chart, idx, form, chart_weight_vector(
+                     SkeletonPoint.make(key, [1] * len(key)), chart), key) == 0]
         # every chart covers the face (); it is left out only when no chart presents the form
-        faces = [] if charted else [SubCone(kato=(), zero_set=())]
-        for key, idx, chart in charted:
-            faces.extend(_trivial_ks_face(pair, chart, idx, form, key))
-        return SubFan(faces=_dedupe_subcones(faces), min_value=Fraction(0))
+        return SubFan(faces=faces if charted else [SubCone(kato=())], min_value=Fraction(0))
 
     # dvf: per-face linear programming over the compact slice
     best = INF
@@ -357,26 +303,6 @@ def ks_skeleton(pair: PairDescription, form: PluriForm) -> SubFan:
                      rays=tuple(map(tuple, rs)))
              for k, vs, rs in argmin]
     return SubFan(faces=_canonical_dvf_faces(faces), min_value=best)
-
-
-def _dedupe_subcones(faces):
-    out = {}
-    for f in faces:
-        # drop subcones contained in another declared subcone of a larger face
-        out[(f.kato, f.zero_set)] = f
-    # a subcone of a face equals a subcone of a smaller face when the zero
-    # set removes the difference; keep the minimal-face representative
-    keys = set(out)
-    drop = set()
-    for (kato, zero) in keys:
-        alive = tuple(sorted(set(kato) - set(zero)))
-        for (kato2, zero2) in keys:
-            if (kato2, zero2) == (kato, zero):
-                continue
-            alive2 = tuple(sorted(set(kato2) - set(zero2)))
-            if alive == alive2 and set(kato2) < set(kato):
-                drop.add((kato, zero))
-    return [out[k] for k in sorted(keys - drop)]
 
 
 def _canonical_dvf_faces(faces):
@@ -518,7 +444,7 @@ def essential_skeleton(pair: PairDescription, forms) -> SubFan:
         faces = []
         for key in fan.points:
             if all(pair.components[c].coefficient == 1 for c in key):
-                faces.append(SubCone(kato=tuple(sorted(key)), zero_set=()))
+                faces.append(SubCone(kato=tuple(sorted(key))))
         return SubFan(faces=faces, min_value=Fraction(0))
     forms = list(forms)
     if not forms:
@@ -526,13 +452,13 @@ def essential_skeleton(pair: PairDescription, forms) -> SubFan:
 
         warnings.warn("essential skeleton of an empty form list is empty")
         return SubFan(faces=[], min_value=Fraction(0))
-    faces = []
+    faces = {}  # one subcone per face, the last given
     value = None
     for form in forms:
         sub = ks_skeleton(pair, form)
-        faces.extend(sub.faces)
+        faces.update((f.kato, f) for f in sub.faces)
         value = sub.min_value if value is None else min(value, sub.min_value)
-    return SubFan(faces=_dedupe_subcones(faces), min_value=value)
+    return SubFan(faces=[f for _, f in sorted(faces.items())], min_value=value)
 
 
 def toric_essential_skeleton(fan) -> SubFan:

@@ -470,3 +470,43 @@ def test_in_process_runs_share_no_parser_state(tmp_path, monkeypatch, capsys):
     assert (tmp_path / "first.json").read_bytes() == (tmp_path / "second.json").read_bytes()
     assert capsys.readouterr() == ("", "")
     assert cli.build_parser() is cli.build_parser()
+
+
+def _one_line_validation_error(out, message):
+    assert out.returncode == 2
+    assert out.stdout == ""
+    assert out.stderr == f"validation error: {message}\n"
+
+
+def test_ks_nonzero_coefficient_valuation_is_validation_error(tmp_path):
+    # 1/z1 at coefficient valuation 1: a trivially valued field has none
+    with open(os.path.join(FIX, "a2_form_z1.json")) as fh:
+        doc = json.load(fh)
+    doc["dlog"] = []
+    doc["charts"][0]["numerator"]["num"][0].update({"exp": [-1, 0], "coeff_val": "1"})
+    form = tmp_path / "form.json"
+    form.write_text(json.dumps(doc))
+    out = run_cli("ks", "--pair", os.path.join(FIX, "a2_pair.json"), "--form", str(form))
+    _one_line_validation_error(
+        out, "trivial mode takes coefficient valuations 0: the field is trivially valued")
+
+
+def test_stratum_family_not_closed_under_subsets_is_validation_error(tmp_path):
+    with open(os.path.join(FIX, "a2_pair.json")) as fh:
+        doc = json.load(fh)
+    doc["strata"].remove(["B1"])
+    pair = tmp_path / "pair.json"
+    pair.write_text(json.dumps(doc))
+    out = run_cli("ks", "--pair", str(pair), "--form", os.path.join(FIX, "a2_form_z1.json"))
+    _one_line_validation_error(
+        out, "stratum family not closed under subsets: ['B1', 'B2'] is declared but ['B1'] is not")
+
+
+def test_homology_refuses_simplex_past_desk_scale(tmp_path):
+    # one 40-vertex facet has 2^40 - 1 faces; refused before any is listed
+    path = tmp_path / "simplex.json"
+    path.write_text(json.dumps({"schema": "1", "vertices": list(range(40)),
+                                "facets": [list(range(40))]}))
+    out = run_cli("homology", "--complex", str(path), timeout=30)
+    _one_line_validation_error(
+        out, f"the facets have up to {2 ** 40 - 1} faces, over the desk-scale {2 ** 20}")
