@@ -64,23 +64,42 @@ class SimplicialComplex:
     def dim(self) -> int:
         return max((len(f) for f in self.facets), default=0) - 1
 
-    def simplices_by_dim(self):
-        """List of sorted simplex tuples per dimension (0..dim)."""
+    def _simplex_table(self):
+        """The simplices as rows of vertex ranks (labels ranked by str).
+
+        Returns (labels by rank, rows, faces): rows[d] holds the d-simplices
+        as sorted int32 rows in lexicographic order, the simplex order, and
+        faces[d][j, i] (d >= 1) is the row of rows[d - 1] that is row j
+        without column i.  Built top-down: each level is the rows above with
+        one column dropped plus the facets of its size, deduplicated by one
+        lexsort whose inverse is the face array of the level above.
+        """
         bound = sum((1 << len(f)) - 1 for f in self.facets)
         if bound > _MAX_SIMPLICES:
             raise ComplexError(
                 f"the facets have up to {bound} faces, over the desk-scale {_MAX_SIMPLICES}")
-        order = sorted(self.vertices, key=str)  # ranks sort as the labels' str would
-        rank = {v: i for i, v in enumerate(order)}
-        by_dim = [set() for _ in range(self.dim() + 1)]
-        for f in self.facets:
-            fl = sorted(rank[v] for v in f)
-            for k in range(1, len(fl) + 1):
-                by_dim[k - 1].update(itertools.combinations(fl, k))
-        return [[tuple(order[i] for i in t) for t in sorted(s)] for s in by_dim]
+        labels = sorted(self.vertices, key=str)
+        rank = {v: i for i, v in enumerate(labels)}
+        by_size = {size: [sorted(map(rank.__getitem__, f)) for f in group]
+                   for size, group in itertools.groupby(self.facets, len)}  # facets sort by size
+        rows, faces = [], [np.empty((0, 0), dtype=np.int32)]
+        above = np.empty((0, self.dim() + 2), dtype=np.int32)
+        for d in range(self.dim(), -1, -1):
+            facets = np.array(by_size.get(d + 1, []), dtype=np.int32).reshape(-1, d + 1)
+            level, inverse = _unique_rows(np.concatenate(
+                [np.delete(above, i, axis=1) for i in range(d + 2)] + [facets]))
+            faces.insert(1, inverse[:len(above) * (d + 2)].reshape(d + 2, len(above)).T.astype(np.int32))
+            rows.insert(0, level)
+            above = level
+        return labels, rows, faces[:len(rows)]
+
+    def simplices_by_dim(self):
+        """List of sorted simplex tuples per dimension (0..dim)."""
+        labels, rows, _ = self._simplex_table()
+        return [[tuple(map(labels.__getitem__, row)) for row in level.tolist()] for level in rows]
 
     def euler_characteristic(self) -> int:
-        return sum((-1) ** d * len(s) for d, s in enumerate(self.simplices_by_dim()))
+        return sum((-1) ** d * len(level) for d, level in enumerate(self._simplex_table()[1]))
 
     def relabeled(self, prefix) -> "SimplicialComplex":
         return SimplicialComplex([(prefix, v) for v in self.vertices],
@@ -117,6 +136,29 @@ class SimplicialComplex:
 
     def __repr__(self):
         return f"SimplicialComplex(v={len(self.vertices)}, facets={len(self.facets)}, dim={self.dim()})"
+
+
+def _unique_rows(rows):
+    """The distinct rows of a 2-d nonnegative int array in lexicographic
+    order, and the index among them of each input row.  Runs of columns are
+    packed into int64 sort keys, as many as fit in each, for one lexsort."""
+    bits = int(rows.max(initial=0)).bit_length() or 1
+    keys = np.zeros((-(-rows.shape[1] // (63 // bits)), len(rows)), dtype=np.int64)
+    for j, column in enumerate(rows.T):
+        keys[j // (63 // bits)] = keys[j // (63 // bits)] * (1 << bits) + column
+    order = np.lexsort(keys[::-1])
+    keys = keys[:, order]
+    new = np.ones(len(rows), dtype=bool)
+    new[1:] = (keys[:, 1:] != keys[:, :-1]).any(axis=0)
+    inverse = np.empty(len(rows), dtype=np.intp)
+    inverse[order] = np.cumsum(new) - 1
+    return rows[order[new]], inverse
+
+
+def _row_ids(table, rows):
+    """The index of each row of ``rows`` in ``table``, whose rows are distinct
+    and sorted and include every one of them."""
+    return _unique_rows(np.concatenate([table, rows]))[1][len(table):]
 
 
 def _label_json(v):
@@ -231,7 +273,11 @@ def barycentric_subdivision(k: SimplicialComplex) -> SimplicialComplex:
 # element from the bottom, and the size order makes the boundary signs
 # canonical.
 #
-# Simplex ids run by dimension, then by label, so a cell is represented by
+# Simplex ids are the rows of the base's simplex table, by dimension and then
+# in row order.  Group elements act on the table as rank permutations: each
+# level's images are re-sorted and found with one row lookup per level
+# (``_perms``), and the proper faces of each simplex are the rows of its
+# column subsets (``_pairs``).  A cell is represented by
 # the member of its orbit whose top-first tuple (top, next, ..., bottom) is
 # least: its top t is the least simplex of the top's G-orbit, and the rest
 # is least under the stabilizer Stab(t).  Cells are numbered in that order,
@@ -264,26 +310,37 @@ def _chain_radices(simplices: int, dim: int):
 class _OrbitCells:
     def __init__(self, base: SimplicialComplex, action: GroupAction):
         self.dim = base.dim()
-        sims = [s for level in base.simplices_by_dim() for s in level]
-        self._radices = _chain_radices(len(sims), self.dim)
-        ids = {frozenset(s): i for i, s in enumerate(sims)}
+        labels, rows, _ = base._simplex_table()
+        starts = np.cumsum([0] + [len(level) for level in rows])  # simplex id of each level's row 0
+        n = int(starts[-1])
+        self._radices = _chain_radices(n, self.dim)
+        rank = {v: i for i, v in enumerate(labels)}
+        moved = np.array([[rank[g[v]] for v in labels] for g in action.elements], dtype=np.int32)
         # one row per group element; per simplex, a row taking it to the least of its orbit
-        self._perms = np.array([[ids[frozenset(map(g.__getitem__, s))] for s in sims]
-                                for g in action.elements], dtype=np.intp)
+        self._perms = np.concatenate([
+            _row_ids(level, np.sort(moved[:, level], axis=2).reshape(-1, d + 1)).reshape(len(moved), -1)
+            + starts[d] for d, level in enumerate(rows)], axis=1)
         self._moves = self._perms.argmin(axis=0)
-        fixed = self._perms == np.arange(len(sims))
+        fixed = self._perms == np.arange(n)
         fixed[fixed.all(axis=1)] = False
         tops, self._stab = np.nonzero(fixed.T)
-        self._stab_sizes = np.bincount(tops, minlength=len(sims))
+        self._stab_sizes = np.bincount(tops, minlength=n)
         self._stab_offsets = np.cumsum(self._stab_sizes) - self._stab_sizes
         # proper faces of each simplex in increasing id order; face i of t is
-        # _pairs[_offsets[t] + i] - t * len(sims), _pairs is sorted, and
-        # _offsets[len(sims)] = len(_pairs)
-        faces_of = (sorted(ids[frozenset(f)] for k in range(1, len(s)) for f in itertools.combinations(s, k))
-                    for s in sims)
-        self._pairs = np.array([t * len(sims) + f for t, fs in enumerate(faces_of) for f in fs], dtype=np.intp)
-        self._offsets = np.searchsorted(self._pairs, np.arange(len(sims) + 1) * len(sims))
-        self.keys = [np.flatnonzero(self._perms.min(axis=0) == np.arange(len(sims)))]
+        # _pairs[_offsets[t] + i] - t * n, _pairs is sorted, and _offsets[n] = len(_pairs).
+        # A row's column subsets, by size and then in combinations order, are
+        # in row order, so each level's pairs come out sorted.
+        pairs = [np.empty(0, dtype=np.intp)]
+        for d in range(1, len(rows)):
+            faces = []
+            for size in range(1, d + 1):
+                subsets = [rows[d][:, s] for s in map(list, itertools.combinations(range(d + 1), size))]
+                ids = _row_ids(rows[size - 1], np.concatenate(subsets)) + starts[size - 1]
+                faces.append(ids.reshape(len(subsets), -1).T)
+            pairs.append((np.arange(starts[d], starts[d + 1])[:, None] * n + np.hstack(faces)).ravel())
+        self._pairs = np.concatenate(pairs)
+        self._offsets = np.searchsorted(self._pairs, np.arange(n + 1) * n)
+        self.keys = [np.flatnonzero(self._perms.min(axis=0) == np.arange(n))]
         for d in range(self.dim):
             level = []
             for lo in range(0, len(self.keys[d]), _FACE_BLOCK):
@@ -517,14 +574,8 @@ def _homology_from_boundaries(counts, faces):
 
 def homology(k: SimplicialComplex) -> HomologyProfile:
     """Simplicial homology with integer coefficients via Smith normal form."""
-    simplices = k.simplices_by_dim()
-    ids = [{s: i for i, s in enumerate(level)} for level in simplices]
-
-    def faces(d):
-        return np.array([[ids[d - 1][s[:i] + s[i + 1:]] for i in range(d + 1)]
-                         for s in simplices[d]], dtype=np.int32)
-
-    return _homology_from_boundaries([len(level) for level in simplices], faces)
+    _, rows, faces = k._simplex_table()
+    return _homology_from_boundaries([len(level) for level in rows], faces.__getitem__)
 
 
 # --------------------------------------------------------------------------

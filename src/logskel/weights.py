@@ -218,9 +218,22 @@ def _weight_on_vector(pair, chart, chart_index, form, coord_weights, kato):
     return xadd(val, xadd(xscale(form.m, extra), xscale(form.m, correction)))
 
 
+def _trivial_terms(pair, chart, chart_index, form):
+    """The numerator and outside-dlog equations of a trivial-mode weight on
+    one chart; refuses nonzero coefficient valuations, which a trivially
+    valued field does not have."""
+    exprs = [form.numerator_for(chart_index),
+             *_outside_dlog_equations(pair, chart, form.dlog_for(chart_index))]
+    if any(t.coeff_val != 0 for expr in exprs for t in expr.numerator + expr.denominator):
+        raise WeightError("trivial mode takes coefficient valuations 0: the field is trivially valued")
+    return exprs
+
+
 def weight(form: PluriForm, pair: PairDescription, point: SkeletonPoint):
     """Weight of a pluricanonical form at a skeleton point (either mode)."""
     idx, chart = _chart_for_face(pair, point.kato, form)
+    if pair.mode == "trivial":
+        _trivial_terms(pair, chart, idx, form)
     coord_weights = chart_weight_vector(point, chart)
     return _weight_on_vector(pair, chart, idx, form, coord_weights, point.kato)
 
@@ -261,13 +274,8 @@ def ks_skeleton(pair: PairDescription, form: PluriForm) -> SubFan:
             continue
     if pair.mode == "trivial":
         for idx, chart in {idx: chart for _, idx, chart in charted}.items():
-            eqs = _outside_dlog_equations(pair, chart, form.dlog_for(idx))
-            for expr in [form.numerator_for(idx), *eqs]:
-                if len(expr.denominator) != 1:
-                    raise WeightError("trivial-mode minimization expects a monomial denominator")
-                if any(t.coeff_val != 0 for t in expr.numerator + expr.denominator):
-                    raise WeightError(
-                        "trivial mode takes coefficient valuations 0: the field is trivially valued")
+            if any(len(expr.denominator) != 1 for expr in _trivial_terms(pair, chart, idx, form)):
+                raise WeightError("trivial-mode minimization expects a monomial denominator")
     for key, idx, chart in charted:
         bad = _face_rays_check(pair, chart, idx, form, key)
         if bad is not None:

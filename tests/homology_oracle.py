@@ -4,10 +4,30 @@ The engine that ``logskel.complexes._homology_from_boundaries`` replaced,
 kept as written so that the bottom-up engine can be compared with it
 degree for degree.  It builds one ``{row: value}`` dict per boundary
 column and hands every degree whole to ``SparseIntMatrix``: tests only.
+It lists simplices with ``simplices_by_dim``, a set of
+``itertools.combinations`` per dimension, independent of the simplex table
+of ``SimplicialComplex``; the other oracles list them the same way.
 """
+
+import itertools
 
 from logskel.complexes import HomologyProfile
 from logskel.lattice import SparseIntMatrix
+
+
+def simplices_by_dim(k):
+    """Sorted simplex tuples per dimension, by enumerating every face of
+    every facet into a set: the listing that ``SimplicialComplex``'s simplex
+    table replaced, with the same order (vertices ranked by str, then
+    lexicographic rank tuples)."""
+    order = sorted(k.vertices, key=str)
+    rank = {v: i for i, v in enumerate(order)}
+    by_dim = [set() for _ in range(k.dim() + 1)]
+    for f in k.facets:
+        fl = sorted(rank[v] for v in f)
+        for size in range(1, len(fl) + 1):
+            by_dim[size - 1].update(itertools.combinations(fl, size))
+    return [[tuple(order[i] for i in t) for t in sorted(s)] for s in by_dim]
 
 
 def homology_from_boundaries(counts, boundary):
@@ -42,7 +62,7 @@ def homology_from_boundaries(counts, boundary):
 
 def homology(k):
     """Simplicial homology of a complex through the reference engine."""
-    simplices = k.simplices_by_dim()
+    simplices = simplices_by_dim(k)
     ids = [{s: i for i, s in enumerate(level)} for level in simplices]
 
     def boundary(d, skip):

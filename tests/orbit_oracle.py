@@ -10,13 +10,15 @@ construction that the face-path flags of ``orbit_space_complex`` replaced.
 
 import itertools
 
+from homology_oracle import simplices_by_dim
+
 
 class OrbitCellsOracle:
     """Orbit cells by brute force: cell d is the orbit of a (d+1)-chain of
     faces, represented by its member of least index in the chain order."""
 
     def __init__(self, base, action):
-        simplices = base.simplices_by_dim()
+        simplices = simplices_by_dim(base)
         self.ids = {}
         self.sims = []
         for dim_list in simplices:

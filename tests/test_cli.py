@@ -491,6 +491,21 @@ def test_ks_nonzero_coefficient_valuation_is_validation_error(tmp_path):
         out, "trivial mode takes coefficient valuations 0: the field is trivially valued")
 
 
+def test_weight_nonzero_coefficient_valuation_is_validation_error(tmp_path):
+    # z1^-1 at coefficient valuation 1 with dlog [B1, B2]: refused by the
+    # check that ks uses, before any point is evaluated
+    with open(os.path.join(FIX, "a2_form_z1.json")) as fh:
+        doc = json.load(fh)
+    doc["charts"][0]["numerator"]["num"][0].update({"exp": [-1, 0], "coeff_val": "1"})
+    form, points = tmp_path / "form.json", tmp_path / "points.json"
+    form.write_text(json.dumps(doc))
+    points.write_text(json.dumps({"points": [{"kato_point": ["B1"], "weights": ["2"]}]}))
+    out = run_cli("weight", "--pair", os.path.join(FIX, "a2_pair.json"), "--form", str(form),
+                  "--points", str(points))
+    _one_line_validation_error(
+        out, "trivial mode takes coefficient valuations 0: the field is trivially valued")
+
+
 def test_stratum_family_not_closed_under_subsets_is_validation_error(tmp_path):
     with open(os.path.join(FIX, "a2_pair.json")) as fh:
         doc = json.load(fh)

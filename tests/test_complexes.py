@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import math
 import random
@@ -34,6 +35,7 @@ from logskel.complexes import (
     _OrbitCells,
     _sl_link_and_action,
     _sphere_images,
+    _unique_rows,
 )
 from logskel import complexes
 from logskel.logstructure import kato_fan_toric, product
@@ -187,7 +189,7 @@ def _sympy_homology(k):
     from sympy import ZZ, zeros
     from sympy.matrices.normalforms import smith_normal_form
 
-    simplices = k.simplices_by_dim()
+    simplices = homology_oracle.simplices_by_dim(k)
     ids = [{s: i for i, s in enumerate(level)} for level in simplices]
     diags = [[] for _ in simplices] + [[]]
     for d in range(1, len(simplices)):
@@ -245,6 +247,62 @@ def test_bottom_up_engine_matches_top_down_oracle_on_random_complexes():
         assert got.degrees == homology_oracle.homology(k).degrees
         torsion_seen += any(t for _, t in got.degrees)
     assert torsion_seen >= 60, torsion_seen  # the torsion path is exercised
+
+
+# label families whose str order is not their natural order: 10 < 9 as
+# strings, tuples compare by their text, and the strings mix lengths
+LABELS = {
+    "ints": list(range(13)),
+    "tuples": [(i, j) for i in (1, 10, 9) for j in (0, 2, 11)],
+    "strings": ["a", "a10", "a9", "B", "b", "b2", "ab", "z", "Z1"],
+}
+
+
+def _random_labelled_complex(rng):
+    """Facets of 1 to 5 vertices drawn from one label family."""
+    labels = LABELS[rng.choice(sorted(LABELS))]
+    return SimplicialComplex.from_facets(
+        rng.sample(labels, rng.randint(1, 5)) for _ in range(rng.randint(1, 7)))
+
+
+def test_simplex_table_matches_enumeration_oracle():
+    rng = random.Random(1801)
+    cases = [SimplicialComplex([], []), SimplicialComplex.from_facets([(10,)]),
+             SimplicialComplex.from_facets([(9,), (10, 11), (9, 10, 2)])]
+    cases += [_random_labelled_complex(rng) for _ in range(200)]
+    sizes_seen = set()
+    for k in cases:
+        simplices = homology_oracle.simplices_by_dim(k)
+        assert k.simplices_by_dim() == simplices
+        ids = [{s: i for i, s in enumerate(level)} for level in simplices]
+        _, rows, faces = k._simplex_table()
+        assert [len(level) for level in rows] == [len(level) for level in simplices]
+        assert len(faces) == len(rows)
+        for d in range(1, len(rows)):
+            assert faces[d].dtype == np.int32 and faces[d].shape == (len(simplices[d]), d + 1)
+            assert faces[d].tolist() == [[ids[d - 1][s[:i] + s[i + 1:]] for i in range(d + 1)]
+                                         for s in simplices[d]]
+        assert homology(k).degrees == homology_oracle.homology(k).degrees
+        assert k.euler_characteristic() == sum((-1) ** d * len(level) for d, level in enumerate(simplices))
+        sizes_seen.add(len({len(f) for f in k.facets}))
+    assert max(sizes_seen) >= 3  # facets of three or more sizes in one complex
+    assert repr(homology(cases[0])) == "H()" and cases[0].simplices_by_dim() == []
+    assert homology(cases[1]).degrees == [(1, [])]  # a single vertex
+
+
+def test_unique_rows_matches_numpy_unique():
+    # values up to 2^k - 1 pack 63 // k columns per sort key: one key, two
+    # keys (k = 5, 20 columns) and one column per key (k = 40)
+    rng = np.random.default_rng(1802)
+    for bits, width in ((1, 3), (5, 20), (10, 6), (40, 3)):
+        rows = rng.integers(0, 2 ** bits, size=(300, width), dtype=np.int64)
+        rows = np.concatenate([rows, rows[::3]])  # every third row twice
+        distinct, inverse = _unique_rows(rows)
+        expect, expect_inverse = np.unique(rows, axis=0, return_inverse=True)
+        assert np.array_equal(distinct, expect)
+        assert np.array_equal(inverse, expect_inverse.ravel())
+    distinct, inverse = _unique_rows(np.empty((0, 2), dtype=np.int32))
+    assert distinct.shape == (0, 2) and inverse.shape == (0,)
 
 
 def test_bottom_up_engine_matches_oracle_on_rp2_joins():
@@ -451,9 +509,25 @@ def test_bottom_up_engine_matches_top_down_oracle_on_orbit_cells(case):
     assert quotient_homology(k, gens).degrees == expect.degrees
 
 
+@pytest.mark.parametrize("case", sorted(ORBIT_CASES))
+def test_group_tables_match_frozenset_construction(case):
+    # the simplex-id permutations and the sorted (simplex, proper face) pairs,
+    # built one simplex at a time from a frozenset -> id dict
+    k, gens = ORBIT_CASES[case]()
+    action = GroupAction(k, gens)
+    cells = _OrbitCells(k, action)
+    sims = [s for level in homology_oracle.simplices_by_dim(k) for s in level]
+    ids = {frozenset(s): i for i, s in enumerate(sims)}
+    perms = [[ids[frozenset(map(g.__getitem__, s))] for s in sims] for g in action.elements]
+    pairs = sorted(t * len(sims) + ids[frozenset(f)] for t, s in enumerate(sims)
+                   for size in range(1, len(s)) for f in itertools.combinations(s, size))
+    assert cells._perms.tolist() == perms
+    assert cells._pairs.tolist() == pairs
+
+
 def _stabilizers(k, action):
     """Per simplex id, the indices of the non-identity group elements fixing it."""
-    sims = [s for level in k.simplices_by_dim() for s in level]
+    sims = [s for level in homology_oracle.simplices_by_dim(k) for s in level]
     moving = [i for i, g in enumerate(action.elements) if any(g[v] != v for v in g)]
     return sims, [[i for i in moving if {action.elements[i][v] for v in s} == set(s)] for s in sims]
 
