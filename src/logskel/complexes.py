@@ -45,14 +45,20 @@ class SimplicialComplex:
 
     def __init__(self, vertices, facets):
         self.vertices = tuple(vertices)
-        vset = set(self.vertices)
-        fs = {frozenset(f) for f in facets}
-        for f in fs:
-            if not f <= vset:
-                raise ComplexError(f"facet {sorted(f, key=str)} uses undeclared vertices")
-        self.facets = tuple(sorted(maximal_sets(fs), key=lambda f: (len(f), sorted(map(str, f)))))
-        covered = set().union(*self.facets) if self.facets else set()
-        if covered != vset:
+        # vertices ranked by str, then repr where str collides; facets sorted
+        # by (size, sorted ranks), the simplex table's order, with their rows
+        self._labels = sorted(self.vertices, key=lambda v: (str(v), repr(v)))
+        rank = {v: i for i, v in enumerate(self._labels)}
+        fs = maximal_sets({frozenset(f) for f in facets})
+        try:
+            rows = [sorted(map(rank.__getitem__, f)) for f in fs]
+        except KeyError:
+            f = next(f for f in fs if not f <= rank.keys())
+            raise ComplexError(f"facet {sorted(f, key=str)} uses undeclared vertices") from None
+        order = sorted(zip(map(len, rows), rows, range(len(rows))))
+        self.facets = tuple(fs[i] for _, _, i in order)
+        self._rows = [row for _, row, _ in order]
+        if len(set(itertools.chain.from_iterable(self._rows))) != len(rank):
             raise ComplexError("every declared vertex must appear in some facet")
 
     @staticmethod
@@ -65,7 +71,7 @@ class SimplicialComplex:
         return max((len(f) for f in self.facets), default=0) - 1
 
     def _simplex_table(self):
-        """The simplices as rows of vertex ranks (labels ranked by str).
+        """The simplices as rows of vertex ranks (the ranks of ``__init__``).
 
         Returns (labels by rank, rows, faces): rows[d] holds the d-simplices
         as sorted int32 rows in lexicographic order, the simplex order, and
@@ -78,20 +84,17 @@ class SimplicialComplex:
         if bound > _MAX_SIMPLICES:
             raise ComplexError(
                 f"the facets have up to {bound} faces, over the desk-scale {_MAX_SIMPLICES}")
-        labels = sorted(self.vertices, key=str)
-        rank = {v: i for i, v in enumerate(labels)}
-        by_size = {size: [sorted(map(rank.__getitem__, f)) for f in group]
-                   for size, group in itertools.groupby(self.facets, len)}  # facets sort by size
-        rows, faces = [], [np.empty((0, 0), dtype=np.int32)]
-        above = np.empty((0, self.dim() + 2), dtype=np.int32)
-        for d in range(self.dim(), -1, -1):
+        by_size = {size: list(group) for size, group in itertools.groupby(self._rows, len)}
+        rows, faces, top = [], [np.empty((0, 0), dtype=np.int32)], self.dim()
+        above = np.empty((0, top + 2), dtype=np.int32)
+        for d in range(top, -1, -1):
             facets = np.array(by_size.get(d + 1, []), dtype=np.int32).reshape(-1, d + 1)
             level, inverse = _unique_rows(np.concatenate(
                 [np.delete(above, i, axis=1) for i in range(d + 2)] + [facets]))
             faces.insert(1, inverse[:len(above) * (d + 2)].reshape(d + 2, len(above)).T.astype(np.int32))
             rows.insert(0, level)
             above = level
-        return labels, rows, faces[:len(rows)]
+        return self._labels, rows, faces[:len(rows)]
 
     def simplices_by_dim(self):
         """List of sorted simplex tuples per dimension (0..dim)."""
@@ -527,20 +530,31 @@ def _homology_from_boundaries(counts, faces):
     delta_{d-1}[P, Q]^-1, so dropping the rows P of boundary_{d+1} keeps its
     image lattice and its nonzero SNF diagonal.
 
-    Each degree is first peeled in numpy rounds (Kaczynski, Mrozek, Slusarek
-    1998): a line with one live entry is a unit pivot without fill, so each
-    round pivots on all of them, on distinct rows and columns, and drops their
-    lines, until a round removes under 1/16 of the live entries.  The rest (a
-    long path's slow collapse, say) goes to ``SparseIntMatrix``, linear on
-    singleton chains, as delta_{d-1}'s columns; its pivot rows are cleared too.
+    Degree 1 takes a spanning forest of the 1-cells (``_spanning_forest``):
+    rank boundary_1 = |forest|, with no torsion, and P = the forest edges, Q =
+    the vertices other than the component roots.  delta_0[P, Q] is unimodular:
+    match each q in Q with the tree edge to its parent and order both by
+    depth; that edge's other vertex is the parent, earlier or a root, so the
+    block is triangular with diagonal entries +-1.
+
+    Every higher degree is first peeled in numpy rounds (Kaczynski, Mrozek,
+    Slusarek 1998): a line with one live entry is a unit pivot without fill,
+    so each round pivots on all of them, on distinct rows and columns, and
+    drops their lines, until a round removes under 1/16 of the live entries.
+    The rest (a triangle strip's slow collapse, say) goes to
+    ``SparseIntMatrix``, linear on singleton chains, as delta_{d-1}'s columns;
+    its pivot rows are cleared too.
     """
     dims = len(counts)
     ranks, torsion = [0] * (dims + 1), [[] for _ in range(dims + 1)]  # of boundary_d
-    cleared = np.zeros(sum(counts[:1]), dtype=bool)
     for d in range(1, dims):
         cells = faces(d)
         if any((cells[:, i] == cells[:, j]).any() for j in range(d + 1) for i in range(j)):
             raise ComplexError(f"a {d}-cell has a repeated face")
+        if d == 1:
+            cleared = _spanning_forest(counts[0], cells)
+            ranks[1] = int(np.count_nonzero(cleared))
+            continue
         rows, face = cells.ravel(), np.tile(np.arange(d + 1, dtype=np.int8), counts[d])
         cols = np.repeat(np.arange(counts[d], dtype=np.int32), d + 1)
         dead, before = np.zeros(counts[d], dtype=bool), np.inf  # dead: the d-cells to clear
@@ -570,6 +584,37 @@ def _homology_from_boundaries(counts, faces):
         cleared = dead
     return HomologyProfile([(counts[d] - ranks[d] - ranks[d + 1], torsion[d + 1])
                             for d in range(dims)])
+
+
+def _spanning_forest(vertices, edges):
+    """A spanning forest of the graph on ``vertices`` with the (E, 2) int
+    array ``edges``, as a boolean mask over the edges, in numpy rounds
+    (hooking and pointer jumping, Shiloach and Vishkin 1982).  Each round,
+    every component with a neighbour of lower label hooks onto the least such
+    neighbour through the least-numbered edge to it, so the hooks form a
+    forest over the components, and then labels jump to their roots.  A
+    component that does not hook has only higher neighbours; each hooks onto
+    it or below it, so it merges by the next round, and O(log V) rounds merge
+    everything.  The least edge, rather than any, keeps the forest fixed; it
+    also lets the degree-2 peel of the sl n = 4 orbit cells run to the end,
+    where the greatest edge left 50,216 x 564,160 to sparse elimination."""
+    label, forest = np.arange(vertices), np.zeros(len(edges), dtype=bool)
+    ids, ends = np.arange(len(edges)), edges
+    while True:
+        ends = label[ends]
+        cross = ends[:, 0] != ends[:, 1]  # an edge inside a component stays inside
+        ids, ends = ids[cross], ends[cross]
+        if not len(ids):
+            return forest
+        # per higher label, the least (lower label, edge id) packed in one int
+        none = vertices * len(edges)
+        least = np.full(vertices, none)
+        np.minimum.at(least, ends.max(axis=1), ends.min(axis=1) * len(edges) + ids)
+        hooked = np.flatnonzero(least < none)
+        label[hooked], edge = np.divmod(least[hooked], len(edges))
+        forest[edge] = True
+        while not np.array_equal(jumped := label[label], label):
+            label = jumped
 
 
 def homology(k: SimplicialComplex) -> HomologyProfile:

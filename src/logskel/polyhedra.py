@@ -251,14 +251,26 @@ def maximal_sets(sets):
     """The members of a collection of frozensets that no other member
     strictly contains, in collection order.
 
-    A proper superset of f contains every element of f, so it is enough to
-    look among the sets at the element of f that the fewest share.
+    Only a larger set strictly contains f, and if one does, a maximal one
+    does.  So sizes run from the largest down, and f is compared only with
+    the maximal sets of larger sizes that hold the element of f the fewest
+    of them hold.  Sets of the smallest size are not indexed, so a family of
+    one size does no subset test.
     """
-    at = {}
-    for f in sets:
-        for v in f:
-            at.setdefault(v, []).append(f)
-    return [f for f in sets if not any(f < g for g in min((at[v] for v in f), key=len, default=sets))]
+    sets, by_size = list(sets), {}
+    for i, f in enumerate(sets):
+        by_size.setdefault(len(f), []).append(i)
+    keep, at, larger = [], {}, []
+    for size in sorted(by_size, reverse=True):
+        found = [i for i in by_size[size] if not larger or not any(
+            sets[i] < g for g in min((at.get(v, ()) for v in sets[i]), key=len, default=larger))]
+        keep += found
+        if size > min(by_size):
+            for f in map(sets.__getitem__, found):
+                larger.append(f)
+                for v in f:
+                    at.setdefault(v, []).append(f)
+    return [sets[i] for i in sorted(keep)]
 
 
 def _sorted_cones(cones):

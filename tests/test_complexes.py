@@ -2,7 +2,10 @@ import hashlib
 import itertools
 import json
 import math
+import os
 import random
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -39,7 +42,7 @@ from logskel.complexes import (
 )
 from logskel import complexes
 from logskel.logstructure import kato_fan_toric, product
-from logskel.polyhedra import Cone, Fan, derived_subdivision, fan_p1xp1, fan_p2, primitive
+from logskel.polyhedra import Cone, Fan, derived_subdivision, fan_p1xp1, fan_p2, maximal_sets, primitive
 import homology_oracle
 from lattice_oracle import rat_solve
 from orbit_oracle import OrbitCellsOracle
@@ -337,18 +340,121 @@ def sparse_built(monkeypatch):
 
 def test_only_the_degree_one_remainder_reaches_sparse_elimination(sparse_built):
     assert character_variety_homology("gl", 3) == sphere_profile(5)
-    # the coboundary of the 164 vertices into the 2,596 edges; every higher
-    # degree is peeled away by unit pivots
-    assert sparse_built == [(164, 2596)]
+    # degree 1 (164 vertices, 2,596 edges) is a spanning forest and every
+    # higher degree is peeled away by unit pivots: no sparse elimination
+    assert sparse_built == []
 
 
 def test_slow_collapse_is_left_to_sparse_elimination(sparse_built):
-    # a path frees only its two end vertices per peel round; after the first
-    # round the peel hands the other 19,999 vertices over instead of running
-    # 10,000 rounds of O(path) each
+    # degree 1 never reaches sparse elimination, not even a 20,000-edge path
     path = SimplicialComplex.from_facets([(i, i + 1) for i in range(20_000)])
     assert homology(path).degrees == [(1, []), (0, [])]
-    assert sparse_built == [(19_999, 20_000)]
+    assert sparse_built == []
+    # a triangle strip collapses two triangles per peel round; after the first
+    # round the peel hands the coboundary of the 19,982 live edges into the
+    # 20,000 triangles over instead of running 10,000 rounds of O(strip) each
+    strip = SimplicialComplex.from_facets([(i, i + 1, i + 2) for i in range(20_000)])
+    assert homology(strip).degrees == [(1, []), (0, []), (0, [])]
+    assert sparse_built == [(19_982, 20_000)]
+
+
+def _components(vertices, edges):
+    parent = list(range(vertices))
+
+    def find(v):
+        while parent[v] != v:
+            parent[v] = parent[parent[v]]
+            v = parent[v]
+        return v
+
+    for a, b in edges:
+        parent[find(a)] = find(b)
+    return [find(v) for v in range(vertices)]
+
+
+def test_spanning_forest_matches_union_find():
+    rng = random.Random(1901)
+    shuffled = rng.sample(range(20_000), 20_000)
+    graphs = [(20_000, [(i, i + 1) for i in range(19_999)]),  # a path
+              (20_000, list(zip(shuffled, shuffled[1:]))),  # the path under random labels
+              (2_001, [(0, i) for i in range(1, 2_001)]),  # a star
+              (5, []), (1, []), (0, [])]
+    for _ in range(200):
+        vertices = rng.randint(1, 40)
+        edges = [tuple(rng.sample(range(vertices), 2)) for _ in range(rng.randint(0, vertices))
+                 if vertices > 1]
+        edges += [edges[i] for i in range(0, len(edges), 4)]  # parallel edges
+        rng.shuffle(edges)
+        graphs.append((vertices, edges))
+    isolated = parallel = several = 0
+    for vertices, edges in graphs:
+        forest = complexes._spanning_forest(vertices, np.array(edges, dtype=np.int32).reshape(-1, 2))
+        root = _components(vertices, edges)
+        tree = [e for e, kept in zip(edges, forest.tolist()) if kept]
+        assert len(tree) == vertices - len(set(root))
+        # the tree's edges are the graph's, so with as many components it meets
+        # every component, and V - c edges on c components make no cycle
+        assert len(set(_components(vertices, tree))) == len(set(root))
+        touched = {v for e in edges for v in e}
+        isolated += vertices - len(touched)
+        parallel += len(edges) > len(set(map(frozenset, edges)))
+        several += len({root[v] for v in touched}) > 1
+    assert isolated > 100 and parallel > 100 and several > 100
+
+
+def test_maximal_sets_match_brute_force_in_order():
+    rng = random.Random(1902)
+    for _ in range(500):
+        family = []
+        for _ in range(rng.randint(0, 12)):
+            f = frozenset(rng.sample(range(9), rng.randint(0, 5)))
+            family.append(f)
+            while rng.random() < 0.4:  # a nested chain
+                f = frozenset(rng.sample(sorted(f), rng.randint(0, len(f))))
+                family.append(f)
+            if rng.random() < 0.2:  # a duplicate
+                family.append(frozenset(family[rng.randrange(len(family))]))
+        if rng.random() < 0.2:
+            family.insert(rng.randint(0, len(family)), frozenset())
+        rng.shuffle(family)
+        assert maximal_sets(family) == [f for f in family if not any(f < g for g in family)]
+    assert maximal_sets([frozenset(), frozenset()]) == [frozenset(), frozenset()]
+    pure = [frozenset(rng.sample(range(9), 3)) for _ in range(50)]
+    assert maximal_sets(pure) == pure
+
+
+def test_facets_keep_the_str_order_of_distinct_labels():
+    rng = random.Random(1903)
+    pool = list(range(12)) + [(i, "x") for i in range(8)] + ["a", "B", "1x", "(0, 'x')0", "ä"]
+    for _ in range(200):
+        facets = [rng.sample(pool, rng.randint(1, 5)) for _ in range(rng.randint(1, 8))]
+        k = SimplicialComplex.from_facets(facets)
+        assert len({str(v) for v in k.vertices}) == len(k.vertices)
+        old = sorted({f for f in k.facets}, key=lambda f: (len(f), sorted(map(str, f))))
+        assert list(k.facets) == old
+
+
+def test_facet_order_of_colliding_labels_is_fixed(tmp_path):
+    # vertices 1 and "1" share their str; the order must not come from the
+    # input order or from string hashing
+    docs = [{"vertices": [1, "1", 2, "x"], "facets": [[0, 2], [1, 2], [0, 3], [1, 3]]},
+            {"vertices": ["x", 2, "1", 1], "facets": [[1, 3], [0, 2], [1, 2], [0, 3]]}]
+    orders = set()
+    for i, doc in enumerate(docs):
+        path = tmp_path / f"k{i}.json"
+        path.write_text(json.dumps(doc))
+        script = ("import json, sys; from logskel.complexes import SimplicialComplex; "
+                  "k = SimplicialComplex.from_json_dict(json.load(open(sys.argv[1]))); "
+                  "print([sorted(map(repr, f)) for f in k.facets])")
+        for seed in ("0", "3", "4"):  # three different set orders of these facets
+            env = {**os.environ, "PYTHONHASHSEED": seed,
+                   "PYTHONPATH": os.pathsep.join(sys.path)}
+            run = subprocess.run([sys.executable, "-c", script, str(path)], env=env,
+                                 capture_output=True, text=True, check=True)
+            orders.add(run.stdout)
+    assert len(orders) == 1, orders
+    # ranks by (str, repr): "1" < 1 < 2 < "x"
+    assert orders.pop().strip() == str([["'1'", "2"], ["'1'", "'x'"], ["1", "2"], ["'x'", "1"]])
 
 
 def test_dense_core_gets_no_empty_lines(monkeypatch):
