@@ -3,32 +3,40 @@
 All cones are rational and stored by primitive ray generators in canonical
 (lexicographically sorted) order, so cone equality is tuple comparison.
 Ranks, kernels and span coordinates come from the integer Smith normal
-form in ``lattice``, dual cones from double description in integers; no
-Fraction arithmetic happens here.  A cone's walls, the rays of its dual,
-are computed once per ray tuple, and so are its facets as (normal, rays
-on it); its faces, face tests, pointedness and triangulations, the pieces
-of a derived subdivision and both membership tests of the Hilbert basis
-are all read off them.  Each cone a fan holds is the index set of its
-extreme rays.  Ambient ranks stay small (<= 8).
+form in ``lattice``, dual cones from one adjugate for ``rank`` independent
+vectors and from double description in integers otherwise; no Fraction
+arithmetic happens here.  Independent generators are their cone's extreme
+rays.  A cone's walls, the rays of its dual, are computed once per ray
+tuple, and so are its facets as (normal, rays on it); its faces, face
+tests, pointedness and triangulations, the pieces of a derived
+subdivision and the membership test of the Hilbert basis are all read off
+them, and its parallelepiped points off a Smith normal form.  Each cone a
+fan holds is the index set of its extreme rays.  Ambient ranks stay small
+(<= 8).
 """
 
 from __future__ import annotations
 
 import itertools
 import json
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 from .lattice import (
     _gauss_jordan,
+    adjugate,
     identity,
     int_kernel_basis,
     primitive,
     saturation_quotient_map,
+    snf_with_transforms,
     span_snf,
+    transpose,
 )
 
 DIM_LIMIT = 8
+_MAX_INDEX = 1 << 20  # Hilbert basis bound: lattice indices summed over the simplicial pieces
 
 
 class DimensionLimitError(ValueError):
@@ -51,16 +59,23 @@ def _check_rank(rank: int):
 def dual_rays(vectors, rank):
     """Generators of {m : <m, v> >= 0 for all v}, the cone dual to cone(vectors).
 
-    The lineality space (span of the vectors)^perp gives +- pairs of basis
-    vectors.  The pointed part is the cone {y : <y, v> >= 0} in coordinates
-    on the span of the vectors, found by double description and lifted back
-    to Z^rank.
+    For ``rank`` independent vectors, the rows of A, the rays are the
+    columns of sign(det A) adj A, primitive: A adj A = det A I, so each is
+    positive on one vector and 0 on the others.  Otherwise the lineality
+    space (span of the vectors)^perp gives +- pairs of basis vectors, and
+    the pointed part is the cone {y : <y, v> >= 0} in coordinates on the
+    span of the vectors, found by double description and lifted back to
+    Z^rank.
     """
     _check_rank(rank)
     vectors = [tuple(v) for v in vectors]
     if not vectors:
         basis = identity(rank)
         return [tuple(b) for b in basis] + [tuple(-x for x in b) for b in basis]
+    if len(vectors) == rank:
+        det, adj = adjugate(vectors)
+        if adj is not None:
+            return sorted(primitive([x if det > 0 else -x for x in col]) for col in zip(*adj))
 
     # lineality of the dual = orthogonal complement of span(vectors)
     perp = int_kernel_basis([list(v) for v in vectors])
@@ -132,6 +147,8 @@ class Cone:
         gens = tuple(sorted({primitive(g) for g in generators if any(g)}))
         if not gens:
             return Cone(rays=(), rank=rank)
+        if len(gens) <= rank and len(_gauss_jordan(gens, rank)[1]) == len(gens):
+            return Cone(rays=gens, rank=rank)  # independent: each is an extreme ray
         # extreme rays via double dualization (canonical for pointed cones)
         return Cone(rays=_walls(_walls(gens, rank), rank), rank=rank)
 
@@ -201,34 +218,51 @@ def _simplicial_subcones(rays, rank):
             for sub in _simplicial_subcones(on, rank)]
 
 
-def _parallelepiped_points(rays, rank):
-    """Lattice points of {sum t_i r_i : 0 <= t_i < 1} for independent rays:
-    the box points p with 0 <= <m, p> < h_m = max <m, r_i> on every wall m.
-    A facet normal is 0 on all rays but r_i, so this is 0 <= t_i < 1.  On a
-    lineality wall h_m = 0; the bound 1 used there forces <m, p> = 0, which
-    puts p in the span of the rays."""
-    walls = [(m, max(1, max(dot(m, r) for r in rays))) for m in _walls(rays, rank)]
-    box = [range(sum(min(0, r[j]) for r in rays), sum(max(0, r[j]) for r in rays) + 1)
-           for j in range(rank)]
-    return [p for p in itertools.product(*box) if all(0 <= dot(m, p) < h for m, h in walls)]
+def _class_group(rays):
+    """(d, V) from the Smith normal form U R V = D of the independent
+    ``rays`` as the columns of R: (span of R meet Z^rank) / R Z^s is the
+    product of the Z / d_i, so its order, the lattice index of the rays, is
+    the product of d."""
+    _, d, v = snf_with_transforms(transpose(rays))
+    return [d[i][i] for i in range(len(rays))], v
+
+
+def _parallelepiped_points(rays, group):
+    """Lattice points of {sum t_i r_i : 0 <= t_i < 1} for independent rays,
+    sorted, one per class: the point of class c in prod [0, d_i) has
+    t = V D^-1 c mod 1.  Every d_i divides the last one, e, so e t is
+    sum_i c_i (e / d_i) V_i mod e, and only the d_i > 1 contribute."""
+    diag, v = group
+    e = diag[-1]
+    steps = [(d, [row[i] * (e // d) for row in v]) for i, d in enumerate(diag) if d > 1]
+    points = []
+    for c in itertools.product(*(range(d) for d, _ in steps)):
+        t = [sum(k * col[j] for k, (_, col) in zip(c, steps)) % e for j in range(len(rays))]
+        points.append(tuple(sum(x * r[i] for x, r in zip(t, rays)) // e for i in range(len(rays[0]))))
+    return sorted(points)
 
 
 def hilbert_basis(c: Cone):
     """Unique minimal generating set of the monoid of lattice points of ``c``.
 
     Bounded enumeration: candidates are the primitive rays plus the lattice
-    points of the fundamental parallelepipeds of a triangulation; reduction
-    removes every element that splits as a sum of two nonzero monoid points.
-    Both test membership in integers on walls: of each simplicial piece in
-    the parallelepiped step, of ``c`` in the reduction.
+    points of the fundamental parallelepipeds of a triangulation, one per
+    class of the piece's lattice modulo its rays; reduction removes every
+    element that splits as a sum of two nonzero monoid points, testing
+    membership in integers on the walls of ``c``.  The class counts are
+    summed first, and past ``_MAX_INDEX`` nothing is enumerated.
     """
     if not c.is_pointed():
         raise NotPointedError("Hilbert basis requires a pointed cone (units present)")
     if not c.rays:
         return []
+    pieces = [(sub, _class_group(sub)) for sub in _simplicial_subcones(c.rays, c.rank)]
+    index = sum(math.prod(group[0]) for _, group in pieces)
+    if index > _MAX_INDEX:
+        raise DimensionLimitError(
+            f"the simplicial pieces have lattice index {index}, over the desk-scale {_MAX_INDEX}")
     candidates = set(c.rays)
-    candidates.update(p for sub in _simplicial_subcones(c.rays, c.rank)
-                      for p in _parallelepiped_points(sub, c.rank) if any(p))
+    candidates.update(p for sub, group in pieces for p in _parallelepiped_points(sub, group) if any(p))
     normals = c.facet_normals()
     grading = [sum(m[j] for m in normals) for j in range(c.rank)]
 

@@ -4,9 +4,10 @@
 their span, by the vector of signed maximal minors; ``cone_faces``
 intersects a cone with every subset of its normals, lineality +- pairs
 included.  Both are exponential in the input size.  They check the double
-description and the facet closure of ``logskel.polyhedra``.
-``parallelepiped_points`` solves for the coordinates of each bounding-box
-point in Fractions; it checks the integer wall test of the Hilbert basis.
+description, the adjugate duals and the facet closure of
+``logskel.polyhedra``.  ``parallelepiped_points`` solves for the
+coordinates of each bounding-box point in Fractions; it checks the class
+enumeration of the parallelepiped step of the Hilbert basis.
 """
 
 from __future__ import annotations

@@ -525,3 +525,20 @@ def test_homology_refuses_simplex_past_desk_scale(tmp_path):
     out = run_cli("homology", "--complex", str(path), timeout=30)
     _one_line_validation_error(
         out, f"the facets have up to {2 ** 40 - 1} faces, over the desk-scale {2 ** 20}")
+
+
+def test_skeleton_refuses_hilbert_basis_past_desk_scale(tmp_path):
+    # the dual of the one cone has lattice index 10^7; refused before any
+    # point is listed, in a child held to 1 GB of address space
+    import resource
+
+    path = tmp_path / "fan.json"
+    path.write_text(json.dumps({"rank": 2, "rays": [[1, 0], [1, 10_000_000]], "cones": [[0, 1]]}))
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    out = subprocess.run([sys.executable, "-m", "logskel", "skeleton", "--fan", str(path)],
+                         capture_output=True, text=True, cwd=ROOT, timeout=10, preexec_fn=limit)
+    _one_line_validation_error(
+        out, f"the simplicial pieces have lattice index {10 ** 7}, over the desk-scale {2 ** 20}")

@@ -1,12 +1,16 @@
 import collections
 import itertools
+import math
 import random
 
 import pytest
 
 from logskel.complexes import HomologyProfile, SimplicialComplex, homology, link_complex, sphere_profile
+from logskel.lattice import adjugate, primitive, span_snf
 from logskel.polyhedra import (
+    _class_group,
     _parallelepiped_points,
+    _walls,
     Cone,
     DimensionLimitError,
     Fan,
@@ -178,6 +182,52 @@ def test_dual_rays_match_subset_oracle():
         kinds["more vectors than rank" if len({v for v in vectors if any(v)}) > rank
               else "dual with lineality" if len(got) > rank else "other"] += 1
     assert min(kinds.values()) > 300, kinds
+
+
+def test_dual_rays_of_square_independent_vectors_match_subset_oracle():
+    """The adjugate route against the subset-minor kernel: rank independent
+    vectors, ranks 1-8, entries in [-5, 5], some of them not primitive."""
+    rng = random.Random(2001)
+    done = collections.Counter()
+    while sum(done.values()) < 400:
+        rank = rng.randint(1, 8)
+        vectors = [tuple(rng.randint(-5, 5) for _ in range(rank)) for _ in range(rank)]
+        if adjugate(vectors)[1] is None:
+            continue
+        got = dual_rays(vectors, rank)
+        assert got == oracle.dual_rays(vectors, rank), (vectors, rank)
+        assert len(got) == rank and all(sum(dot(m, v) > 0 for v in vectors) == 1 for m in got)
+        done[rank] += 1
+    assert min(done[r] for r in range(1, 9)) >= 30, done
+
+
+def test_independent_generators_are_their_double_dual():
+    """Independent generators, once primitive and deduplicated, are the
+    extreme rays; with positive multiples, zero generators and +-v pairs
+    mixed in, every draw must agree with double dualization."""
+    rng = random.Random(2002)
+    kinds = collections.Counter()
+    while min(kinds.values(), default=0) < 100 or len(kinds) < 2:
+        rank = rng.randint(1, 8)
+        gens = [tuple(rng.choice((0, 0, -2, -1, 1, 2)) for _ in range(rank))
+                for _ in range(rng.randint(1, rank))]
+        roll = rng.random()
+        if roll < 0.3:
+            gens.append(tuple(rng.randint(2, 3) * x for x in rng.choice(gens)))
+        elif roll < 0.45:
+            gens.append((0,) * rank)
+        elif roll < 0.6:
+            gens.append(tuple(-x for x in rng.choice(gens)))
+        rng.shuffle(gens)
+        prim = tuple(sorted({primitive(g) for g in gens if any(g)}))
+        if not prim:
+            continue
+        independent = len(span_snf(prim)[1]) == len(prim)
+        rays = Cone.from_generators(gens, rank).rays
+        assert rays == _walls(_walls(prim, rank), rank), gens
+        if independent:
+            assert rays == prim, gens
+        kinds[independent] += 1
 
 
 def test_faces_match_normal_subset_oracle():
@@ -355,9 +405,10 @@ def test_hilbert_non_simplicial_pinned(gens, expected):
 
 
 def test_parallelepiped_walls_match_fraction_solve_off_full_rank():
-    """On simplicial cones of dimension below the rank, the lineality walls
-    do the span test: the integer wall test keeps exactly the points whose
-    exact coordinates lie in [0, 1).  Sparse entries keep the boxes small."""
+    """On simplicial cones of dimension below the rank, the class
+    enumeration finds exactly the box points in the span whose exact
+    coordinates lie in [0, 1), one per class.  Sparse entries keep the
+    boxes small."""
     rng = random.Random(41)
     entries = (0, 0, 0, 0, -3, -2, -1, 1, 2, 3)
     done, nontrivial = collections.Counter(), collections.Counter()
@@ -370,12 +421,47 @@ def test_parallelepiped_walls_match_fraction_solve_off_full_rank():
             box *= sum(abs(r[j]) for r in c.rays) + 1
         if not c.rays or c.dim() != len(c.rays) or box > 1000:
             continue
-        got = _parallelepiped_points(c.rays, rank)
+        group = _class_group(c.rays)
+        got = _parallelepiped_points(c.rays, group)
         assert got == oracle.parallelepiped_points(c.rays, rank), c
+        assert len(got) == math.prod(group[0]), c
         nontrivial[rank] += len(got) > 1
         done[rank] += 1
     assert min(done.values()) >= 40 and len(done) == 4
     assert min(nontrivial[r] for r in (3, 4, 5)) >= 5  # a rank-2 cone here is one primitive ray
+
+
+def test_parallelepiped_classes_match_fraction_solve_full_rank():
+    """On full-rank simplicial cones of ranks 2-5 the classes number |det|,
+    the product of the SNF diagonal, and are the box points whose exact
+    coordinates lie in [0, 1), in the box's order.  Two pinned cones have
+    two nontrivial invariant factors; entries and box sizes per rank keep
+    the Fraction scans short."""
+    from lattice_oracle import det
+
+    rng = random.Random(2003)
+    draws = {2: (range(-25, 26), 1600, 20), 3: (range(-6, 7), 2000, 15),
+             4: ((0, 0, 0, -3, -2, -1, 1, 2, 3), 1500, 12), 5: ((0, 0, 0, 0, -2, -1, 1, 2), 1500, 8)}
+    pinned = [((-2, 0, -1), (0, -2, -1), (0, 0, -1)),
+              ((-1, 0, 0, 0), (0, -2, 1, 0), (0, 0, -1, 2), (0, 0, 1, 0))]
+    done, indices = collections.Counter(), []
+    while pinned or any(done[r] < draws[r][2] for r in draws):
+        if pinned:
+            rays = pinned.pop()
+        else:
+            rank = rng.choice([r for r in draws if done[r] < draws[r][2]])
+            entries, box, _ = draws[rank]
+            rays = tuple(sorted({primitive([rng.choice(entries) for _ in range(rank)]) for _ in range(rank)}))
+            index = abs(det([list(r) for r in rays])) if len(rays) == rank else 0
+            if not 1 < index <= 500 or math.prod(sum(abs(r[j]) for r in rays) + 1 for j in range(rank)) > box:
+                continue
+            done[rank] += 1
+        group = _class_group(rays)
+        got = _parallelepiped_points(rays, group)
+        assert len(got) == math.prod(group[0]) == abs(det([list(r) for r in rays])), rays
+        assert got == oracle.parallelepiped_points(rays, len(rays)), rays
+        indices.append(group[0])
+    assert sum(d[-2] > 1 for d in indices) >= 2 and max(map(math.prod, indices)) >= 300
 
 
 def test_hilbert_rank4_cone_matches_box_oracle():
