@@ -15,6 +15,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -144,12 +145,13 @@ class SimplicialComplex:
 def _unique_rows(rows):
     """The distinct rows of a 2-d nonnegative int array in lexicographic
     order, and the index among them of each input row.  Runs of columns are
-    packed into int64 sort keys, as many as fit in each, for one lexsort."""
+    packed into int64 sort keys, as many as fit in each, for one argsort
+    when one key holds them all and one lexsort otherwise."""
     bits = int(rows.max(initial=0)).bit_length() or 1
     keys = np.zeros((-(-rows.shape[1] // (63 // bits)), len(rows)), dtype=np.int64)
     for j, column in enumerate(rows.T):
         keys[j // (63 // bits)] = keys[j // (63 // bits)] * (1 << bits) + column
-    order = np.lexsort(keys[::-1])
+    order = np.argsort(keys[0]) if len(keys) == 1 else np.lexsort(keys[::-1])
     keys = keys[:, order]
     new = np.ones(len(rows), dtype=bool)
     new[1:] = (keys[:, 1:] != keys[:, :-1]).any(axis=0)
@@ -173,6 +175,8 @@ def _label_json(v):
 
 
 def _label_unjson(v):
+    if isinstance(v, dict):
+        raise ComplexError(f"vertex label {v!r} is not a string, number or list of them")
     if isinstance(v, list):
         return tuple(_label_unjson(x) for x in v)
     return v
@@ -654,6 +658,14 @@ def _gl_join_and_action(n: int):
 
 
 def _sl_link_and_action(n: int):
+    """The sl link and its block permutations, fresh from a link built once per n."""
+    facets, gens = _sl_link_data(n)
+    return SimplicialComplex.from_facets(facets), [dict(g) for g in gens]
+
+
+@lru_cache(maxsize=None)
+def _sl_link_data(n: int):
+    """The link facets as ray tuples and each generator as (ray, image) pairs."""
     model = None
     for _ in range(n):
         model = fan_p1xp1() if model is None else product_fan(model, fan_p1xp1())
@@ -688,7 +700,8 @@ def _sl_link_and_action(n: int):
         sums = zip(itertools.accumulate(w[0::2]), itertools.accumulate(w[1::2]))
         return primitive([c for xy in list(sums)[:-1] for c in xy])
 
-    return link, [{ray: moved(p, ray) for ray in link.vertices} for p in perms]
+    return (tuple(tuple(sorted(f)) for f in link.facets),
+            tuple(tuple((ray, moved(p, ray)) for ray in link.vertices) for p in perms))
 
 
 def _character_variety_action(group: str, n: int):

@@ -413,8 +413,10 @@ class PairDescription:
                     cut[coords[eqs[cid].coordinate_axis()]] = cid
             rel_dim = _json_int(chdoc.get("relative_dimension", 0), "relative_dimension")
             charts.append(LogChart(coordinates=coords, cut=cut, equations=eqs, relative_dimension=rel_dim))
+        if type(doc["strata"]) is not list:
+            raise LogStructureError(f"strata {doc['strata']!r} is not a list of strata")
         for s in doc["strata"]:
-            if type(s) is not list:
+            if type(s) is not list or any(type(c) is not str for c in s):
                 raise LogStructureError(f"stratum {s!r} is not a list of component ids")
         strata = [frozenset(s) for s in doc["strata"]]
         return PairDescription(mode=doc["mode"], components=components, charts=charts,

@@ -2,17 +2,17 @@
 
 All cones are rational and stored by primitive ray generators in canonical
 (lexicographically sorted) order, so cone equality is tuple comparison.
-Ranks, kernels and span coordinates come from the integer Smith normal
-form in ``lattice``, dual cones from one adjugate for ``rank`` independent
-vectors and from double description in integers otherwise; no Fraction
-arithmetic happens here.  Independent generators are their cone's extreme
-rays.  A cone's walls, the rays of its dual, are computed once per ray
-tuple, and so are its facets as (normal, rays on it); its faces, face
-tests, pointedness and triangulations, the pieces of a derived
-subdivision and the membership test of the Hilbert basis are all read off
-them, and its parallelepiped points off a Smith normal form.  Each cone a
-fan holds is the index set of its extreme rays.  Ambient ranks stay small
-(<= 8).
+Kernels and span coordinates come from the integer Smith normal form in
+``lattice``, ranks from one fraction-free Gauss-Jordan pass, and every dual
+cone from double description in integers, straight in Z^rank when the
+vectors span it; no Fraction arithmetic happens here.  Independent
+generators are their cone's extreme rays.  A cone's walls, the rays of its
+dual, are computed once per ray tuple, and so are its facets as (normal,
+rays on it); its faces, face tests, pointedness and triangulations, the
+pieces of a derived subdivision (by recursion over faces) and the
+membership test of the Hilbert basis are all read off them, and its
+parallelepiped points off a Smith normal form.  Each cone a fan holds is
+the index set of its extreme rays.  Ambient ranks stay small (<= 8).
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ from functools import lru_cache
 
 from .lattice import (
     _gauss_jordan,
-    adjugate,
     identity,
     int_kernel_basis,
     primitive,
@@ -57,60 +56,46 @@ def _check_rank(rank: int):
 
 
 def dual_rays(vectors, rank):
-    """Generators of {m : <m, v> >= 0 for all v}, the cone dual to cone(vectors).
-
-    For ``rank`` independent vectors, the rows of A, the rays are the
-    columns of sign(det A) adj A, primitive: A adj A = det A I, so each is
-    positive on one vector and 0 on the others.  Otherwise the lineality
-    space (span of the vectors)^perp gives +- pairs of basis vectors, and
-    the pointed part is the cone {y : <y, v> >= 0} in coordinates on the
-    span of the vectors, found by double description and lifted back to
-    Z^rank.
+    """Generators of {m : <m, v> >= 0 for all v}, the cone dual to cone(vectors),
+    sorted: one double description, straight in Z^rank when the vectors span
+    Q^rank.  Otherwise the lineality space (span of the vectors)^perp gives
+    +- pairs of basis vectors, and the pointed part is double description in
+    coordinates on the span, lifted back to Z^rank.
     """
     _check_rank(rank)
     vectors = [tuple(v) for v in vectors]
     if not vectors:
         basis = identity(rank)
         return [tuple(b) for b in basis] + [tuple(-x for x in b) for b in basis]
-    if len(vectors) == rank:
-        det, adj = adjugate(vectors)
-        if adj is not None:
-            return sorted(primitive([x if det > 0 else -x for x in col]) for col in zip(*adj))
-
-    # lineality of the dual = orthogonal complement of span(vectors)
-    perp = int_kernel_basis([list(v) for v in vectors])
-    out = []
-    for b in perp:
-        out.append(primitive(b))
-        out.append(primitive([-x for x in b]))
-
-    # pointed part, computed inside span(vectors)
+    rays = _double_description(vectors, rank)
+    if rays is not None:
+        return sorted(rays)
+    out = [primitive(x) for b in int_kernel_basis(vectors) for x in (b, [-y for y in b])]
+    # the first s rows of u are coordinates on span(vectors), and y . u
+    # extends a functional y on them by 0 on a complement
     u, diag = span_snf(vectors)
-    s = len(diag)
-    # rows of u are a unimodular change of coordinates; the first s rows
-    # restrict to coordinates on span(vectors).
-    vecs_s = [tuple(dot(u[i], v) for i in range(s)) for v in vectors]
-    # lift y (functional on span coordinates) back to Z^rank: y . (first s
-    # rows of u) is an integer functional extending y by 0 on the complement.
-    for y in _double_description(vecs_s, s):
-        lifted = tuple(sum(y[i] * u[i][j] for i in range(s)) for j in range(rank))
-        out.append(primitive(lifted))
-    return sorted(set(out))
+    u = u[:len(diag)]
+    rays = _double_description([tuple(dot(row, v) for row in u) for v in vectors], len(u))
+    return sorted(set(out + [primitive([dot(y, col) for col in zip(*u)]) for y in rays]))
 
 
 def _double_description(rows, s):
-    """Extreme rays of the pointed cone {y : <y, a> >= 0 for a in rows}, the
-    rows spanning Q^s, by double description (Motzkin-Raiffa-Thompson-Thrall
-    1953; Fukuda-Prodon 1996); a ray carries the mask of rows tight on it.
+    """Extreme rays of the pointed cone {y : <y, a> >= 0 for a in rows} by
+    double description (Motzkin-Raiffa-Thompson-Thrall 1953; Fukuda-Prodon
+    1996), or None when the rows do not span Q^s; a ray carries the mask of
+    rows tight on it.
 
     The first s independent rows (the pivots of one fraction-free Gauss-Jordan
     pass over [rows^T | I]) cut out a simplicial cone whose rays are their
-    adjugate columns.  Each further row a keeps the rays y with <y, a> >= 0
-    and adds <p, a> n - <n, a> p for each p, n with <p, a> > 0 > <n, a>
-    that are adjacent: no third ray is tight on every row tight on both.
+    adjugate columns, and s rows stop there.  Each further row a keeps the
+    rays y with <y, a> >= 0 and adds <p, a> n - <n, a> p for each p, n with
+    <p, a> > 0 > <n, a> that are adjacent: no third ray is tight on every
+    row tight on both.
     """
     k = len(rows)
     red, basis, d, _ = _gauss_jordan([list(c) + e for c, e in zip(zip(*rows), identity(s))], k)
+    if len(basis) < s:
+        return None
     full = sum(1 << i for i in basis)
     # reduced row t: d on rows[basis[t]], 0 on the other basis rows
     rays = {primitive([d * x for x in row[k:]]): full & ~(1 << j) for row, j in zip(red, basis)}
@@ -155,7 +140,7 @@ class Cone:
     def dim(self) -> int:
         if not self.rays:
             return 0
-        return len(span_snf(self.rays)[1])
+        return len(_gauss_jordan(self.rays, self.rank)[1])
 
     def facet_normals(self):
         """H-representation; includes +- pairs forcing span membership."""
@@ -469,26 +454,26 @@ def compactified_fan_strata(fan: Fan):
 def _derived_pieces(fan: Fan):
     """The maximal cones of the derived subdivision as ray tuples, and
     whether any cone was starred: the fan starred once at the barycentre
-    ray of each non-simplicial cone, largest dimension first.  A face of a
-    simplicial cone is simplicial, so those cones are read off ``fan.cones``.
-    Starring keeps a cone's proper faces, so smaller ones are still there to
-    star, and replaces it by pieces of its dimension: the maximal cones."""
-    bad = [g for g in map(fan.cone_geometry, fan.cones) if len(g.rays) > 2 and not g.is_simplicial()]
+    ray of each non-simplicial cone, largest dimension first.  That cuts
+    each maximal cone by recursion over its faces: a simplicial face H is
+    one piece, its rays plus the barycentres collected above it; otherwise
+    H's barycentre is collected and each facet of H, from the ``_facets``
+    cache, is cut the same way.  No piece is dualized; ``cut`` memoizes
+    the pieces below each face, less the barycentres above it."""
+    rank, memo = fan.rank, {}
+
+    def cut(rays):
+        if rays not in memo:
+            if len(rays) <= 2 or len(_gauss_jordan(rays, rank)[1]) == len(rays):
+                memo[rays] = [rays]
+            else:
+                centre = primitive([sum(col) for col in zip(*rays)])
+                memo[rays] = [p + (centre,) for _, on in _facets(rays, rank) for p in cut(on)]
+        return memo[rays]
+
     cones = [fan.cone_geometry(c).rays for c in fan.maximal_cones()]
-    for face in sorted(bad, key=lambda f: (-f.dim(), f.rays)):
-        ray = primitive([sum(col) for col in zip(*face.rays)])
-        face_rays = set(face.rays)
-        starred = []
-        for rays in cones:
-            if not face_rays <= set(rays):
-                starred.append(rays)
-                continue
-            # one piece per facet missing the new ray: its rays plus the ray
-            for m, on in _facets(rays, fan.rank):
-                if dot(m, ray) > 0:
-                    starred.append(tuple(sorted(on + (ray,))))
-        cones = starred
-    return cones, bool(bad)
+    pieces = [tuple(sorted(p)) for rays in cones for p in cut(rays)]
+    return pieces, any(cut(rays) != [rays] for rays in cones)
 
 
 def derived_subdivision(fan: Fan) -> Fan:

@@ -93,7 +93,7 @@ class PluriForm:
             if type(value) is not int:
                 raise WeightError(f"{name} {value!r} is not an integer")
         for value in [doc["dlog"]] + [e["dlog"] for e in charts if "dlog" in e]:
-            if type(value) is not list:
+            if type(value) is not list or any(type(c) is not str for c in value):
                 raise WeightError(f"dlog {value!r} is not a list of component ids")
         if "charts" in doc:
             nums = {e["chart"]: LaurentRational.from_json_dict(e["numerator"])

@@ -4,10 +4,11 @@
 their span, by the vector of signed maximal minors; ``cone_faces``
 intersects a cone with every subset of its normals, lineality +- pairs
 included.  Both are exponential in the input size.  They check the double
-description, the adjugate duals and the facet closure of
-``logskel.polyhedra``.  ``parallelepiped_points`` solves for the
+description and the facet closure of ``logskel.polyhedra``.  ``parallelepiped_points`` solves for the
 coordinates of each bounding-box point in Fractions; it checks the class
 enumeration of the parallelepiped step of the Hilbert basis.
+``derived_pieces`` stars the whole cone list once per non-simplicial face;
+it checks the recursion over faces of the derived subdivision.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import itertools
 
 from lattice_oracle import det, rat_solve
 from logskel.lattice import identity, int_kernel_basis, primitive, span_snf, transpose
-from logskel.polyhedra import dot
+from logskel.polyhedra import _facets, dot
 
 
 def dual_rays(vectors, rank):
@@ -89,3 +90,25 @@ def parallelepiped_points(rays, rank):
         if t is not None and all(0 <= ti < 1 for ti in t):
             pts.append(tuple(coords))
     return pts
+
+
+def derived_pieces(fan):
+    """The maximal cones of the derived subdivision as ray tuples, and
+    whether any cone was starred: every current cone that holds the rays of
+    a non-simplicial face, largest dimension first, is replaced by the
+    cones over its facets that miss the face's barycentre ray."""
+    bad = [g for g in map(fan.cone_geometry, fan.cones) if len(g.rays) > 2 and not g.is_simplicial()]
+    cones = [fan.cone_geometry(c).rays for c in fan.maximal_cones()]
+    for face in sorted(bad, key=lambda f: (-f.dim(), f.rays)):
+        ray = primitive([sum(col) for col in zip(*face.rays)])
+        face_rays = set(face.rays)
+        starred = []
+        for rays in cones:
+            if not face_rays <= set(rays):
+                starred.append(rays)
+                continue
+            for m, on in _facets(rays, fan.rank):
+                if dot(m, ray) > 0:
+                    starred.append(tuple(sorted(on + (ray,))))
+        cones = starred
+    return cones, bool(bad)

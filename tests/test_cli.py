@@ -391,6 +391,43 @@ def test_sphere_check_argument_is_validation_error(flag, value, message):
     assert message in out.stderr and "Traceback" not in out.stderr
 
 
+def _a2_with(key, edit):
+    def write(tmp_path):
+        paths = {}
+        for kind, name in (("pair", "a2_pair.json"), ("form", "a2_form_z1.json"), ("complex", None)):
+            if name is None:
+                doc = {"vertices": [1, 2, 3], "facets": [[0, 1], [1, 2]]}
+            else:
+                with open(os.path.join(FIX, name)) as fh:
+                    doc = json.load(fh)
+            if kind == key:
+                edit(doc)
+            paths[kind] = tmp_path / f"{kind}.json"
+            paths[kind].write_text(json.dumps(doc))
+        return paths
+    return write
+
+
+@pytest.mark.parametrize("command,write,message", [
+    (["skeleton", "--pair", "{pair}"], _a2_with("pair", _set(["strata"], 1.5)),
+     "strata 1.5 is not a list of strata"),
+    (["skeleton", "--pair", "{pair}"], _a2_with("pair", _set(["strata", 1, 0], ["B1"])),
+     "stratum [['B1']] is not a list of component ids"),
+    (["ks", "--pair", "{pair}", "--form", "{form}"], _a2_with("form", _set(["dlog", 0], ["B1"])),
+     "dlog [['B1'], 'B2'] is not a list of component ids"),
+    (["homology", "--complex", "{complex}"], _a2_with("complex", _set(["vertices", 0], {"a": 1})),
+     "vertex label {'a': 1} is not a string, number or list of them"),
+], ids=["strata", "stratum-entry", "dlog-entry", "vertex-label"])
+def test_input_field_of_the_wrong_type_is_validation_error(tmp_path, command, write, message):
+    """Fields that once reached a set or a sort as lists, dicts or floats
+    and crashed with exit 1: each is refused where it is parsed."""
+    paths = write(tmp_path)
+    out = run_cli(*[arg.format(**paths) for arg in command])
+    assert out.returncode == 2
+    assert out.stdout == ""
+    assert out.stderr.strip().splitlines() == [f"validation error: {message}"]
+
+
 def test_unknown_stratum_is_validation_error(tmp_path):
     out = run_cli("residue",
                   "--pair", os.path.join(FIX, "strict_inclusion_pair.json"),

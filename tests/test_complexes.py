@@ -37,6 +37,7 @@ from logskel.complexes import (
     _monic_coefficients,
     _OrbitCells,
     _sl_link_and_action,
+    _sl_link_data,
     _sphere_images,
     _unique_rows,
 )
@@ -306,6 +307,19 @@ def test_unique_rows_matches_numpy_unique():
         assert np.array_equal(inverse, expect_inverse.ravel())
     distinct, inverse = _unique_rows(np.empty((0, 2), dtype=np.int32))
     assert distinct.shape == (0, 2) and inverse.shape == (0,)
+
+
+def test_unique_rows_orders_rows_that_tie_on_the_first_key():
+    """Rows of 0 and 2^k - 1 tie often on the columns of the first sort key,
+    so the later keys must order them; one key (k = 5, 12 columns) sorts by
+    one argsort, two and three keys by one lexsort."""
+    rng = np.random.default_rng(2103)
+    for bits, width in ((5, 12), (5, 20), (40, 3)):
+        rows = rng.integers(0, 2, size=(400, width), dtype=np.int64) * (2 ** bits - 1)
+        distinct, inverse = _unique_rows(rows)
+        expect, expect_inverse = np.unique(rows, axis=0, return_inverse=True)
+        assert np.array_equal(distinct, expect)
+        assert np.array_equal(inverse, expect_inverse.ravel())
 
 
 def test_bottom_up_engine_matches_oracle_on_rp2_joins():
@@ -800,6 +814,28 @@ def test_sl_2_is_circle():
 
 def test_sl_3_sphere_profile():
     assert character_variety_homology("sl", 3) == sphere_profile(3)
+
+
+def test_sl_link_cache_hands_out_fresh_objects():
+    """The link is computed once per n, but mutating the complex and the
+    generator dicts one call returns changes nothing a later call returns:
+    it equals a link computed afresh."""
+    link, gens = _sl_link_and_action(3)
+    ray = link.vertices[0]
+    link.vertices, link.facets = link.vertices[1:], link.facets[:1]
+    link._rows.clear()
+    link._labels.reverse()
+    gens[0][ray] = None
+    gens[1].clear()
+    gens.append({})
+    again, again_gens = _sl_link_and_action(3)
+    facets, pairs = _sl_link_data.__wrapped__(3)
+    fresh = SimplicialComplex.from_facets(facets)
+    assert again is not link and again.to_json_dict() == fresh.to_json_dict()
+    assert (again.vertices, again.facets, again._rows, again._labels) == (
+        fresh.vertices, fresh.facets, fresh._rows, fresh._labels)
+    assert again_gens == [dict(p) for p in pairs] and len(again_gens) == 2
+    assert homology(again) == sphere_profile(3)
 
 
 @pytest.mark.parametrize("n", [2, 3])

@@ -7,8 +7,11 @@ import pytest
 
 from logskel.complexes import HomologyProfile, SimplicialComplex, homology, link_complex, sphere_profile
 from logskel.lattice import adjugate, primitive, span_snf
+from logskel import polyhedra
 from logskel.polyhedra import (
     _class_group,
+    _derived_pieces,
+    _facets,
     _parallelepiped_points,
     _walls,
     Cone,
@@ -185,8 +188,9 @@ def test_dual_rays_match_subset_oracle():
 
 
 def test_dual_rays_of_square_independent_vectors_match_subset_oracle():
-    """The adjugate route against the subset-minor kernel: rank independent
-    vectors, ranks 1-8, entries in [-5, 5], some of them not primitive."""
+    """Double description with no rows past the first pass against the
+    subset-minor kernel: rank independent vectors, ranks 1-8, entries in
+    [-5, 5], some of them not primitive."""
     rng = random.Random(2001)
     done = collections.Counter()
     while sum(done.values()) < 400:
@@ -199,6 +203,28 @@ def test_dual_rays_of_square_independent_vectors_match_subset_oracle():
         assert len(got) == rank and all(sum(dot(m, v) > 0 for v in vectors) == 1 for m in got)
         done[rank] += 1
     assert min(done[r] for r in range(1, 9)) >= 30, done
+
+
+def test_dual_rays_of_spanning_vectors_match_subset_oracle(monkeypatch):
+    """Vectors that span Q^rank, more distinct ones than the rank, take the
+    double description straight in Z^rank, with no kernel basis and no span
+    coordinates: ranks 1-8, entries in [-3, 3], repeated and zero vectors
+    mixed in, against the subset-minor kernel."""
+    def span_route(*args):
+        raise AssertionError("span route taken")
+
+    monkeypatch.setattr(polyhedra, "int_kernel_basis", span_route)
+    monkeypatch.setattr(polyhedra, "span_snf", span_route)
+    rng = random.Random(2101)
+    done = collections.Counter()
+    while min(done[r] for r in range(1, 9)) < 30:
+        rank = rng.randint(1, 8)
+        vectors = [tuple(rng.randint(-3, 3) for _ in range(rank)) for _ in range(rank + rng.randint(1, 3))]
+        vectors += rng.choice(([], [(0,) * rank], [rng.choice(vectors)]))
+        if len({v for v in vectors if any(v)}) <= rank or len(span_snf(vectors)[1]) < rank:
+            continue
+        assert dual_rays(vectors, rank) == oracle.dual_rays(vectors, rank), (vectors, rank)
+        done[rank] += 1
 
 
 def test_independent_generators_are_their_double_dual():
@@ -618,6 +644,40 @@ def test_derived_subdivision_of_glued_pyramids():
     cones = {frozenset(c.rays) for c in maximal}
     for g in (lambda r: (r[0], r[1], -r[2], r[3]), lambda r: (-r[1], r[0], r[2], r[3])):
         assert {frozenset(map(g, c)) for c in cones} == cones
+
+
+def _face_fan(points, rank):
+    """The face fan of the polytope on ``points``, which holds the origin
+    inside: the cones over its facets, read off the facets of the cone over
+    the points at height 1."""
+    lifted = Cone.from_generators([p + (1,) for p in points], rank + 1)
+    cones = [[r[:-1] for r in on] for _, on in _facets(lifted.rays, rank + 1)]
+    rays = sorted({r for c in cones for r in c})
+    return Fan(rank, rays, [frozenset(map(rays.index, c)) for c in cones])
+
+
+def test_derived_pieces_match_the_starring_oracle():
+    """The recursion over faces against starring the whole cone list once
+    per non-simplicial face: the same pieces and the same starred flag on
+    the sl 3 and sl 4 kernel fans, the glued pyramids and seeded face fans
+    of polytopes with vertices in {-1, 0, 1}^rank, ranks 3 and 4, whose
+    square and cube faces are not simplicial."""
+    rng = random.Random(2102)
+    fans = [_sl_kernel_fan(3), _sl_kernel_fan(4), _glued_pyramids()]
+    for rank in (3, 4) * 6:
+        units = [tuple(s * (i == j) for j in range(rank)) for i in range(rank) for s in (1, -1)]
+        fans.append(_face_fan(units + [p for p in itertools.product((-1, 0, 1), repeat=rank)
+                                       if any(p) and rng.random() < 0.3], rank))
+    kinds = collections.Counter()
+    for fan in fans:
+        pieces, starred = _derived_pieces(fan)
+        expected, expected_starred = oracle.derived_pieces(fan)
+        assert len(pieces) == len(set(pieces)) and set(pieces) == set(expected)
+        assert starred == expected_starred
+        maximal = {fan.cone_geometry(c).rays for c in fan.maximal_cones()}
+        deep = any(not g.is_simplicial() and g.rays not in maximal for g in map(fan.cone_geometry, fan.cones))
+        kinds["deep" if deep else "starred" if starred else "simplicial"] += 1
+    assert kinds["deep"] >= 6 and kinds["starred"] >= 5 and kinds["simplicial"] >= 1, kinds
 
 
 def test_link_is_the_derived_fan_link():
