@@ -284,25 +284,35 @@ def barycentric_subdivision(k: SimplicialComplex) -> SimplicialComplex:
 # in row order.  Group elements act on the table as rank permutations: each
 # level's images are re-sorted and found with one row lookup per level
 # (``_perms``), and the proper faces of each simplex are the rows of its
-# column subsets (``_pairs``).  A cell is represented by
-# the member of its orbit whose top-first tuple (top, next, ..., bottom) is
-# least: its top t is the least simplex of the top's G-orbit, and the rest
-# is least under the stabilizer Stab(t).  Cells are numbered in that order,
-# kept per level as one sorted int64 array of keys (the top, then each
-# element's index among the faces of the one above, so key order is tuple
-# order).  ``_least`` is the one Stab(top) minimisation.  It tries only the
-# non-identity elements of Stab(t), read from tables built once per simplex
-# (``_stab_sizes[t]`` rows of ``_perms`` listed in ``_stab`` from
-# ``_stab_offsets[t]``), so a chain whose top has a trivial stabilizer is
-# only encoded.  It also drives the enumeration, by orderly generation (Read
-# 1978; McKay 1998): an element of Stab(t) that maps a chain lower maps every
-# extension lower, so a chain is a representative only if its prefix is, and
-# the level-(d+1) keys are the one-element extensions of the level-d keys
-# that ``_least`` leaves in place (it sees only those under a nontrivial
-# Stab(top)).  Extensions of sorted keys come out sorted.  Of the faces of a
-# representative, face 0 is its prefix, whose key is its own without the last
-# digit; faces 1..d-1 keep the top, already least, and go straight to
-# ``_least``; only face d moves its new top to the least of its orbit first.
+# column subsets (``_pairs``).  A cell is represented by the member of its
+# orbit whose top-first tuple (top, next, ..., bottom) of ids is least: its
+# top t is the least simplex of the top's G-orbit, and the rest is least
+# under the stabilizer Stab(t).  Cells are numbered in that order, kept per
+# level as one sorted int64 array of keys: the top, then each element's
+# index among the faces of the one above, so key order is tuple order.
+#
+# Below its top a chain is worked on as nested bit masks over t's sorted
+# vertex positions, t = m0 > m1 > ... > md.  Ids run by size and then by
+# rank row, so the faces of an element, in id order, are its position
+# subsets by size and then in combinations order, and a key digit is the
+# rank of m_j among the nonempty subsets of m_{j-1} in that order: one
+# (M x M) table lookup, M = 2^(dim+1), with its inverse and the compression
+# of a subset into its superset's positions as two more tables
+# (``_mask_tables``).  Stab(t) acts below t only by permuting t's positions,
+# and ``_moves`` takes each simplex to the least of its orbit by a map of
+# positions; each of these maps is one table over the masks of its simplex.
+# ``_least`` is the one Stab(top) minimisation: the least key over the
+# identity and the stabilizer's tables, so a chain whose top has a trivial
+# stabilizer is only encoded.  It also drives the enumeration, by orderly
+# generation (Read 1978; McKay 1998): an element of Stab(t) that maps a chain
+# lower maps every extension lower, so a chain is a representative only if
+# its prefix is, and the level-(d+1) keys are the one-element extensions of
+# the level-d keys that ``_least`` leaves in place (it sees only those under
+# a nontrivial Stab(top)).  Extensions of sorted keys come out sorted.  Of
+# the faces of a representative, face 0 is its prefix, whose key is its own
+# without the last digit; faces 1..d-1 keep the top, already least, and drop
+# one mask; only face d takes m1 as its new top, in whose positions the rest
+# is compressed, and moves it to the least of its orbit first.
 # --------------------------------------------------------------------------
 
 def _chain_radices(simplices: int, dim: int):
@@ -312,6 +322,49 @@ def _chain_radices(simplices: int, dim: int):
     if simplices * max(simplices, math.prod(radices)) > 2 ** 63:  # chain and face-table keys
         raise ComplexError(f"packed orbit-cell keys overflow int64 ({simplices} simplices, dim {dim})")
     return radices
+
+
+def _mask_tables(width):
+    """(digit, subset, compress) over the masks of ``width`` positions, each
+    indexed by (superset p, subset m) in the narrowest unsigned dtype.
+    digit[p, m] is the rank of m among the nonempty subsets of p by size and
+    then in combinations order (of equal-size sets, the one whose reversed
+    bit string is larger comes first), so digit[p, p] counts the proper ones;
+    subset[p, i] is the subset of rank i; compress[p, m] is m in p's
+    positions, the subset of that rank of the first popcount(p) positions."""
+    masks = np.arange(1 << width)
+    bits = (masks[:, None] >> np.arange(width)) & 1
+    order = np.lexsort((-(bits @ (1 << np.arange(width)[::-1])), bits.sum(axis=1)))[1:]
+    inside = (masks[:, None] & order) == order  # [p, i]: order[i] is a subset of p
+    digit = np.zeros((len(masks), len(masks)), dtype=np.min_scalar_type(masks[-1]))
+    subset = np.zeros_like(digit)
+    digit[:, order] = np.cumsum(inside, axis=1) - inside
+    p, i = np.nonzero(inside)
+    subset[p, digit[p, order[i]]] = order[i]
+    compress = subset[((1 << bits.sum(axis=1)) - 1)[:, None], digit]
+    return digit, subset, compress
+
+
+def _position_maps(rows, starts, moved, sims, elements, images):
+    """One mask table per (simplex, group element) row, concatenated in row
+    order (rows sorted by simplex id): row r's 2^k entries map each mask over
+    the k sorted vertex positions of simplex sims[r] to the mask of the
+    positions of their images under elements[r] in simplex images[r]."""
+    tables = []
+    for d, level in enumerate(rows):
+        lo, hi = np.searchsorted(sims, starts[d:d + 2])
+        image = moved[elements[lo:hi, None], level[sims[lo:hi] - starts[d]]]
+        target = level[images[lo:hi] - starts[d]]
+        positions = (target[:, None, :] < image[:, :, None]).sum(axis=2)
+        masks = np.arange(1 << (d + 1))
+        tables.append(sum((masks >> i & 1) << positions[:, i, None] for i in range(d + 1)).ravel())
+    return np.concatenate(tables).astype(np.min_scalar_type((1 << len(rows)) - 1))
+
+
+def _at(table, p, m):
+    """table[p, m] of a square mask table, as one flat gather (a third of the
+    time of numpy's two-array index)."""
+    return table.ravel()[np.multiply(p, len(table), dtype=np.intp) + m]
 
 
 class _OrbitCells:
@@ -347,52 +400,86 @@ class _OrbitCells:
             pairs.append((np.arange(starts[d], starts[d + 1])[:, None] * n + np.hstack(faces)).ravel())
         self._pairs = np.concatenate(pairs)
         self._offsets = np.searchsorted(self._pairs, np.arange(n + 1) * n)
-        self.keys = [np.flatnonzero(self._perms.min(axis=0) == np.arange(n))]
+        # mask tables: simplex s's 2^|s| entries (its move, to the least of its
+        # orbit) start at _mask_starts[s]; row r of _stab's start at _stab_starts[r]
+        self._digit, self._subset, self._compress = _mask_tables(self.dim + 1)
+        widths = 1 << np.repeat(np.arange(1, len(rows) + 1), np.diff(starts))
+        self._mask_starts = np.concatenate([[0], np.cumsum(widths)])
+        ids = np.arange(n)
+        self._move_masks = _position_maps(rows, starts, moved, ids, self._moves, self._perms[self._moves, ids])
+        self._stab_masks = _position_maps(rows, starts, moved, tops, self._stab, tops)
+        self._stab_starts = np.cumsum(widths[tops]) - widths[tops]
+        self.keys = [np.flatnonzero(self._perms.min(axis=0) == ids)]
         for d in range(self.dim):
             level = []
             for lo in range(0, len(self.keys[d]), _FACE_BLOCK):
                 parents = self.keys[d][lo:lo + _FACE_BLOCK]
-                chains = self.chains(d, parents)
-                counts = self._offsets[chains[:, -1] + 1] - self._offsets[chains[:, -1]]
+                tops, masks = self._masks(d, parents)
+                last = masks[-1] if d else self._full(tops)
+                counts = _at(self._digit, last, last).astype(np.intp)  # the last element's proper subsets
                 first = parents * self._radices[d] - np.cumsum(counts) + counts  # minus its slot
                 children = np.repeat(first, counts) + np.arange(counts.sum())
                 keep = np.ones(len(children), dtype=bool)
-                search = np.flatnonzero(np.repeat(self._stab_sizes[chains[:, 0]], counts))
-                keep[search] = self._least(self.chains(d + 1, children[search])) == children[search]
+                search = np.flatnonzero(np.repeat(self._stab_sizes[tops], counts))
+                owner = np.repeat(np.arange(len(parents)), counts)[search]
+                below = _at(self._subset, last[owner], children[search] % self._radices[d])
+                keep[search] = self._least(tops[owner], np.vstack([masks[:, owner], below])) == children[search]
                 level.append(children[keep])
             self.keys.append(np.concatenate(level))
 
     def cell_counts(self):
         return [len(keys) for keys in self.keys]
 
-    def chains(self, d, keys):
-        """Top-first chains (rows) of packed level-d keys."""
-        digits = []
-        for radix in reversed(self._radices[:d]):
-            keys, digit = np.divmod(keys, radix)
-            digits.append(digit)
-        rows = [keys]
-        for digit in reversed(digits):
-            rows.append(self._pairs[self._offsets[rows[-1]] + digit] - rows[-1] * self._moves.size)
-        return np.stack(rows, axis=1)
+    def _full(self, tops):
+        """The mask of all of each top's positions."""
+        return self._mask_starts[tops + 1] - self._mask_starts[tops] - 1
 
-    def _least(self, chains):
-        """The least packed key over the images of top-first chains (rows)
-        under the stabilizer of their top, itself the least of its orbit."""
-        best = chains.copy()  # key order is tuple order: keep the least image, then encode it
-        sizes, starts = self._stab_sizes[chains[:, 0]], self._stab_offsets[chains[:, 0]]
-        hit = np.arange(len(chains))
-        for j in range(sizes.max(initial=0)):
-            hit = hit[sizes[hit] > j]  # rows whose top has a j-th non-identity stabilizer element
-            image, held = self._perms[self._stab[starts[hit] + j, None], chains[hit]], best[hit]
-            first = (image != held).argmax(axis=1)  # 0 where they are equal
-            lower = np.take_along_axis(image < held, first[:, None], axis=1)[:, 0]
-            best[hit[lower]] = image[lower]
-        key = best[:, 0]
-        for j in range(1, best.shape[1]):
-            up = best[:, j - 1]
-            face = np.searchsorted(self._pairs, up * self._moves.size + best[:, j])
-            key = key * self._radices[j - 1] + face - self._offsets[up]
+    def _ids(self, tops, masks):
+        """Simplex ids of proper subsets (masks) of tops."""
+        return self._pairs[self._offsets[tops] + _at(self._digit, self._full(tops), masks)] - tops * self._moves.size
+
+    def _masks(self, d, keys):
+        """Tops and top-relative masks of packed level-d keys; masks[j] holds
+        chain element j + 1's, top-first."""
+        masks = np.empty((d, len(keys)), dtype=self._subset.dtype)
+        for j in range(d - 1, -1, -1):
+            keys, masks[j] = np.divmod(keys, self._radices[j])  # the digits first
+        above = self._full(keys)
+        for mask in masks:
+            above = mask[:] = _at(self._subset, above, mask)
+        return keys, masks
+
+    def chains(self, d, keys):
+        """Top-first chains of simplex ids (rows) of packed level-d keys."""
+        tops, masks = self._masks(d, keys)
+        return np.vstack([tops, self._ids(tops, masks)]).T
+
+    def _encode(self, tops, full, masks):
+        """Packed keys of chains (tops, their full masks, masks as from _masks)."""
+        key, above = tops.astype(np.int64), full
+        for radix, mask in zip(self._radices, masks):
+            key *= radix
+            key += _at(self._digit, above, mask)
+            above = mask
+        return key
+
+    def _least(self, tops, masks):
+        """The least packed key over the images of chains (tops, with masks
+        as from _masks) under the stabilizer of their top, itself the least
+        of its orbit."""
+        full = self._full(tops)
+        key = self._encode(tops, full, masks)  # key order is tuple order
+        # rows under a nontrivial stabilizer, largest first: the rows whose top
+        # has a j-th non-identity element are the first hits[j]
+        sizes = self._stab_sizes[tops]
+        rows = np.argsort(-sizes)[:np.count_nonzero(sizes)]
+        hits = len(tops) - np.cumsum(np.bincount(sizes))[:-1]
+        tops, full, masks, best = tops[rows], full[rows], masks[:, rows], key[rows]
+        starts = self._stab_offsets[tops]
+        for j, hit in enumerate(hits):
+            image = self._stab_masks[self._stab_starts[starts[:hit] + j] + masks[:, :hit]]
+            np.minimum(best[:hit], self._encode(tops[:hit], full[:hit], image), out=best[:hit])
+        key[rows] = best
         return key
 
     def faces(self, d):
@@ -403,13 +490,15 @@ class _OrbitCells:
         keys, out = self.keys[d], np.empty((len(self.keys[d]), d + 1), dtype=np.int32)
         for lo in range(0, len(keys), _FACE_BLOCK):
             block = keys[lo:lo + _FACE_BLOCK]
-            chains = self.chains(d, block)
-            rest = chains[:, 1:]  # face d
-            kept = [np.delete(chains, d - i, axis=1) for i in range(1, d)]
-            least = self._least(np.concatenate(kept + [self._perms[self._moves[rest[:, :1]], rest]]))
+            tops, masks = self._masks(d, block)
+            kept = [np.delete(masks, d - 1 - i, axis=0) for i in range(1, d)]
+            second = self._ids(tops, masks[0])  # face d's top, moved to the least of its orbit
+            rest = self._move_masks[self._mask_starts[second] + _at(self._compress, masks[0], masks[1:])]
+            least = self._least(np.concatenate([np.tile(tops, d - 1), self._perms[self._moves[second], second]]),
+                                np.hstack(kept + [rest]))
             prefix = block // self._radices[d - 1]  # face 0
             cells = np.searchsorted(self.keys[d - 1], np.concatenate([prefix, least]))
-            out[lo:lo + _FACE_BLOCK] = cells.reshape(d + 1, len(chains)).T
+            out[lo:lo + _FACE_BLOCK] = cells.reshape(d + 1, len(block)).T
         return out
 
     def orbit_space_complex(self) -> SimplicialComplex:

@@ -180,9 +180,12 @@ def _facets(rays, rank):
 @lru_cache(maxsize=None)
 def _faces(rays, rank):
     """Ray tuples of the faces of the cone on the sorted ``rays``, by size
-    then rays: the closure of the cone under intersection with its facets,
-    one facet at a time.  The least face is the lineality space, so () is a
-    face exactly when the cone is pointed."""
+    then rays: every subset of independent rays, otherwise the closure of
+    the cone under intersection with its facets, one facet at a time.  The
+    least face is the lineality space, so () is a face exactly when the cone
+    is pointed."""
+    if len(_gauss_jordan(rays, rank)[1]) == len(rays):
+        return tuple(f for size in range(len(rays) + 1) for f in itertools.combinations(rays, size))
     walls = [sum(1 << i for i, r in enumerate(rays) if r in on) for _, on in _facets(rays, rank)]
     faces = {(1 << len(rays)) - 1}
     for w in walls:
@@ -474,15 +477,6 @@ def _derived_pieces(fan: Fan):
     cones = [fan.cone_geometry(c).rays for c in fan.maximal_cones()]
     pieces = [tuple(sorted(p)) for rays in cones for p in cut(rays)]
     return pieces, any(cut(rays) != [rays] for rays in cones)
-
-
-def derived_subdivision(fan: Fan) -> Fan:
-    """Simplicial refinement with the same support, which commutes with every
-    lattice automorphism of the fan.  A simplicial fan is returned as it is."""
-    pieces, starred = _derived_pieces(fan)
-    if not starred:
-        return fan
-    return Fan.from_cones([Cone(rays=c, rank=fan.rank) for c in pieces], fan.rank)
 
 
 def intersect_fan_subspace(fan: Fan, basis) -> Fan:

@@ -9,6 +9,8 @@ coordinates of each bounding-box point in Fractions; it checks the class
 enumeration of the parallelepiped step of the Hilbert basis.
 ``derived_pieces`` stars the whole cone list once per non-simplicial face;
 it checks the recursion over faces of the derived subdivision.
+``derived_subdivision`` builds the subdivided fan from the library's pieces:
+the library needs only the pieces (``link_complex``), the tests the fan.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import itertools
 
 from lattice_oracle import det, rat_solve
 from logskel.lattice import identity, int_kernel_basis, primitive, span_snf, transpose
-from logskel.polyhedra import _facets, dot
+from logskel.polyhedra import Cone, Fan, _derived_pieces, _facets, dot
 
 
 def dual_rays(vectors, rank):
@@ -112,3 +114,12 @@ def derived_pieces(fan):
                     starred.append(tuple(sorted(on + (ray,))))
         cones = starred
     return cones, bool(bad)
+
+
+def derived_subdivision(fan):
+    """Simplicial refinement with the same support, which commutes with every
+    lattice automorphism of the fan.  A simplicial fan is returned as it is."""
+    pieces, starred = _derived_pieces(fan)
+    if not starred:
+        return fan
+    return Fan.from_cones([Cone(rays=c, rank=fan.rank) for c in pieces], fan.rank)

@@ -43,10 +43,11 @@ from logskel.complexes import (
 )
 from logskel import complexes
 from logskel.logstructure import kato_fan_toric, product
-from logskel.polyhedra import Cone, Fan, derived_subdivision, fan_p1xp1, fan_p2, maximal_sets, primitive
+from logskel.polyhedra import Cone, Fan, fan_p1xp1, fan_p2, maximal_sets, primitive
 import homology_oracle
 from lattice_oracle import rat_solve
 from orbit_oracle import OrbitCellsOracle
+from polyhedra_oracle import derived_subdivision
 from sphere_oracle import all_close_pairs, sphere_check_oracle
 
 
@@ -666,6 +667,58 @@ def test_stabilizer_tables_match_brute_force(case):
 
 
 @pytest.mark.parametrize("case", sorted(ORBIT_CASES))
+def test_mask_tables_match_face_pairs_and_group_images(case):
+    # masks over a simplex's vertices, bit i its i-th vertex by rank: each
+    # digit is the face's index among the proper faces in _pairs, subset
+    # inverts digit, compress renumbers into the superset's vertices, and
+    # the stabilizer and move tables are the images of the vertex sets
+    k, gens = ORBIT_CASES[case]()
+    action = GroupAction(k, gens)
+    cells = _OrbitCells(k, action)
+    sims, stabs = _stabilizers(k, action)
+    ids = {frozenset(s): i for i, s in enumerate(sims)}
+    rank = {v: i for i, v in enumerate(sorted(k.vertices, key=lambda v: (str(v), repr(v))))}
+    digit, subset, compress = cells._digit, cells._subset, cells._compress
+    assert digit.shape == subset.shape == compress.shape == (2 ** (cells.dim + 1),) * 2
+
+    def mask_over(verts, vs):
+        return sum(1 << verts.index(v) for v in vs)
+
+    def faces_of(s):  # proper faces in id order, as _pairs lists them
+        return sorted((ids[frozenset(f)] for size in range(1, len(s)) for f in itertools.combinations(s, size)))
+
+    stab_rows = iter(range(len(cells._stab)))
+    for t, s in enumerate(sims):
+        verts = sorted(s, key=rank.__getitem__)
+        segment = cells._pairs[cells._offsets[t]:cells._offsets[t + 1]] - t * len(sims)
+        assert segment.tolist() == faces_of(s)
+        for p in range(1, 1 << len(verts)):
+            upper = [v for i, v in enumerate(verts) if p >> i & 1]
+            below = faces_of(upper)
+            for m in range(1, p):
+                if m & p == m:
+                    lower = [v for i, v in enumerate(verts) if m >> i & 1]
+                    assert below[digit[p, m]] == ids[frozenset(lower)]
+                    assert subset[p, digit[p, m]] == m
+                    assert compress[p, m] == mask_over(upper, lower)
+            assert digit[p, p] == len(below)
+        g = action.elements[cells._moves[t]]
+        image = sims[cells._perms[cells._moves[t], t]]
+        assert set(map(g.__getitem__, s)) == set(image)
+        table = cells._move_masks[cells._mask_starts[t]:cells._mask_starts[t + 1]]
+        image = sorted(image, key=rank.__getitem__)
+        assert table.tolist() == [mask_over(image, [g[v] for i, v in enumerate(verts) if m >> i & 1])
+                                  for m in range(1 << len(verts))]
+        for e in stabs[t]:
+            r = next(stab_rows)
+            table = cells._stab_masks[cells._stab_starts[r]:cells._stab_starts[r] + (1 << len(verts))]
+            assert table.tolist() == [mask_over(verts, [action.elements[e][v] for i, v in enumerate(verts)
+                                                        if m >> i & 1]) for m in range(1 << len(verts))]
+    assert next(stab_rows, None) is None
+    assert len(cells._stab_masks) == sum(2 ** len(s) * len(stab) for s, stab in zip(sims, stabs))
+
+
+@pytest.mark.parametrize("case", sorted(ORBIT_CASES))
 def test_least_matches_brute_force_minimum_over_the_whole_group(case):
     # random top-first chains under least-of-orbit tops, half of them under a
     # top with the largest stabilizer; gl3 has simplices fixed by all of G
@@ -688,8 +741,13 @@ def test_least_matches_brute_force_minimum_over_the_whole_group(case):
             below = rng.sample(below, size)
             chain.append(below)
         by_length.setdefault(len(chain), []).append([ids[frozenset(s)] for s in chain])
+    rank = {v: i for i, v in enumerate(sorted(k.vertices, key=lambda v: (str(v), repr(v))))}
     for length, rows in by_length.items():
-        least = cells.chains(length - 1, cells._least(np.array(rows)))
+        # each chain below its top as masks: bit i is the top's i-th vertex by rank
+        where = [{v: i for i, v in enumerate(sorted(sims[row[0]], key=rank.__getitem__))} for row in rows]
+        masks = [[sum(1 << at[v] for v in sims[c]) for c in row[1:]] for row, at in zip(rows, where)]
+        least = cells.chains(length - 1, cells._least(
+            np.array([row[0] for row in rows]), np.array(masks, dtype=np.intp).reshape(len(rows), length - 1).T))
         expect = [min(tuple(ids[frozenset(map(g.__getitem__, sims[c]))] for c in row)
                       for g in action.elements) for row in rows]
         assert [tuple(row) for row in least.tolist()] == expect

@@ -21,7 +21,6 @@ from logskel.polyhedra import (
     FanError,
     compactified_fan_strata,
     cone_faces,
-    derived_subdivision,
     dual_cone,
     dual_rays,
     dot,
@@ -35,6 +34,7 @@ from logskel.polyhedra import (
     star_fan,
 )
 import polyhedra_oracle as oracle
+from polyhedra_oracle import derived_subdivision
 
 
 # -- dual cone -------------------------------------------------------------
