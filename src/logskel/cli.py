@@ -18,6 +18,7 @@ from .complexes import (
     ComplexError,
     SimplicialComplex,
     character_variety_homology,
+    check_sphere_tolerance,
     homology,
     link_complex,
     sphere_quotient_map_check,
@@ -43,6 +44,11 @@ from .weights import (
     slice_dvf,
     weight,
 )
+
+# sphere-check bound, checked before sampling: samples x n entries of about
+# 130 bytes each at peak, and n products of n-term polynomials per sample, so
+# samples x n x max(n, 4) bounds both (10^6 samples at n = 3: 1.2 * 10^7)
+SPHERE_CHECK_STEPS = 1 << 24
 
 VALIDATION_ERRORS = (LogStructureError, FanError, ValuationError, WeightError,
                      ComplexError, KeyError, ValueError, json.JSONDecodeError)
@@ -273,6 +279,11 @@ def cmd_sphere_check(args):
     for flag, value in (("--n", args.n), ("--samples", args.samples), ("--tolerance", args.tolerance)):
         if not value > 0:  # also rejects a NaN tolerance
             raise SystemExitWithCode(2, f"{flag} must be positive")
+    check_sphere_tolerance(args.n, args.tolerance)
+    steps = args.samples * args.n * max(args.n, 4)
+    if steps > SPHERE_CHECK_STEPS:
+        raise SystemExitWithCode(2, f"--samples x --n x max(--n, 4) = {steps} is over the desk-scale "
+                                    f"{SPHERE_CHECK_STEPS}")
     rng = np.random.default_rng(args.seed)
     z = rng.normal(size=(args.samples, args.n)) + 1j * rng.normal(size=(args.samples, args.n))
     z = z / np.linalg.norm(z, axis=1, keepdims=True)

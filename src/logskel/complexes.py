@@ -31,6 +31,7 @@ from .polyhedra import (
 )
 
 _FACE_BLOCK = 1 << 12  # chains per block in _OrbitCells; bounds its peak memory
+_GATHER_BLOCK = 1 << 14  # entries per chunk of the homology peel's gathers; bounds their index copies
 _MAX_GROUP_ORDER = 20_000  # group closure bound
 _MAX_FACETS = 2_000_000  # orbit-space triangulation bound, in (d+1)! flags per maximal d-cell
 _MAX_SIMPLICES = 1 << 20  # simplex enumeration bound, sum of 2^|f| - 1 over facets f
@@ -405,6 +406,7 @@ class _OrbitCells:
         self._digit, self._subset, self._compress = _mask_tables(self.dim + 1)
         widths = 1 << np.repeat(np.arange(1, len(rows) + 1), np.diff(starts))
         self._mask_starts = np.concatenate([[0], np.cumsum(widths)])
+        self._full = (widths - 1).astype(self._subset.dtype)  # the mask of all of each simplex's positions
         ids = np.arange(n)
         self._move_masks = _position_maps(rows, starts, moved, ids, self._moves, self._perms[self._moves, ids])
         self._stab_masks = _position_maps(rows, starts, moved, tops, self._stab, tops)
@@ -415,7 +417,7 @@ class _OrbitCells:
             for lo in range(0, len(self.keys[d]), _FACE_BLOCK):
                 parents = self.keys[d][lo:lo + _FACE_BLOCK]
                 tops, masks = self._masks(d, parents)
-                last = masks[-1] if d else self._full(tops)
+                last = masks[-1] if d else self._full[tops]
                 counts = _at(self._digit, last, last).astype(np.intp)  # the last element's proper subsets
                 first = parents * self._radices[d] - np.cumsum(counts) + counts  # minus its slot
                 children = np.repeat(first, counts) + np.arange(counts.sum())
@@ -430,13 +432,9 @@ class _OrbitCells:
     def cell_counts(self):
         return [len(keys) for keys in self.keys]
 
-    def _full(self, tops):
-        """The mask of all of each top's positions."""
-        return self._mask_starts[tops + 1] - self._mask_starts[tops] - 1
-
     def _ids(self, tops, masks):
         """Simplex ids of proper subsets (masks) of tops."""
-        return self._pairs[self._offsets[tops] + _at(self._digit, self._full(tops), masks)] - tops * self._moves.size
+        return self._pairs[self._offsets[tops] + _at(self._digit, self._full[tops], masks)] - tops * self._moves.size
 
     def _masks(self, d, keys):
         """Tops and top-relative masks of packed level-d keys; masks[j] holds
@@ -444,7 +442,7 @@ class _OrbitCells:
         masks = np.empty((d, len(keys)), dtype=self._subset.dtype)
         for j in range(d - 1, -1, -1):
             keys, masks[j] = np.divmod(keys, self._radices[j])  # the digits first
-        above = self._full(keys)
+        above = self._full[keys]
         for mask in masks:
             above = mask[:] = _at(self._subset, above, mask)
         return keys, masks
@@ -467,17 +465,17 @@ class _OrbitCells:
         """The least packed key over the images of chains (tops, with masks
         as from _masks) under the stabilizer of their top, itself the least
         of its orbit."""
-        full = self._full(tops)
+        full = self._full[tops]
         key = self._encode(tops, full, masks)  # key order is tuple order
         # rows under a nontrivial stabilizer, largest first: the rows whose top
         # has a j-th non-identity element are the first hits[j]
         sizes = self._stab_sizes[tops]
         rows = np.argsort(-sizes)[:np.count_nonzero(sizes)]
         hits = len(tops) - np.cumsum(np.bincount(sizes))[:-1]
-        tops, full, masks, best = tops[rows], full[rows], masks[:, rows], key[rows]
+        tops, full, masks, best = tops.take(rows), full.take(rows), masks.take(rows, axis=1), key.take(rows)
         starts = self._stab_offsets[tops]
         for j, hit in enumerate(hits):
-            image = self._stab_masks[self._stab_starts[starts[:hit] + j] + masks[:, :hit]]
+            image = self._stab_masks.take(self._stab_starts.take(starts[:hit] + j) + masks[:, :hit])
             np.minimum(best[:hit], self._encode(tops[:hit], full[:hit], image), out=best[:hit])
         key[rows] = best
         return key
@@ -648,24 +646,7 @@ def _homology_from_boundaries(counts, faces):
             cleared = _spanning_forest(counts[0], cells)
             ranks[1] = int(np.count_nonzero(cleared))
             continue
-        rows, face = cells.ravel(), np.tile(np.arange(d + 1, dtype=np.int8), counts[d])
-        cols = np.repeat(np.arange(counts[d], dtype=np.int32), d + 1)
-        dead, before = np.zeros(counts[d], dtype=bool), np.inf  # dead: the d-cells to clear
-        while True:
-            live = ~(cleared[rows] | dead[cols])
-            rows, cols, face = rows[live], cols[live], face[live]
-            if 16 * len(rows) >= 15 * before:  # under 1/16 peeled; a round costs O(live + cells)
-                break
-            single = (np.bincount(rows, minlength=counts[d - 1])[rows] == 1) | \
-                (np.bincount(cols, minlength=counts[d])[cols] == 1)
-            pr, pc, before = rows[single], cols[single], len(rows)
-            for side, n in ((0, counts[d - 1]), (1, counts[d])):  # distinct rows, then columns
-                slot, at = np.empty(n, dtype=np.intp), np.arange(len(pr))
-                slot[(pr, pc)[side]] = at
-                keep = slot[(pr, pc)[side]] == at  # one entry per line, the last written
-                pr, pc = pr[keep], pc[keep]
-            cleared[pr], dead[pc] = True, True
-            ranks[d] += len(pr)
+        dead, ranks[d], rows, cols, face = _peel(cells, cleared)
         if len(rows):
             cobound = {}
             for r, c, i in zip(rows.tolist(), cols.tolist(), face.tolist()):
@@ -677,6 +658,71 @@ def _homology_from_boundaries(counts, faces):
         cleared = dead
     return HomologyProfile([(counts[d] - ranks[d] - ranks[d + 1], torsion[d + 1])
                             for d in range(dims)])
+
+
+def _peel(cells, cleared):
+    """The unit-pivot peel of boundary_d, d >= 2, from its face array (shape
+    (d-cells, d + 1)) and ``cleared``, the mask of (d-1)-cells already pivot
+    rows below, which it extends with this degree's pivot rows.  Returns the
+    mask of pivot columns (d-cells), their count, and the (row, col, face)
+    entries left live, in entry order.
+
+    Every gather from a cell-indexed table and every compaction is a
+    ``take`` over chunks of _GATHER_BLOCK entries into a preallocated output.
+    ``take`` gathers faster than an index array does, but by an int32 index
+    it first copies the whole index to intp; and a boolean mask about half
+    dense costs several times flatnonzero plus take.  Row degrees are counted
+    by ``np.add.at`` over the same chunks (``np.bincount`` would copy the rows
+    to intp), and column degrees read off runs of the sorted columns.
+    """
+    d = cells.shape[1] - 1
+    rows, face = cells.ravel(), np.tile(np.arange(d + 1, dtype=np.int8), len(cells))
+    cols = np.repeat(np.arange(len(cells), dtype=np.int32), d + 1)
+    dead, rank, before = np.zeros(len(cells), dtype=bool), 0, np.inf  # dead: the d-cells to clear
+    # allocated once: the live entries (each round compacts them in place), the
+    # unit pivot candidates, and a table over rows, of live degrees and then slots
+    out, pivots = [np.empty_like(a) for a in (rows, cols, face)], [np.empty_like(rows), np.empty_like(cols)]
+    table = np.empty(len(cleared), dtype=np.intp)
+    while True:
+        rows, cols, face = out = _select(lambda s: ~(cleared.take(rows[s]) | dead.take(cols[s])),
+                                         (rows, cols, face), out)
+        if 16 * len(rows) >= 15 * before:  # under 1/16 peeled; a round costs O(live + cells)
+            break
+        table[:] = 0
+        for lo in range(0, len(rows), _GATHER_BLOCK):
+            np.add.at(table, rows[lo:lo + _GATHER_BLOCK], 1)
+        # cols stays sorted, so each column's live entries are one run: a run
+        # of one is a unit pivot, and a run's last entry is its last written
+        run = np.ones(len(cols) + 1, dtype=bool)
+        np.not_equal(cols[1:], cols[:-1], out=run[1:-1])  # run[i]: a run starts at i, or i = len
+        pr, pc = _select(lambda s: (table.take(rows[s]) == 1) | (run[:-1][s] & run[1:][s]),
+                         (rows, cols), pivots)
+        before, at = len(rows), np.arange(len(pr))
+        table[pr] = at
+        # one entry per row, the last written; then per column, the last of its
+        # run (pc keeps its repeats, which mark the same columns dead)
+        pr, pc = _select(lambda s: table.take(pr[s]) == at[s], (pr, pc), (pr, pc))
+        last = np.ones(len(pc), dtype=bool)
+        np.not_equal(pc[1:], pc[:-1], out=last[:-1])
+        pr = pr.take(last.nonzero()[0])
+        cleared[pr], dead[pc] = True, True
+        rank += len(pr)
+    return dead, rank, rows.copy(), cols.copy(), face.copy()  # not views of the full-size buffers
+
+
+def _select(keep, arrays, out):
+    """The entries of equal-length ``arrays`` where ``keep(s)``, a bool array
+    over the chunk s of them, holds, written in order to the front of ``out``
+    and returned as views.  ``out`` may be ``arrays`` themselves: a chunk's
+    entries are taken before they are written, never past the chunk."""
+    n = 0
+    for lo in range(0, len(arrays[0]), _GATHER_BLOCK):
+        s = slice(lo, lo + _GATHER_BLOCK)
+        at = keep(s).nonzero()[0]
+        for a, o in zip(arrays, out):
+            o[n:n + len(at)] = a[s].take(at)
+        n += len(at)
+    return [o[:n] for o in out]
 
 
 def _spanning_forest(vertices, edges):
@@ -866,10 +912,14 @@ def sphere_quotient_map_check(n: int, samples, tolerance: float = 1e-9):
     entry is the coefficient of the degree-(n-j) term of prod (w - z_i),
     with the modulus replaced by its j-th root.  Checks: permutation orbits
     collapse, sampled distinct orbits stay distinct, images are unit vectors.
+
+    The tolerance is also the degeneracy threshold of the map, so it must
+    pass ``check_sphere_tolerance``.
     """
     pts = np.asarray(samples, dtype=complex)
     if pts.ndim != 2 or pts.shape[1] != n or len(pts) == 0:
         raise ValueError("samples must be a nonempty (N, n) complex array")
+    check_sphere_tolerance(n, tolerance)
     if not np.all(np.abs(np.linalg.norm(pts, axis=1) - 1.0) <= tolerance):  # NaN fails too
         raise ValueError("sample points must lie on the unit sphere")
     images = _sphere_images(pts, tolerance)
@@ -893,6 +943,19 @@ def sphere_quotient_map_check(n: int, samples, tolerance: float = 1e-9):
         "passed": orbit_failures == 0 and injectivity_failures == 0 and unit_failures == 0,
         "tolerance": tolerance,
     }
+
+
+def check_sphere_tolerance(n: int, tolerance: float):
+    """Refuses (ValueError) a sphere-check tolerance not below 1/(1 + 2 sqrt(n)).
+
+    Below it no sample trips the degeneracy threshold: every root of a monic
+    polynomial has modulus at most 2 max_j |c_j|^(1/j) (Fujiwara 1916), and a
+    sample within the tolerance of the unit sphere has an entry of modulus at
+    least (1 - tolerance)/sqrt(n), so its image has norm above the tolerance.
+    """
+    if not tolerance * (1 + 2 * math.sqrt(n)) < 1:  # NaN and inf fail too
+        raise ValueError(f"tolerance {tolerance} is not below 1/(1 + 2 sqrt(n)) = "
+                         f"{1 / (1 + 2 * math.sqrt(n)):.4g} at n = {n}")
 
 
 def tate_strata(n: int, alpha):

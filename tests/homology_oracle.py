@@ -7,9 +7,13 @@ column and hands every degree whole to ``SparseIntMatrix``: tests only.
 It lists simplices with ``simplices_by_dim``, a set of
 ``itertools.combinations`` per dimension, independent of the simplex table
 of ``SimplicialComplex``; the other oracles list them the same way.
+``peel`` keeps the engine's unit-pivot peel as it was before its gathers
+and compactions went chunked.
 """
 
 import itertools
+
+import numpy as np
 
 from logskel.complexes import HomologyProfile
 from logskel.lattice import SparseIntMatrix
@@ -81,3 +85,30 @@ def homology_of_faces(counts, faces):
                 for j, cell in enumerate(faces(d).tolist()) if j not in skip]
 
     return homology_from_boundaries(counts, boundary)
+
+
+def peel(cells, cleared):
+    """The unit-pivot peel of ``logskel.complexes._peel`` with boolean-mask
+    compaction and whole-array gathers, as the engine ran it before its
+    gathers went chunked: same arguments, same ``cleared`` update, same
+    (dead, rank, rows, cols, face) result."""
+    d = cells.shape[1] - 1
+    rows, face = cells.ravel(), np.tile(np.arange(d + 1, dtype=np.int8), len(cells))
+    cols = np.repeat(np.arange(len(cells), dtype=np.int32), d + 1)
+    dead, rank, before = np.zeros(len(cells), dtype=bool), 0, np.inf
+    while True:
+        live = ~(cleared[rows] | dead[cols])
+        rows, cols, face = rows[live], cols[live], face[live]
+        if 16 * len(rows) >= 15 * before:
+            break
+        single = (np.bincount(rows, minlength=len(cleared))[rows] == 1) | \
+            (np.bincount(cols, minlength=len(cells))[cols] == 1)
+        pr, pc, before = rows[single], cols[single], len(rows)
+        for side, n in ((0, len(cleared)), (1, len(cells))):  # distinct rows, then columns
+            slot, at = np.empty(n, dtype=np.intp), np.arange(len(pr))
+            slot[(pr, pc)[side]] = at
+            keep = slot[(pr, pc)[side]] == at  # one entry per line, the last written
+            pr, pc = pr[keep], pc[keep]
+        cleared[pr], dead[pc] = True, True
+        rank += len(pr)
+    return dead, rank, rows, cols, face

@@ -382,13 +382,25 @@ def test_pair_or_form_non_int_is_validation_error(tmp_path, which, edit, message
     ("--tolerance", "0", "--tolerance must be positive"),
     ("--tolerance", "-1e-9", "--tolerance must be positive"),
     ("--tolerance", "nan", "--tolerance must be positive"),
-], ids=["n=0", "n=-1", "samples=0", "tolerance=0", "tolerance<0", "tolerance=nan"])
+    # the tolerance is also the degeneracy threshold (ArithmeticError before)
+    ("--tolerance", "1", "tolerance 1.0 is not below 1/(1 + 2 sqrt(n)) = 0.2612 at n = 2"),
+    ("--tolerance", "inf", "tolerance inf is not below"),
+    # 2,097,153 samples at n = 2: one over the bound of 2^24 = 2 * 4 * 2,097,152 steps
+    ("--samples", "2097153", "--samples x --n x max(--n, 4) = 16777224 is over the desk-scale 16777216"),
+], ids=["n=0", "n=-1", "samples=0", "tolerance=0", "tolerance<0", "tolerance=nan", "tolerance=1",
+        "tolerance=inf", "samples-over-bound"])
 def test_sphere_check_argument_is_validation_error(flag, value, message):
     args = {"--n": "2", "--samples": "10", "--tolerance": "1e-9", flag: value}
     out = run_cli("sphere-check", *[f"{k}={v}" for k, v in args.items()])
     assert out.returncode == 2
     assert out.stdout == ""
     assert message in out.stderr and "Traceback" not in out.stderr
+
+
+def test_sphere_check_step_bound_accepts_a_million_samples_at_n_3():
+    from logskel import cli
+
+    assert 10 ** 6 * 3 * 4 <= cli.SPHERE_CHECK_STEPS
 
 
 def _a2_with(key, edit):

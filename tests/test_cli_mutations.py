@@ -1,10 +1,13 @@
-"""Seeded mutations of the fixture inputs, run through ``cli.main`` in process.
+"""Seeded mutations of the CLI inputs, run through ``cli.main`` in process.
 
-Each case changes one field of one input of one CLI job: it replaces a value
-with one of a fixed list of JSON values, deletes a key, or repeats a list
-element.  Invalid input must exit 2 with one line on stderr; anything else
-must exit 0 with JSON on stdout.  Any other exception is a crash (exit 1 on
-the command line), and so is a call that runs past its alarm.
+Each file case changes one field of one input of one CLI job: it replaces a
+value with one of a fixed list of JSON values, deletes a key, or repeats a
+list element.  Each argv case changes one command-line token of a job that
+reads no file the same way, with a fixed list of strings.  Invalid input must
+exit 2 with one line on stderr (after argparse's usage text, for a command
+line argparse refuses); anything else must exit 0 with JSON on stdout.  Any
+other exception is a crash (exit 1 on the command line), and so is a call
+that runs past its alarm.
 """
 
 import contextlib
@@ -13,7 +16,10 @@ import io
 import json
 import os
 import random
+import resource
 import signal
+import subprocess
+import sys
 
 from logskel import cli
 
@@ -30,6 +36,7 @@ INPUTS = {
     "p2_fan": "p2_fan.json",
     "p1xp1_fan": "p1xp1_fan.json",
     "complex": None,  # the square, inline
+    "fan_points": None,  # closure points of the p2 fan, inline
 }
 
 # each job's argv, with {input} for the file of that input
@@ -39,6 +46,7 @@ JOBS = [
     ["skeleton", "--pair", "{dwork_pair}"],
     ["skeleton", "--fan", "{p2_fan}"],
     ["closure", "--pair", "{a2_pair}", "--points", "{a2_points}"],
+    ["closure", "--fan", "{p2_fan}", "--points", "{fan_points}"],
     ["weight", "--pair", "{si_pair}", "--form", "{si_form}", "--points", "{si_points}"],
     ["ks", "--pair", "{si_pair}", "--form", "{si_form}"],
     ["ks", "--pair", "{a2_pair}", "--form", "{a2_form}"],
@@ -52,12 +60,41 @@ JOBS = [
 
 VALUES = [None, True, False, 0, -1, 2 ** 70, 1.5, "", "B1", "1/0", [], [[]], [1, "a"], {}, {"a": []}]
 
-SEED, COUNT, ALARM = 20262, 1000, 5
+# jobs that read no file; character-variety only at n whose run is cheap
+ARGV_JOBS = [
+    ["tate", "--n", "3", "--alpha", "-1", "0", "-1"],
+    ["tate", "--n", "2", "--alpha", "1", "-1"],
+    ["gauss", "--c", "5/3", "--a", "2", "--l", "3", "--m", "2"],
+    ["sphere-check", "--n", "2", "--samples", "10", "--tolerance", "1e-9", "--seed", "3"],
+    ["character-variety", "--group", "gl", "--n", "2"],
+    ["character-variety", "--group", "sl", "--n", "3"],
+]
+
+# "4" is left out: it would turn a character-variety job into a desk-scale run
+ARGV_VALUES = ["0", "1", "2", "3", "5", "-1", "1.5", "-2/3", "1e-9", "0.5", "1e308", str(2 ** 70),
+               "inf", "-inf", "nan", "", "x", "1/0", "gl", "sl", "--n", "--seed"]
+
+# crashes found by hand before sphere-check bounded its arguments: a tolerance
+# that is also the degeneracy threshold (ArithmeticError), and 2 * 10^7
+# samples (numpy's MemoryError, under the address-space limit below)
+PINNED_ARGV = [
+    ["sphere-check", "--n", "3", "--samples", "10", "--tolerance", "1"],
+    ["sphere-check", "--n", "3", "--samples", "10", "--tolerance", "inf"],
+    ["sphere-check", "--n", "3", "--samples", "20000000"],
+]
+
+SEED, COUNT, ARGV_SEED, ARGV_COUNT, ALARM = 20262, 1000, 2323, 1000, 5
+PINNED_ADDRESS_SPACE = 1_500_000_000  # bytes
 
 
 def _load(name):
-    if INPUTS[name] is None:
+    if name == "complex":
         return {"vertices": [0, 1, 2, 3], "facets": [[0, 1], [1, 2], [2, 3], [0, 3]]}
+    if name == "fan_points":
+        return {"points": [{"kato_point": [0], "weights": ["2"]},
+                           {"kato_point": [0, 1], "weights": ["1", "inf"]},
+                           {"kato_point": [], "weights": []},
+                           {"kato_point": [1, 2], "weights": ["inf", "inf"]}]}
     with open(os.path.join(FIX, INPUTS[name])) as fh:
         return json.load(fh)
 
@@ -99,8 +136,43 @@ def mutation_cases(seed, count):
         yield job, name, doc, what
 
 
+def argv_cases(seed, count):
+    """(argv, description) for ``count`` seeded one-token mutations of ARGV_JOBS."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        argv = list(rng.choice(ARGV_JOBS))
+        kind = rng.choice(["replace", "replace", "delete", "repeat"])
+        if kind == "replace":  # a value: a flag replaced only meets argparse
+            at = rng.choice([i for i, arg in enumerate(argv) if i and not arg.startswith("--")])
+            argv[at] = rng.choice(ARGV_VALUES)
+        elif kind == "delete":
+            at = rng.randrange(1, len(argv))
+            del argv[at]
+        else:
+            at = rng.randrange(1, len(argv))
+            argv.insert(at, argv[at])
+        yield argv, f"{kind} token {at}"
+
+
 def _alarm(signum, frame):
     raise TimeoutError(f"no answer within {ALARM} s")
+
+
+def run_argv(argv):
+    """Exit code, stdout and stderr of ``cli.main(argv)``, under the alarm."""
+    out, err = io.StringIO(), io.StringIO()
+    previous = signal.signal(signal.SIGALRM, _alarm)
+    signal.alarm(ALARM)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = cli.main(argv)
+            except SystemExit as exc:  # argparse refusing the command line
+                code = exc.code
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    return code, out.getvalue(), err.getvalue()
 
 
 def run_case(tmp_path, job, name, doc):
@@ -110,41 +182,61 @@ def run_case(tmp_path, job, name, doc):
         paths[key] = str(tmp_path / f"{key}.json")
         with open(paths[key], "w") as fh:
             json.dump(doc if key == name else _load(key), fh)
-    out, err = io.StringIO(), io.StringIO()
-    previous = signal.signal(signal.SIGALRM, _alarm)
-    signal.alarm(ALARM)
-    try:
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = cli.main([arg.format(**paths) for arg in job])
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, previous)
-    return code, out.getvalue(), err.getvalue()
+    return run_argv([arg.format(**paths) for arg in job])
 
 
-def check_case(tmp_path, job, name, doc):
-    """None when the call keeps the exit-code contract, else what broke it."""
-    try:
-        code, out, err = run_case(tmp_path, job, name, doc)
-    except Exception as exc:  # any escape from cli.main is a crash
-        return f"{type(exc).__name__}: {exc}"
+def broken_contract(code, out, err):
+    """None when an exit code and its output keep the contract, else what broke it."""
     if code == 0:
         try:
             json.loads(out)
         except json.JSONDecodeError:
             return f"exit 0 with stdout {out[:200]!r}"
     elif code == 2:
-        if len(err.strip().splitlines()) != 1 or out:
+        lines = err.strip().splitlines()
+        usage = len(lines) > 1 and lines[0].startswith("usage: ") and ": error: " in lines[-1]
+        if out or not (len(lines) == 1 or usage):
             return f"exit 2 with stdout {out[:200]!r} and stderr {err[:200]!r}"
     else:
         return f"exit {code}"
     return None
 
 
+def check_call(call, *args):
+    """None when ``call(*args)`` keeps the exit-code contract, else what broke it."""
+    try:
+        return broken_contract(*call(*args))
+    except Exception as exc:  # any escape from cli.main is a crash
+        return f"{type(exc).__name__}: {exc}"
+
+
 def test_seeded_mutations_of_every_input_keep_the_exit_code_contract(tmp_path):
     crashes = []
     for job, name, doc, what in mutation_cases(SEED, COUNT):
-        broke = check_case(tmp_path, job, name, doc)
+        broke = check_call(run_case, tmp_path, job, name, doc)
         if broke:
             crashes.append(f"{' '.join(job)}: {name} {what}: {broke}")
     assert crashes == []
+
+
+def test_seeded_mutations_of_every_command_line_keep_the_exit_code_contract():
+    crashes = []
+    for argv, what in argv_cases(ARGV_SEED, ARGV_COUNT):
+        broke = check_call(run_argv, argv)
+        if broke:
+            crashes.append(f"{' '.join(argv)} ({what}): {broke}")
+    assert crashes == []
+
+
+def _limit_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (PINNED_ADDRESS_SPACE, PINNED_ADDRESS_SPACE))
+
+
+def test_pinned_command_lines_keep_the_exit_code_contract():
+    # in a child process under an address-space limit, so that the sample
+    # count that used to run out of memory fails fast wherever it is run
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(cli.__file__))}  # this logskel
+    for argv in PINNED_ARGV:
+        run = subprocess.run([sys.executable, "-m", "logskel", *argv], capture_output=True, text=True,
+                             env=env, timeout=60, preexec_fn=_limit_address_space)
+        assert broken_contract(run.returncode, run.stdout, run.stderr) is None, (argv, run.stderr[-300:])

@@ -630,6 +630,54 @@ def test_bottom_up_engine_matches_top_down_oracle_on_orbit_cells(case):
     assert quotient_homology(k, gens).degrees == expect.degrees
 
 
+def _random_complexes():
+    rng = random.Random(2301)
+    return [_random_complex(rng) for _ in range(120)]
+
+
+# (complexes, or an ORBIT_CASES action, whose homology runs the peel)
+PEEL_CASES = {
+    **ORBIT_CASES,
+    "gl2-materialized": lambda: [character_variety_complex("gl", 2)],
+    "sl3-materialized": lambda: [character_variety_complex("sl", 3)],
+    "triangle-strip": lambda: [SimplicialComplex.from_facets([(i, i + 1, i + 2) for i in range(20_000)])],
+    "random": _random_complexes,
+}
+
+
+@pytest.mark.parametrize("case", sorted(PEEL_CASES))
+def test_chunked_peel_matches_mask_indexed_oracle(case, monkeypatch):
+    # every peel the engine runs, next to the mask-indexed peel of
+    # homology_oracle on copies of its input, with 7-entry gather chunks so
+    # that every gather and compaction spans several chunks
+    real, runs = complexes._peel, []
+
+    def spy(cells, cleared):
+        expect_cleared = cleared.copy()
+        expect = homology_oracle.peel(cells, expect_cleared)
+        got = real(cells, cleared)
+        assert np.array_equal(cleared, expect_cleared)  # the pivot rows
+        assert np.array_equal(got[0], expect[0]) and got[1] == expect[1]  # pivot columns, rank
+        for array, oracle in zip(got[2:], expect[2:]):  # remainder rows, cols, faces, in order
+            assert array.dtype == oracle.dtype and np.array_equal(array, oracle)
+        runs.append(cells.size)
+        return got
+
+    monkeypatch.setattr(complexes, "_GATHER_BLOCK", 7)
+    monkeypatch.setattr(complexes, "_peel", spy)
+    made = PEEL_CASES[case]()
+    if case in ORBIT_CASES:
+        k, gens = made
+        levels = [len(_OrbitCells(k, GroupAction(k, gens)).cell_counts())]
+        quotient_homology(k, gens)
+    else:
+        levels = [k.dim() + 1 for k in made]
+        for k in made:
+            homology(k)
+    assert len(runs) == sum(max(n - 2, 0) for n in levels)  # one peel per degree from 2 up
+    assert not runs or max(runs) > 7  # the gathers span several chunks
+
+
 @pytest.mark.parametrize("case", sorted(ORBIT_CASES))
 def test_group_tables_match_frozenset_construction(case):
     # the simplex-id permutations and the sorted (simplex, proper face) pairs,
