@@ -15,7 +15,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -51,6 +51,10 @@ class SimplicialComplex:
         # by (size, sorted ranks), the simplex table's order, with their rows
         self._labels = sorted(self.vertices, key=lambda v: (str(v), repr(v)))
         rank = {v: i for i, v in enumerate(self._labels)}
+        if len(rank) < len(self.vertices):  # labels that compare equal would merge vertices
+            last = {v: j for j, v in enumerate(self.vertices)}
+            a, b = next((i, last[v]) for i, v in enumerate(self.vertices) if last[v] != i)
+            raise ComplexError(f"vertices {a} and {b} have equal labels {self.vertices[a]!r} and {self.vertices[b]!r}")
         fs = maximal_sets({frozenset(f) for f in facets})
         try:
             rows = [sorted(map(rank.__getitem__, f)) for f in fs]
@@ -284,10 +288,9 @@ def barycentric_subdivision(k: SimplicialComplex) -> SimplicialComplex:
 # Simplex ids are the rows of the base's simplex table, by dimension and then
 # in row order.  Group elements act on the table as rank permutations: each
 # level's images are re-sorted and found with one row lookup per level
-# (``_perms``), and the proper faces of each simplex are the rows of its
-# column subsets (``_pairs``).  A cell is represented by the member of its
-# orbit whose top-first tuple (top, next, ..., bottom) of ids is least: its
-# top t is the least simplex of the top's G-orbit, and the rest is least
+# (``_perms``).  A cell is represented by the member of its orbit whose
+# top-first tuple (top, next, ..., bottom) of ids is least: its top t is
+# the least simplex of the top's G-orbit, and the rest is least
 # under the stabilizer Stab(t).  Cells are numbered in that order, kept per
 # level as one sorted int64 array of keys: the top, then each element's
 # index among the faces of the one above, so key order is tuple order.
@@ -299,8 +302,10 @@ def barycentric_subdivision(k: SimplicialComplex) -> SimplicialComplex:
 # rank of m_j among the nonempty subsets of m_{j-1} in that order: one
 # (M x M) table lookup, M = 2^(dim+1), with its inverse and the compression
 # of a subset into its superset's positions as two more tables
-# (``_mask_tables``).  Stab(t) acts below t only by permuting t's positions,
-# and ``_moves`` takes each simplex to the least of its orbit by a map of
+# (``_mask_tables``).  The id of each subset of each simplex is one table
+# over the masks of the simplex (``_sub``), read off the simplex table's
+# face arrays.  Stab(t) acts below t only by permuting t's positions, and
+# ``_moves`` takes each simplex to the least of its orbit by a map of
 # positions; each of these maps is one table over the masks of its simplex.
 # ``_least`` is the one Stab(top) minimisation: the least key over the
 # identity and the stabilizer's tables, so a chain whose top has a trivial
@@ -371,7 +376,7 @@ def _at(table, p, m):
 class _OrbitCells:
     def __init__(self, base: SimplicialComplex, action: GroupAction):
         self.dim = base.dim()
-        labels, rows, _ = base._simplex_table()
+        labels, rows, faces = base._simplex_table()
         starts = np.cumsum([0] + [len(level) for level in rows])  # simplex id of each level's row 0
         n = int(starts[-1])
         self._radices = _chain_radices(n, self.dim)
@@ -387,25 +392,22 @@ class _OrbitCells:
         tops, self._stab = np.nonzero(fixed.T)
         self._stab_sizes = np.bincount(tops, minlength=n)
         self._stab_offsets = np.cumsum(self._stab_sizes) - self._stab_sizes
-        # proper faces of each simplex in increasing id order; face i of t is
-        # _pairs[_offsets[t] + i] - t * n, _pairs is sorted, and _offsets[n] = len(_pairs).
-        # A row's column subsets, by size and then in combinations order, are
-        # in row order, so each level's pairs come out sorted.
-        pairs = [np.empty(0, dtype=np.intp)]
-        for d in range(1, len(rows)):
-            faces = []
-            for size in range(1, d + 1):
-                subsets = [rows[d][:, s] for s in map(list, itertools.combinations(range(d + 1), size))]
-                ids = _row_ids(rows[size - 1], np.concatenate(subsets)) + starts[size - 1]
-                faces.append(ids.reshape(len(subsets), -1).T)
-            pairs.append((np.arange(starts[d], starts[d + 1])[:, None] * n + np.hstack(faces)).ravel())
-        self._pairs = np.concatenate(pairs)
-        self._offsets = np.searchsorted(self._pairs, np.arange(n + 1) * n)
-        # mask tables: simplex s's 2^|s| entries (its move, to the least of its
-        # orbit) start at _mask_starts[s]; row r of _stab's start at _stab_starts[r]
+        # mask tables: simplex s's 2^|s| entries (the id of each subset, its move
+        # to the least of its orbit) start at _mask_starts[s]; row r of _stab's at _stab_starts[r]
         self._digit, self._subset, self._compress = _mask_tables(self.dim + 1)
         widths = 1 << np.repeat(np.arange(1, len(rows) + 1), np.diff(starts))
         self._mask_starts = np.concatenate([[0], np.cumsum(widths)])
+        # a proper subset that misses position i is that subset of face i
+        self._sub = np.zeros(self._mask_starts[-1], dtype=np.min_scalar_type(n))
+        for d in range(len(rows)):
+            full = (2 << d) - 1
+            sub = self._sub[self._mask_starts[starts[d]]:self._mask_starts[starts[d + 1]]].reshape(-1, full + 1)
+            sub[:, full] = np.arange(starts[d], starts[d + 1])
+            if d:
+                masks = np.arange(full)
+                miss = np.array([((m + 1) & ~m).bit_length() - 1 for m in range(full)])  # lowest one missed
+                within = self._compress[full ^ (1 << miss), masks]
+                sub[:, :full] = self._sub[self._mask_starts[faces[d][:, miss] + starts[d - 1]] + within]
         self._full = (widths - 1).astype(self._subset.dtype)  # the mask of all of each simplex's positions
         ids = np.arange(n)
         self._move_masks = _position_maps(rows, starts, moved, ids, self._moves, self._perms[self._moves, ids])
@@ -433,8 +435,8 @@ class _OrbitCells:
         return [len(keys) for keys in self.keys]
 
     def _ids(self, tops, masks):
-        """Simplex ids of proper subsets (masks) of tops."""
-        return self._pairs[self._offsets[tops] + _at(self._digit, self._full[tops], masks)] - tops * self._moves.size
+        """Simplex ids of subsets (masks) of tops."""
+        return self._sub[self._mask_starts[tops] + masks]
 
     def _masks(self, d, keys):
         """Tops and top-relative masks of packed level-d keys; masks[j] holds
@@ -800,22 +802,12 @@ def _sl_link_and_action(n: int):
 
 @lru_cache(maxsize=None)
 def _sl_link_data(n: int):
-    """The link facets as ray tuples and each generator as (ray, image) pairs."""
-    model = None
-    for _ in range(n):
-        model = fan_p1xp1() if model is None else product_fan(model, fan_p1xp1())
-    # ker alpha_n = {sum x_i = 0, sum y_i = 0}; saturated difference basis
-    basis = []
-    for i in range(n - 1):
-        vx = [0] * (2 * n)
-        vx[2 * i] = 1
-        vx[2 * (i + 1)] = -1
-        vy = [0] * (2 * n)
-        vy[2 * i + 1] = 1
-        vy[2 * (i + 1) + 1] = -1
-        basis.append(tuple(vx))
-        basis.append(tuple(vy))
-    link = link_complex(intersect_fan_subspace(model, basis))
+    """The link facets as sorted ray tuples and each generator as (ray, image) pairs."""
+    model = reduce(product_fan, [fan_p1xp1() for _ in range(n)])
+    # ker alpha_n = {sum x_i = 0, sum y_i = 0}; saturated difference basis e[2i + t] - e[2i + 2 + t]
+    basis = [tuple((j == 2 * i + t) - (j == 2 * i + 2 + t) for j in range(2 * n))
+             for i in range(n - 1) for t in (0, 1)]
+    facets = [p for p in _derived_pieces(intersect_fan_subspace(model, basis))[0] if p]  # as in link_complex
     # block permutations of (x_i, y_i) expressed in kernel coordinates
     perms = []
     if n >= 2:
@@ -835,8 +827,8 @@ def _sl_link_data(n: int):
         sums = zip(itertools.accumulate(w[0::2]), itertools.accumulate(w[1::2]))
         return primitive([c for xy in list(sums)[:-1] for c in xy])
 
-    return (tuple(tuple(sorted(f)) for f in link.facets),
-            tuple(tuple((ray, moved(p, ray)) for ray in link.vertices) for p in perms))
+    rays = sorted(set().union(*facets), key=str)
+    return tuple(facets), tuple(tuple((ray, moved(p, ray)) for ray in rays) for p in perms)
 
 
 def _character_variety_action(group: str, n: int):

@@ -5,13 +5,17 @@ import sys
 
 import pytest
 
+import logskel
+
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 FIX = os.path.join(ROOT, "fixtures")
+# children import the logskel that these tests import, wherever they run from
+CHILD_ENV = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(os.path.abspath(logskel.__file__)))}
 
 
 def run_cli(*args, timeout=None):
     return subprocess.run([sys.executable, "-m", "logskel", *args],
-                          capture_output=True, text=True, cwd=ROOT, timeout=timeout)
+                          capture_output=True, text=True, cwd=ROOT, env=CHILD_ENV, timeout=timeout)
 
 
 def test_weight_command_example_values():
@@ -257,6 +261,19 @@ def test_complex_json_bad_index_is_validation_error(tmp_path, facet, message):
     assert message in out.stderr
 
 
+@pytest.mark.parametrize("vertices,message", [
+    ([0, 0], "vertices 0 and 1 have equal labels 0 and 0"),
+    ([True, 1], "vertices 0 and 1 have equal labels True and 1"),
+    ([1.0, 1], "vertices 0 and 1 have equal labels 1.0 and 1"),
+    ([[1], [1]], "vertices 0 and 1 have equal labels (1,) and (1,)"),
+])
+def test_complex_json_equal_labels_is_validation_error(tmp_path, vertices, message):
+    # labels that compare equal would merge two vertices into one
+    path = tmp_path / "cx.json"
+    path.write_text(json.dumps({"schema": "1", "vertices": vertices, "facets": [[0], [1]]}))
+    _one_line_validation_error(run_cli("homology", "--complex", str(path)), message)
+
+
 @pytest.mark.parametrize("rays", [[[1], [-1]], [[1, 0], [0, 1], [-1, 0]]])
 def test_non_pointed_fan_cone_is_validation_error(tmp_path, rays):
     doc = {"schema": "1", "rank": len(rays[0]), "rays": rays,
@@ -486,7 +503,7 @@ def test_fixtures_command_reports_failures(monkeypatch, capsys):
 
 
 def test_output_file_and_env_dir(tmp_path):
-    env = dict(os.environ, LOGSKEL_OUTPUT_DIR=str(tmp_path))
+    env = dict(CHILD_ENV, LOGSKEL_OUTPUT_DIR=str(tmp_path))
     out = subprocess.run(
         [sys.executable, "-m", "logskel", "gauss", "--c", "1", "--a", "0",
          "--l", "1", "--m", "1", "-o", "report.json"],
@@ -588,6 +605,6 @@ def test_skeleton_refuses_hilbert_basis_past_desk_scale(tmp_path):
         resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 
     out = subprocess.run([sys.executable, "-m", "logskel", "skeleton", "--fan", str(path)],
-                         capture_output=True, text=True, cwd=ROOT, timeout=10, preexec_fn=limit)
+                         capture_output=True, text=True, cwd=ROOT, env=CHILD_ENV, timeout=10, preexec_fn=limit)
     _one_line_validation_error(
         out, f"the simplicial pieces have lattice index {10 ** 7}, over the desk-scale {2 ** 20}")

@@ -3,11 +3,11 @@
 Each file case changes one field of one input of one CLI job: it replaces a
 value with one of a fixed list of JSON values, deletes a key, or repeats a
 list element.  Each argv case changes one command-line token of a job that
-reads no file the same way, with a fixed list of strings.  Invalid input must
-exit 2 with one line on stderr (after argparse's usage text, for a command
-line argparse refuses); anything else must exit 0 with JSON on stdout.  Any
-other exception is a crash (exit 1 on the command line), and so is a call
-that runs past its alarm.
+reads no file the same way, with a fixed list of strings for the type of the
+flag the token follows.  Invalid input must exit 2 with one line on stderr
+(after argparse's usage text, for a command line argparse refuses); anything
+else must exit 0 with JSON on stdout.  Any other exception is a crash (exit 1
+on the command line), and so is a call that runs past its alarm.
 """
 
 import contextlib
@@ -70,9 +70,18 @@ ARGV_JOBS = [
     ["character-variety", "--group", "sl", "--n", "3"],
 ]
 
-# "4" is left out: it would turn a character-variety job into a desk-scale run
-ARGV_VALUES = ["0", "1", "2", "3", "5", "-1", "1.5", "-2/3", "1e-9", "0.5", "1e308", str(2 ** 70),
-               "inf", "-inf", "nan", "", "x", "1/0", "gl", "sl", "--n", "--seed"]
+# replacement values by the type of the flag they follow, so that most draws
+# pass argparse and meet the program's own checks; "4" is left out of the
+# ints: it would turn a character-variety job into a desk-scale run
+INTS = ["0", "1", "2", "3", "5", "-1", "-7", "17", "100", str(2 ** 31), str(2 ** 70)]
+RATIONALS = ["0", "1", "-1", "5/3", "-2/3", "1/0", "0/7", "3/-4", "10/4", "1.5", "-2e3", "1/" + str(2 ** 70)]
+ARGV_VALUES = {
+    **dict.fromkeys(["--n", "--samples", "--l", "--m", "--seed", "--alpha"], INTS),
+    "--tolerance": ["1e-9", "1e-3", "0.1", "0.5", "1", "0", "-1e-9", "1e-300", "5e-324", "inf", "nan"],
+    "--c": RATIONALS,
+    "--a": RATIONALS,
+    "--group": ["gl", "sl"],
+}
 
 # crashes found by hand before sphere-check bounded its arguments: a tolerance
 # that is also the degeneracy threshold (ArithmeticError), and 2 * 10^7
@@ -142,9 +151,10 @@ def argv_cases(seed, count):
     for _ in range(count):
         argv = list(rng.choice(ARGV_JOBS))
         kind = rng.choice(["replace", "replace", "delete", "repeat"])
-        if kind == "replace":  # a value: a flag replaced only meets argparse
+        if kind == "replace":  # a value, by the type of its flag: a flag replaced only meets argparse
             at = rng.choice([i for i, arg in enumerate(argv) if i and not arg.startswith("--")])
-            argv[at] = rng.choice(ARGV_VALUES)
+            flag = next(arg for arg in argv[at::-1] if arg.startswith("--"))
+            argv[at] = rng.choice(ARGV_VALUES[flag])
         elif kind == "delete":
             at = rng.randrange(1, len(argv))
             del argv[at]

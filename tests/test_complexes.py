@@ -680,18 +680,22 @@ def test_chunked_peel_matches_mask_indexed_oracle(case, monkeypatch):
 
 @pytest.mark.parametrize("case", sorted(ORBIT_CASES))
 def test_group_tables_match_frozenset_construction(case):
-    # the simplex-id permutations and the sorted (simplex, proper face) pairs,
-    # built one simplex at a time from a frozenset -> id dict
+    # the simplex-id permutations and the id of every subset of every simplex
+    # by position mask, built one simplex at a time from a frozenset -> id dict
     k, gens = ORBIT_CASES[case]()
     action = GroupAction(k, gens)
     cells = _OrbitCells(k, action)
     sims = [s for level in homology_oracle.simplices_by_dim(k) for s in level]
     ids = {frozenset(s): i for i, s in enumerate(sims)}
     perms = [[ids[frozenset(map(g.__getitem__, s))] for s in sims] for g in action.elements]
-    pairs = sorted(t * len(sims) + ids[frozenset(f)] for t, s in enumerate(sims)
-                   for size in range(1, len(s)) for f in itertools.combinations(s, size))
     assert cells._perms.tolist() == perms
-    assert cells._pairs.tolist() == pairs
+    rank = {v: i for i, v in enumerate(sorted(k.vertices, key=lambda v: (str(v), repr(v))))}
+    assert cells._mask_starts[-1] == len(cells._sub) == sum(2 ** len(s) for s in sims)
+    for t, s in enumerate(sims):
+        verts = sorted(s, key=rank.__getitem__)
+        table = cells._sub[cells._mask_starts[t]:cells._mask_starts[t + 1]]
+        assert table[1:].tolist() == [ids[frozenset(v for i, v in enumerate(verts) if m >> i & 1)]
+                                      for m in range(1, 1 << len(verts))]
 
 
 def _stabilizers(k, action):
@@ -717,7 +721,7 @@ def test_stabilizer_tables_match_brute_force(case):
 @pytest.mark.parametrize("case", sorted(ORBIT_CASES))
 def test_mask_tables_match_face_pairs_and_group_images(case):
     # masks over a simplex's vertices, bit i its i-th vertex by rank: each
-    # digit is the face's index among the proper faces in _pairs, subset
+    # digit is the face's index among the proper faces in id order, subset
     # inverts digit, compress renumbers into the superset's vertices, and
     # the stabilizer and move tables are the images of the vertex sets
     k, gens = ORBIT_CASES[case]()
@@ -732,14 +736,12 @@ def test_mask_tables_match_face_pairs_and_group_images(case):
     def mask_over(verts, vs):
         return sum(1 << verts.index(v) for v in vs)
 
-    def faces_of(s):  # proper faces in id order, as _pairs lists them
+    def faces_of(s):  # proper faces in id order
         return sorted((ids[frozenset(f)] for size in range(1, len(s)) for f in itertools.combinations(s, size)))
 
     stab_rows = iter(range(len(cells._stab)))
     for t, s in enumerate(sims):
         verts = sorted(s, key=rank.__getitem__)
-        segment = cells._pairs[cells._offsets[t]:cells._offsets[t + 1]] - t * len(sims)
-        assert segment.tolist() == faces_of(s)
         for p in range(1, 1 << len(verts)):
             upper = [v for i, v in enumerate(verts) if p >> i & 1]
             below = faces_of(upper)
