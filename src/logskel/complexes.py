@@ -15,7 +15,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache, reduce
+from functools import cached_property, lru_cache, reduce
 
 import numpy as np
 
@@ -43,41 +43,62 @@ class ComplexError(ValueError):
 
 
 class SimplicialComplex:
-    """Abstract simplicial complex: hashable vertex labels plus facets."""
+    """Abstract simplicial complex: hashable vertex labels plus facets.
+
+    Vertices are ranked by str, then repr where str collides (``_labels``),
+    and facets are rows of vertex ranks: ``_rows`` maps each facet size to
+    one int32 array of sorted rows in lexicographic order, the simplex
+    table's order.  ``facets``, their frozensets of labels in that order, is
+    built on first use, so homology never builds it.
+    """
 
     def __init__(self, vertices, facets):
         self.vertices = tuple(vertices)
-        # vertices ranked by str, then repr where str collides; facets sorted
-        # by (size, sorted ranks), the simplex table's order, with their rows
-        self._labels = sorted(self.vertices, key=lambda v: (str(v), repr(v)))
-        rank = {v: i for i, v in enumerate(self._labels)}
-        if len(rank) < len(self.vertices):  # labels that compare equal would merge vertices
-            last = {v: j for j, v in enumerate(self.vertices)}
-            a, b = next((i, last[v]) for i, v in enumerate(self.vertices) if last[v] != i)
+        index = {v: i for i, v in enumerate(self.vertices)}
+        if len(index) < len(self.vertices):  # labels that compare equal would merge vertices
+            a, b = next((i, index[v]) for i, v in enumerate(self.vertices) if index[v] != i)
             raise ComplexError(f"vertices {a} and {b} have equal labels {self.vertices[a]!r} and {self.vertices[b]!r}")
-        fs = maximal_sets({frozenset(f) for f in facets})
+        fs, rows = maximal_sets({frozenset(f) for f in facets}), {}
         try:
-            rows = [sorted(map(rank.__getitem__, f)) for f in fs]
+            for f in fs:
+                rows.setdefault(len(f), []).append(list(map(index.__getitem__, f)))
         except KeyError:
-            f = next(f for f in fs if not f <= rank.keys())
+            f = next(f for f in fs if not f <= index.keys())
             raise ComplexError(f"facet {sorted(f, key=str)} uses undeclared vertices") from None
-        order = sorted(zip(map(len, rows), rows, range(len(rows))))
-        self.facets = tuple(fs[i] for _, _, i in order)
-        self._rows = [row for _, row, _ in order]
-        if len(set(itertools.chain.from_iterable(self._rows))) != len(rank):
+        self._store(self.vertices, {size: np.array(r, dtype=np.int32) for size, r in rows.items()})
+
+    def _store(self, vertices, rows):
+        """Ranks ``vertices`` and keeps the facets ``rows``, by size int arrays
+        of indices into ``vertices``, one distinct facet per row in any
+        order: the one path every complex is built by.  Refuses a repeated
+        facet and a vertex in none."""
+        order = sorted(range(len(vertices)), key=lambda i: (str(vertices[i]), repr(vertices[i])))
+        self._labels, self._rows, used = [vertices[i] for i in order], {}, np.zeros(len(order), dtype=bool)
+        rank = np.empty(len(order), dtype=np.int32)
+        rank[order] = np.arange(len(order))
+        for size in sorted(rows):
+            self._rows[size], inverse = _unique_rows(np.sort(rank[rows[size]], axis=1))
+            if len(self._rows[size]) < len(inverse):
+                raise ComplexError(f"a facet of {size} vertices repeats")
+            used[self._rows[size].ravel()] = True
+        if not used.all():
             raise ComplexError("every declared vertex must appear in some facet")
+
+    @cached_property
+    def facets(self):
+        return tuple(frozenset(map(self._labels.__getitem__, row))
+                     for block in self._rows.values() for row in block.tolist())
 
     @staticmethod
     def from_facets(facets) -> "SimplicialComplex":
         facets = [frozenset(f) for f in facets]
-        verts = sorted(set().union(*facets) if facets else [], key=str)
-        return SimplicialComplex(verts, facets)
+        return SimplicialComplex(sorted(set().union(*facets), key=str), facets)
 
     def dim(self) -> int:
-        return max((len(f) for f in self.facets), default=0) - 1
+        return max(self._rows, default=0) - 1
 
     def _simplex_table(self):
-        """The simplices as rows of vertex ranks (the ranks of ``__init__``).
+        """The simplices as rows of vertex ranks (the ranks of ``_labels``).
 
         Returns (labels by rank, rows, faces): rows[d] holds the d-simplices
         as sorted int32 rows in lexicographic order, the simplex order, and
@@ -86,17 +107,15 @@ class SimplicialComplex:
         one column dropped plus the facets of its size, deduplicated by one
         lexsort whose inverse is the face array of the level above.
         """
-        bound = sum((1 << len(f)) - 1 for f in self.facets)
+        bound = sum(len(block) * ((1 << size) - 1) for size, block in self._rows.items())
         if bound > _MAX_SIMPLICES:
-            raise ComplexError(
-                f"the facets have up to {bound} faces, over the desk-scale {_MAX_SIMPLICES}")
-        by_size = {size: list(group) for size, group in itertools.groupby(self._rows, len)}
+            raise ComplexError(f"the facets have up to {bound} faces, over the desk-scale {_MAX_SIMPLICES}")
         rows, faces, top = [], [np.empty((0, 0), dtype=np.int32)], self.dim()
         above = np.empty((0, top + 2), dtype=np.int32)
         for d in range(top, -1, -1):
-            facets = np.array(by_size.get(d + 1, []), dtype=np.int32).reshape(-1, d + 1)
-            level, inverse = _unique_rows(np.concatenate(
-                [np.delete(above, i, axis=1) for i in range(d + 2)] + [facets]))
+            facets = self._rows.get(d + 1, np.empty((0, d + 1), dtype=np.int32))
+            level, inverse = _unique_rows(np.concatenate([np.delete(above, i, axis=1) for i in range(d + 2)]
+                                                         + [facets]))
             faces.insert(1, inverse[:len(above) * (d + 2)].reshape(d + 2, len(above)).T.astype(np.int32))
             rows.insert(0, level)
             above = level
@@ -115,14 +134,11 @@ class SimplicialComplex:
                                  [frozenset((prefix, v) for v in f) for f in self.facets])
 
     def to_json_dict(self):
-        labels = [_label_json(v) for v in self.vertices]
         index = {v: i for i, v in enumerate(self.vertices)}
-        return {
-            "schema": "1",
-            "vertices": labels,
-            "facets": sorted([sorted(index[v] for v in f) for f in self.facets],
-                             key=lambda f: (len(f), f)),
-        }
+        where = np.array([index[v] for v in self._labels], dtype=np.int32)  # each rank's index in vertices
+        facets = (_unique_rows(np.sort(where[rows], axis=1))[0].tolist() for rows in self._rows.values())
+        return {"schema": "1", "vertices": [_label_json(v) for v in self.vertices],
+                "facets": list(itertools.chain.from_iterable(facets))}
 
     @staticmethod
     def from_json_dict(doc) -> "SimplicialComplex":
@@ -153,7 +169,7 @@ def _unique_rows(rows):
     packed into int64 sort keys, as many as fit in each, for one argsort
     when one key holds them all and one lexsort otherwise."""
     bits = int(rows.max(initial=0)).bit_length() or 1
-    keys = np.zeros((-(-rows.shape[1] // (63 // bits)), len(rows)), dtype=np.int64)
+    keys = np.zeros((-(-rows.shape[1] // (63 // bits)) or 1, len(rows)), dtype=np.int64)
     for j, column in enumerate(rows.T):
         keys[j // (63 // bits)] = keys[j // (63 // bits)] * (1 << bits) + column
     order = np.argsort(keys[0]) if len(keys) == 1 else np.lexsort(keys[::-1])
@@ -523,15 +539,18 @@ class _OrbitCells:
         if est > _MAX_FACETS:
             raise ComplexError(
                 f"orbit-space triangulation would need ~{est} facets (> {_MAX_FACETS})")
-        labels = [[("cell", d, c) for c in range(len(keys))] for d, keys in enumerate(self.keys)]
-        facets = []
+        cells = [("cell", d, c) for d, keys in enumerate(self.keys) for c in range(len(keys))]
+        starts, rows = np.cumsum([0] + self.cell_counts(), dtype=np.int32), {}  # index in cells of each level's 0
         for d, paths in enumerate(maximal):
-            paths = paths[:, None]  # column j holds (d - j)-cells
+            paths = paths[:, None].astype(np.int32)  # column j holds (d - j)-cells
             for e in range(d, 0, -1):
                 paths = np.column_stack([np.repeat(paths, e + 1, axis=0), faces[e][paths[:, -1]].ravel()])
-            columns = (map(labels[d - j].__getitem__, col) for j, col in enumerate(paths.T.tolist()))
-            facets.extend(map(frozenset, zip(*columns)))
-        return SimplicialComplex.from_facets(facets)
+            if len(paths):
+                rows[d + 1] = paths + starts[d::-1]
+        out = SimplicialComplex.__new__(SimplicialComplex)
+        out._store(cells, rows)  # flags of maximal cells are distinct maximal chains
+        out.vertices = tuple(out._labels)
+        return out
 
 
 def _orbit_cells(k: SimplicialComplex, action_generators):
@@ -556,8 +575,7 @@ def quotient(k: SimplicialComplex, action_generators) -> SimplicialComplex:
 def quotient_homology(k: SimplicialComplex, action_generators) -> "HomologyProfile":
     """Integral homology of the orbit space, computed on orbit cells directly."""
     cells = _orbit_cells(k, action_generators)
-    return homology(k) if cells is None else \
-        _homology_from_boundaries(cells.cell_counts(), cells.faces)
+    return homology(k) if cells is None else _homology_from_boundaries(cells.cell_counts(), cells.faces)
 
 
 @dataclass
@@ -582,32 +600,17 @@ class HomologyProfile:
     def __eq__(self, other):
         if not isinstance(other, HomologyProfile):
             return NotImplemented
-        a = [(r, list(t)) for r, t in self.degrees]
-        b = [(r, list(t)) for r, t in other.degrees]
-        while a and a[-1] == (0, []):
-            a.pop()
-        while b and b[-1] == (0, []):
-            b.pop()
-        return a == b
+        a, b = ([(r, list(t)) for r, t in p.degrees] for p in (self, other))
+        n = max(len(a), len(b))  # trailing zero degrees do not count
+        return a + [(0, [])] * (n - len(a)) == b + [(0, [])] * (n - len(b))
 
     def __repr__(self):
-        parts = []
-        for r, t in self.degrees:
-            s = f"Z^{r}" if r else "0"
-            if t:
-                s += "+" + "+".join(f"Z/{x}" for x in t)
-            parts.append(s)
-        return "H(" + ", ".join(parts) + ")"
+        return "H(" + ", ".join("+".join([f"Z^{r}" if r else "0"] + [f"Z/{x}" for x in t])
+                                for r, t in self.degrees) + ")"
 
 
 def sphere_profile(n: int) -> HomologyProfile:
-    degrees = [(0, []) for _ in range(n + 1)]
-    if n == 0:
-        degrees[0] = (2, [])
-    else:
-        degrees[0] = (1, [])
-        degrees[n] = (1, [])
-    return HomologyProfile(degrees)
+    return HomologyProfile([(2 if n == 0 else int(d in (0, n)), []) for d in range(n + 1)])
 
 
 def _homology_from_boundaries(counts, faces):
@@ -784,13 +787,10 @@ def link_complex(fan: Fan) -> SimplicialComplex:
 def _gl_join_and_action(n: int):
     k = join_all([cycle_complex(4) for _ in range(n)])
     gens = []
-    if n >= 2:
-        swap = {(i, v): ((1, v) if i == 0 else (0, v) if i == 1 else (i, v))
-                for (i, v) in k.vertices}
-        gens.append(swap)
-    if n >= 3:
-        cyc = {(i, v): ((i + 1) % n, v) for (i, v) in k.vertices}
-        gens.append(cyc)
+    if n >= 2:  # swap the first two factors
+        gens.append({(i, v): ((1, v) if i == 0 else (0, v) if i == 1 else (i, v)) for (i, v) in k.vertices})
+    if n >= 3:  # cycle the factors
+        gens.append({(i, v): ((i + 1) % n, v) for (i, v) in k.vertices})
     return k, gens
 
 

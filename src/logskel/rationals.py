@@ -66,11 +66,28 @@ def q(value) -> Fraction:
     if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     if isinstance(value, str):
+        _check_digits(value)
         try:
             return Fraction(value)
         except ZeroDivisionError:
             pass
     raise ValueError(f"not an exact rational: {value!r}")
+
+
+def _check_digits(text):
+    """Refuses (ValueError) a decimal whose mantissa digits plus |exponent|
+    exceed Python's integer string limit, read off the string: ``Fraction``
+    would first build 10^|exponent|, in time that grows without bound."""
+    import sys
+
+    limit = sys.get_int_max_str_digits()  # 0: no limit
+    mantissa, _, exponent = text.lower().partition("e")
+    exponent = exponent.strip().replace("_", "").removeprefix("-").removeprefix("+")
+    digits = exponent.lstrip("0")
+    if limit and exponent.isdecimal() and (
+            len(digits) > len(str(limit)) or sum(map(str.isdecimal, mantissa)) + int(digits or 0) > limit):
+        shown = text if len(text) <= 40 else text[:37] + "..."
+        raise ValueError(f"not an exact rational within {limit} digits: {shown!r}")
 
 
 def parse_ext(value):

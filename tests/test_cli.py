@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -334,6 +335,37 @@ def test_gauss_zero_denominator_is_validation_error():
     assert out.returncode == 2
     assert out.stdout == ""
     assert "not an exact rational: '1/0'" in out.stderr
+
+
+def test_gauss_oversized_decimal_is_refused_before_it_is_built(capsys):
+    # Fraction('1e10000000') builds 10^(10^7) first, about 12 s; the string
+    # alone shows 1 + 10^7 digits, over Python's integer string limit
+    import time
+
+    from logskel import cli
+
+    start = time.perf_counter()
+    assert cli.main(["gauss", "--c", "1e10000000", "--a", "0", "--l", "1", "--m", "1"]) == 2
+    assert time.perf_counter() - start < 1
+    out = capsys.readouterr()
+    assert out.out == "" and out.err == (
+        f"validation error: not an exact rational within {sys.get_int_max_str_digits()} digits: '1e10000000'\n")
+
+
+def test_decimal_digit_limit_counts_mantissa_digits_and_exponent():
+    from logskel.rationals import q
+
+    limit = sys.get_int_max_str_digits()
+    assert q(f"1e{limit - 1}") == 10 ** (limit - 1)  # limit digits in all
+    assert q(f"-1.5E-{limit - 2}") == Fraction(-15, 10 ** (limit - 1))
+    assert q("1e" + "0" * 100 + "7") == 10 ** 7  # leading zeros of the exponent do not count
+    for text in (f"1e{limit}", f"1e-{limit}", f"12.5e{limit - 2}", f" 1E+{limit} ",
+                 "1e" + "9" * 30, f"1e{limit // 2}_{limit // 2}"):
+        with pytest.raises(ValueError, match="within"):
+            q(text)
+    for text in ("1e", "1e+-5", "e5", "1.5e3x"):  # left to Fraction, which refuses them
+        with pytest.raises(ValueError, match="Invalid literal for Fraction"):
+            q(text)
 
 
 def test_pair_float_coefficient_is_validation_error(tmp_path):

@@ -74,7 +74,8 @@ ARGV_JOBS = [
 # pass argparse and meet the program's own checks; "4" is left out of the
 # ints: it would turn a character-variety job into a desk-scale run
 INTS = ["0", "1", "2", "3", "5", "-1", "-7", "17", "100", str(2 ** 31), str(2 ** 70)]
-RATIONALS = ["0", "1", "-1", "5/3", "-2/3", "1/0", "0/7", "3/-4", "10/4", "1.5", "-2e3", "1/" + str(2 ** 70)]
+RATIONALS = ["0", "1", "-1", "5/3", "-2/3", "1/0", "0/7", "3/-4", "10/4", "1.5", "-2e3", "1/" + str(2 ** 70),
+             "1e10000000"]
 ARGV_VALUES = {
     **dict.fromkeys(["--n", "--samples", "--l", "--m", "--seed", "--alpha"], INTS),
     "--tolerance": ["1e-9", "1e-3", "0.1", "0.5", "1", "0", "-1e-9", "1e-300", "5e-324", "inf", "nan"],
@@ -146,7 +147,9 @@ def mutation_cases(seed, count):
 
 
 def argv_cases(seed, count):
-    """(argv, description) for ``count`` seeded one-token mutations of ARGV_JOBS."""
+    """(argv, description) for ``count`` seeded mutations of ARGV_JOBS: one
+    value replaced, or one whole option (its flag and values) deleted or
+    repeated."""
     rng = random.Random(seed)
     for _ in range(count):
         argv = list(rng.choice(ARGV_JOBS))
@@ -155,13 +158,14 @@ def argv_cases(seed, count):
             at = rng.choice([i for i, arg in enumerate(argv) if i and not arg.startswith("--")])
             flag = next(arg for arg in argv[at::-1] if arg.startswith("--"))
             argv[at] = rng.choice(ARGV_VALUES[flag])
-        elif kind == "delete":
-            at = rng.randrange(1, len(argv))
-            del argv[at]
-        else:
-            at = rng.randrange(1, len(argv))
-            argv.insert(at, argv[at])
-        yield argv, f"{kind} token {at}"
+            yield argv, f"replace token {at}"
+            continue
+        flags = [i for i, arg in enumerate(argv) if arg.startswith("--")]
+        at = rng.choice(flags)
+        end = next((i for i in flags if i > at), len(argv))
+        option = argv[at:end]
+        argv[at:end] = [] if kind == "delete" else option + option
+        yield argv, f"{kind} option {' '.join(option)}"
 
 
 def _alarm(signum, frame):

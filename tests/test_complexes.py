@@ -882,6 +882,53 @@ def test_orbit_space_facet_bound_refuses_on_top_cells_before_any_face_lookup(mon
     assert calls == []
 
 
+@pytest.mark.parametrize("case", ["gl1", "gl2", "sl2", "sl3", "antipodal-square"])
+def test_materialized_quotient_rows_match_the_frozenset_route(case):
+    # orbit_space_complex writes its rank rows straight into the complex; the
+    # same facets as frozensets through __init__ must give the same complex
+    k, gens = ORBIT_CASES[case]()
+    q = quotient(k, gens)
+    oracle = SimplicialComplex.from_facets(q.facets)
+    assert (q.vertices, q.facets, q._labels) == (oracle.vertices, oracle.facets, oracle._labels)
+    assert q.to_json_dict() == oracle.to_json_dict()
+    rank = {v: i for i, v in enumerate(sorted(q.vertices, key=lambda v: (str(v), repr(v))))}
+    assert list(q.facets) == sorted(set(q.facets), key=lambda f: (len(f), sorted(map(rank.get, f))))
+    for mine, theirs in zip(q._simplex_table()[1:], oracle._simplex_table()[1:]):  # rows, faces
+        assert len(mine) == len(theirs)
+        for a, b in zip(mine, theirs):
+            assert a.dtype == b.dtype == np.int32 and np.array_equal(a, b)
+    assert q._rows.keys() == oracle._rows.keys()
+    assert all(q._rows[size].dtype == np.int32 and np.array_equal(q._rows[size], oracle._rows[size])
+               for size in q._rows)
+    assert homology(q) == homology(oracle)
+
+
+def test_materialized_quotient_builds_no_frozensets_for_homology():
+    q = character_variety_complex("sl", 3)
+    assert "facets" not in vars(q)  # built on first use only
+    assert homology(q) == sphere_profile(3) and q.dim() == 3 and "facets" not in vars(q)
+    assert len(q.facets) == 3456 and "facets" in vars(q)
+
+
+def test_gl_3_quotient_refuses_before_building_any_flag(monkeypatch):
+    calls, faces = [], _OrbitCells.faces
+    monkeypatch.setattr(_OrbitCells, "faces", lambda self, d: calls.append(d) or faces(self, d))
+    with pytest.raises(ComplexError, match="~5529600 facets"):  # 7,680 top cells, 6! flags each
+        character_variety_complex("gl", 3)
+    assert calls == []
+
+
+def test_complex_core_refuses_repeated_rows_and_unused_vertices():
+    k = SimplicialComplex.__new__(SimplicialComplex)
+    with pytest.raises(ComplexError, match="repeats"):
+        k._store(["a", "b", "c"], {2: np.array([[0, 1], [2, 1], [1, 0]], dtype=np.int32)})
+    with pytest.raises(ComplexError, match="every declared vertex"):
+        k._store(["a", "b", "c"], {2: np.array([[0, 1]], dtype=np.int32)})
+    k._store(["a", "b", "c"], {1: np.array([[2]], dtype=np.int32), 2: np.array([[1, 0]], dtype=np.int32)})
+    assert [r.tolist() for r in k._rows.values()] == [[[2]], [[0, 1]]]
+    assert k.facets == (frozenset("c"), frozenset("ab")) and k.dim() == 1
+
+
 def test_non_simplicial_action_rejected():
     k = cycle_complex(4)
     bad = {0: 0, 1: 2, 2: 1, 3: 3}  # maps the edge {0,1} to the non-edge {0,2}
@@ -931,6 +978,8 @@ def test_sl_link_cache_hands_out_fresh_objects():
     link, gens = _sl_link_and_action(3)
     ray = link.vertices[0]
     link.vertices, link.facets = link.vertices[1:], link.facets[:1]
+    for rows in link._rows.values():  # the facet rows, in place, then their table
+        rows[:] = 0
     link._rows.clear()
     link._labels.reverse()
     gens[0][ray] = None
@@ -940,8 +989,9 @@ def test_sl_link_cache_hands_out_fresh_objects():
     facets, pairs = _sl_link_data.__wrapped__(3)
     fresh = SimplicialComplex.from_facets(facets)
     assert again is not link and again.to_json_dict() == fresh.to_json_dict()
-    assert (again.vertices, again.facets, again._rows, again._labels) == (
-        fresh.vertices, fresh.facets, fresh._rows, fresh._labels)
+    assert (again.vertices, again.facets, again._labels) == (fresh.vertices, fresh.facets, fresh._labels)
+    assert again._rows.keys() == fresh._rows.keys() and len(again._rows) == 1
+    assert all(np.array_equal(again._rows[size], fresh._rows[size]) for size in fresh._rows)
     assert again_gens == [dict(p) for p in pairs] and len(again_gens) == 2
     assert homology(again) == sphere_profile(3)
 
