@@ -876,6 +876,9 @@ def test_orbit_space_facet_bound_refuses_on_top_cells_before_any_face_lookup(mon
     cells = _OrbitCells(k, GroupAction(k, gens))
     calls, faces = [], _OrbitCells.faces
     monkeypatch.setattr(_OrbitCells, "faces", lambda self, d: calls.append(d) or faces(self, d))
+    with pytest.raises(ComplexError, match="~5529600 facets"):  # gl 3: 7,680 top cells, 6! flags each
+        character_variety_complex("gl", 3)
+    assert calls == []
     monkeypatch.setattr(complexes, "_MAX_FACETS", len(cells.keys[-1]) * math.factorial(cells.dim + 1) - 1)
     with pytest.raises(ComplexError, match="facets"):
         cells.orbit_space_complex()
@@ -908,14 +911,6 @@ def test_materialized_quotient_builds_no_frozensets_for_homology():
     assert "facets" not in vars(q)  # built on first use only
     assert homology(q) == sphere_profile(3) and q.dim() == 3 and "facets" not in vars(q)
     assert len(q.facets) == 3456 and "facets" in vars(q)
-
-
-def test_gl_3_quotient_refuses_before_building_any_flag(monkeypatch):
-    calls, faces = [], _OrbitCells.faces
-    monkeypatch.setattr(_OrbitCells, "faces", lambda self, d: calls.append(d) or faces(self, d))
-    with pytest.raises(ComplexError, match="~5529600 facets"):  # 7,680 top cells, 6! flags each
-        character_variety_complex("gl", 3)
-    assert calls == []
 
 
 def test_complex_core_refuses_repeated_rows_and_unused_vertices():
