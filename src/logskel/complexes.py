@@ -135,8 +135,8 @@ class SimplicialComplex:
 
     def to_json_dict(self):
         index = {v: i for i, v in enumerate(self.vertices)}
-        where = np.array([index[v] for v in self._labels], dtype=np.int32)  # each rank's index in vertices
-        facets = (_unique_rows(np.sort(where[rows], axis=1))[0].tolist() for rows in self._rows.values())
+        where = [index[v] for v in self._labels]  # each rank's index in vertices
+        facets = (sorted(sorted(map(where.__getitem__, row)) for row in rows.tolist()) for rows in self._rows.values())
         return {"schema": "1", "vertices": [_label_json(v) for v in self.vertices],
                 "facets": list(itertools.chain.from_iterable(facets))}
 

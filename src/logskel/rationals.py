@@ -78,13 +78,14 @@ def _check_digits(text):
     """Refuses (ValueError) a decimal whose mantissa digits plus |exponent|
     exceed Python's integer string limit, read off the string: ``Fraction``
     would first build 10^|exponent|, in time that grows without bound."""
+    mantissa, _, exponent = text.lower().partition("e")
+    if not exponent:  # no power of 10 to build
+        return
     import sys
 
-    limit = sys.get_int_max_str_digits()  # 0: no limit
-    mantissa, _, exponent = text.lower().partition("e")
-    exponent = exponent.strip().replace("_", "").removeprefix("-").removeprefix("+")
-    digits = exponent.lstrip("0")
-    if limit and exponent.isdecimal() and (
+    exponent = exponent.strip().replace("_", "").lstrip("+-")
+    digits, limit = exponent.lstrip("0"), sys.get_int_max_str_digits()  # limit 0: none
+    if exponent.isdecimal() and limit and (
             len(digits) > len(str(limit)) or sum(map(str.isdecimal, mantissa)) + int(digits or 0) > limit):
         shown = text if len(text) <= 40 else text[:37] + "..."
         raise ValueError(f"not an exact rational within {limit} digits: {shown!r}")

@@ -2,9 +2,9 @@
 
 Each file case changes one field of one input of one CLI job: it replaces a
 value with one of a fixed list of JSON values, deletes a key, or repeats a
-list element.  Each argv case changes one command-line token of a job that
-reads no file the same way, with a fixed list of strings for the type of the
-flag the token follows.  Invalid input must exit 2 with one line on stderr
+list element.  Each argv case of a job that reads no file replaces one
+value, drawn from a fixed list of strings for the type of its flag, or
+deletes or repeats one whole option, its flag and values.  Invalid input must exit 2 with one line on stderr
 (after argparse's usage text, for a command line argparse refuses); anything
 else must exit 0 with JSON on stdout.  Any other exception is a crash (exit 1
 on the command line), and so is a call that runs past its alarm.
