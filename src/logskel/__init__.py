@@ -61,7 +61,6 @@ from .complexes import (
     GroupAction,
     HomologyProfile,
     SimplicialComplex,
-    barycentric_subdivision,
     character_variety_complex,
     character_variety_homology,
     cycle_complex,

@@ -26,13 +26,12 @@ from .complexes import (
 )
 from .logstructure import LogStructureError, PairDescription, kato_fan_toric
 from .polyhedra import Fan, FanError, compactified_fan_strata
-from .rationals import fmt, q
+from .rationals import fmt, json_value, q
 from .valuations import (
     SkeletonPoint,
     ValuationError,
     classify_closure_point,
     classify_closure_point_toric,
-    json_list,
 )
 from .weights import (
     PluriForm,
@@ -60,6 +59,8 @@ def _load_json(path):
             doc = json.load(fh)
     except json.JSONDecodeError as exc:
         raise SystemExitWithCode(2, f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}")
+    except RecursionError:  # the parser recurses once per nested array or object
+        raise SystemExitWithCode(2, f"{path}: invalid JSON: nested too deeply to parse")
     except OSError as exc:
         raise SystemExitWithCode(2, f"{path}: {exc}")
     if type(doc) is not dict:
@@ -94,10 +95,7 @@ def _load_form(args) -> PluriForm:
 
 
 def _point_docs(path):
-    points = _load_json(path)["points"]
-    if type(points) is not list or any(type(p) is not dict for p in points):
-        raise ValuationError(f"points {points!r} is not a list of JSON objects")
-    return points
+    return json_value(_load_json(path)["points"], "points", ValuationError, list, dict)
 
 
 def cmd_skeleton(args):
@@ -128,7 +126,7 @@ def cmd_closure(args):
         strata = compactified_fan_strata(fan)
         for p in points:
             stratum, finite = classify_closure_point_toric(
-                fan, json_list(p, "kato_point"), json_list(p, "weights"))
+                fan, *(json_value(p[key], key, ValuationError, list) for key in ("kato_point", "weights")))
             out.append({"point": p, "stratum_cone": list(stratum),
                         "finite_values": [[list(h), fmt(v)] for h, v in finite]})
         doc = {"schema": "1", "command": "closure", "strata_count": len(strata),

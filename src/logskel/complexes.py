@@ -29,10 +29,12 @@ from .polyhedra import (
     primitive,
     product_fan,
 )
+from .rationals import json_value
 
 _FACE_BLOCK = 1 << 12  # chains per block in _OrbitCells; bounds its peak memory
 _GATHER_BLOCK = 1 << 14  # entries per chunk of the homology peel's gathers; bounds their index copies
 _MAX_GROUP_ORDER = 20_000  # group closure bound
+_MAX_LABEL_DEPTH = 300  # lists nested in a JSON vertex label; each level takes two of Python's 1000 frames
 _MAX_FACETS = 2_000_000  # orbit-space triangulation bound, in (d+1)! flags per maximal d-cell
 _MAX_SIMPLICES = 1 << 20  # simplex enumeration bound, sum of 2^|f| - 1 over facets f
 _MAX_TATE_ROWS = 1 << 20  # negative-case (J, j) rows, n * 2^(n-1): accepts n <= 16
@@ -143,12 +145,10 @@ class SimplicialComplex:
     @staticmethod
     def from_json_dict(doc) -> "SimplicialComplex":
         for key in ("vertices", "facets"):
-            if type(doc[key]) is not list:
-                raise ComplexError(f"{key} {doc[key]!r} is not a list")
+            json_value(doc[key], key, ComplexError, list)
         verts = [_label_unjson(v) for v in doc["vertices"]]
         for f in doc["facets"]:
-            if type(f) is not list:
-                raise ComplexError(f"facet {f!r} is not a list of vertex indices")
+            json_value(f, "facet", ComplexError, list, what="a list of vertex indices")
             bad = [i for i in f if type(i) is not int or not 0 <= i < len(verts)]
             if bad:
                 raise ComplexError(f"facet {f}: {bad[0]!r} is not an index into the {len(verts)} vertices")
@@ -195,11 +195,13 @@ def _label_json(v):
     return v
 
 
-def _label_unjson(v):
+def _label_unjson(v, depth=0):
     if isinstance(v, dict):
         raise ComplexError(f"vertex label {v!r} is not a string, number or list of them")
     if isinstance(v, list):
-        return tuple(_label_unjson(x) for x in v)
+        if depth == _MAX_LABEL_DEPTH:
+            raise ComplexError(f"a vertex label nests lists more than {_MAX_LABEL_DEPTH} deep")
+        return tuple(_label_unjson(x, depth + 1) for x in v)
     return v
 
 
@@ -273,25 +275,10 @@ def join(a: SimplicialComplex, b: SimplicialComplex) -> SimplicialComplex:
 
 def join_all(complexes) -> SimplicialComplex:
     """n-fold join with factor-indexed labels (i, v)."""
-    out = None
-    for i, c in enumerate(complexes):
-        part = c.relabeled(i)
-        out = part if out is None else SimplicialComplex(
-            out.vertices + part.vertices, [p | q for p in out.facets for q in part.facets])
-    if out is None:
+    parts = [c.relabeled(i) for i, c in enumerate(complexes)]
+    if not parts:
         raise ComplexError("empty join")
-    return out
-
-
-def barycentric_subdivision(k: SimplicialComplex) -> SimplicialComplex:
-    """Order complex of the face poset; vertices are the simplices of ``k``."""
-    facets = []
-    for f in k.facets:
-        fl = sorted(f, key=str)
-        for perm in itertools.permutations(fl):
-            chain = tuple(tuple(sorted(perm[: i + 1], key=str)) for i in range(len(perm)))
-            facets.append(frozenset(chain))
-    return SimplicialComplex.from_facets(facets)
+    return reduce(join, parts)  # disjoint labels: join keeps them
 
 
 # --------------------------------------------------------------------------

@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from .polyhedra import Cone, Fan, dot, dual_cone, hilbert_basis, star_fan
 from .lattice import span_snf
-from .rationals import fmt, q
+from .rationals import fmt, json_value, q
 from .valuations import LaurentRational
 
 
@@ -131,18 +131,6 @@ class KatoFan:
                 if (y, z) in self.order and (x, z) not in self.order:
                     raise LogStructureError("specializations do not compose")
         return True
-
-
-def _json_int(value, name):
-    if type(value) is not int:
-        raise LogStructureError(f"{name} {value!r} is not an integer")
-    return value
-
-
-def _json_objects(value, name):
-    if type(value) is not list or any(type(x) is not dict for x in value):
-        raise LogStructureError(f"{name} {value!r} is not a list of JSON objects")
-    return value
 
 
 def _sorted_key(ids) -> tuple:
@@ -386,17 +374,13 @@ class PairDescription:
     def from_json_dict(doc) -> "PairDescription":
         components = {}
         charts = []
-        for chdoc in _json_objects(doc["charts"], "charts"):
-            if type(chdoc["coords"]) is not list or any(type(x) is not str for x in chdoc["coords"]):
-                raise LogStructureError(f"coords {chdoc['coords']!r} is not a list of names")
-            coords = tuple(chdoc["coords"])
+        for chdoc in json_value(doc["charts"], "charts", LogStructureError, list, dict):
+            coords = tuple(json_value(chdoc["coords"], "coords", LogStructureError, list, str, "a list of names"))
             cut = {}
             eqs = {}
-            for b in _json_objects(chdoc["boundary"], "boundary"):
-                cid = b["id"]
-                if type(cid) is not str:
-                    raise LogStructureError(f"component id {cid!r} is not a string")
-                pi = _json_int(b.get("pi_multiplicity", 0), "pi_multiplicity")
+            for b in json_value(chdoc["boundary"], "boundary", LogStructureError, list, dict):
+                cid = json_value(b["id"], "component id", LogStructureError, str)
+                pi = json_value(b.get("pi_multiplicity", 0), "pi_multiplicity", LogStructureError, int)
                 comp = BoundaryComponent(cid=cid, coefficient=q(b.get("coefficient", "1")),
                                          pi_multiplicity=pi)
                 if cid in components and components[cid] != comp:
@@ -411,14 +395,10 @@ class PairDescription:
                     cut[b["coordinate"]] = cid
                 elif "equation" in b and eqs[cid].is_coordinate():
                     cut[coords[eqs[cid].coordinate_axis()]] = cid
-            rel_dim = _json_int(chdoc.get("relative_dimension", 0), "relative_dimension")
+            rel_dim = json_value(chdoc.get("relative_dimension", 0), "relative_dimension", LogStructureError, int)
             charts.append(LogChart(coordinates=coords, cut=cut, equations=eqs, relative_dimension=rel_dim))
-        if type(doc["strata"]) is not list:
-            raise LogStructureError(f"strata {doc['strata']!r} is not a list of strata")
-        for s in doc["strata"]:
-            if type(s) is not list or any(type(c) is not str for c in s):
-                raise LogStructureError(f"stratum {s!r} is not a list of component ids")
-        strata = [frozenset(s) for s in doc["strata"]]
+        strata = [frozenset(json_value(s, "stratum", LogStructureError, list, str, "a list of component ids"))
+                  for s in json_value(doc["strata"], "strata", LogStructureError, list, what="a list of strata")]
         return PairDescription(mode=doc["mode"], components=components, charts=charts,
                                strata=strata, logcy=bool(doc.get("logcy", False)))
 

@@ -33,6 +33,7 @@ from .lattice import (
     span_snf,
     transpose,
 )
+from .rationals import json_value
 
 DIM_LIMIT = 8
 _MAX_INDEX = 1 << 20  # Hilbert basis bound: lattice indices summed over the simplicial pieces
@@ -395,15 +396,14 @@ class Fan:
         if type(rank) is not int or rank < 0:
             raise FanError(f"rank {rank!r} is not an integer >= 0")
         for key in ("rays", "cones"):
-            if type(doc[key]) is not list:
-                raise FanError(f"{key} {doc[key]!r} is not a list")
+            json_value(doc[key], key, FanError, list)
+        shape = f"a list of {rank} integers"
         for r in doc["rays"]:
-            if type(r) is not list or len(r) != rank or any(type(x) is not int for x in r):
-                raise FanError(f"ray {r!r} is not a list of {rank} integers")
+            if len(json_value(r, "ray", FanError, list, int, shape)) != rank:
+                raise FanError(f"ray {r!r} is not {shape}")
         rays = [tuple(r) for r in doc["rays"]]
         for c in doc["cones"]:
-            if type(c) is not list:
-                raise FanError(f"cone {c!r} is not a list of ray indices")
+            json_value(c, "cone", FanError, list, what="a list of ray indices")
             bad = [i for i in c if type(i) is not int or not 0 <= i < len(rays)]
             if bad:
                 raise FanError(f"cone {c}: {bad[0]!r} is not an index into the {len(rays)} rays")

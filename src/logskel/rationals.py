@@ -100,6 +100,20 @@ def parse_ext(value):
     return q(value)
 
 
+_SHAPES = {(int, None): "an integer", (str, None): "a string", (list, None): "a list",
+           (dict, None): "a JSON object", (list, dict): "a list of JSON objects"}
+
+
+def json_value(value, name, error, kind, item=None, what=None):
+    """``value`` if its type is exactly ``kind`` (so True is no integer), and
+    with ``item`` given, if it is a list of ``item``; otherwise raises
+    ``error("<name> <value!r> is not <what>")``, ``what`` defaulting to the
+    shape's phrase in ``_SHAPES``."""
+    if type(value) is not kind or item is not None and any(type(x) is not item for x in value):
+        raise error(f"{name} {value!r} is not {what or _SHAPES[kind, item]}")
+    return value
+
+
 def fmt(value) -> str:
     """Format a Fraction or INF as "p/q" / "p" / "inf"."""
     if value is INF:

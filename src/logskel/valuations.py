@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from .lattice import rat_solve
 from .polyhedra import dot
-from .rationals import INF, fmt, is_inf, parse_ext, q, xadd, xdot, xmin
+from .rationals import INF, fmt, is_inf, json_value, parse_ext, q, xadd, xdot, xmin
 
 
 class ValuationError(ValueError):
@@ -47,8 +47,7 @@ def _terms_from(spec_list, arity=None):
             out.append(item)
             continue
         exps, *rest = item
-        if any(type(e) is not int for e in exps):
-            raise ValuationError(f"exponent vector {list(exps)!r} is not a list of integers")
+        exps = json_value(list(exps), "exponent vector", ValuationError, list, int, "a list of integers")
         cv = q(rest[0]) if rest else Fraction(0)
         coeff = q(rest[1]) if len(rest) > 1 and rest[1] is not None else None
         out.append(Term(exps=tuple(exps), coeff_val=cv, coeff=coeff))
@@ -211,8 +210,7 @@ class LaurentRational:
             return [(tuple(e["exp"]), q(e.get("coeff_val", 0)),
                      q(e["coeff"]) if "coeff" in e else None) for e in entries]
 
-        if type(doc) is not dict:
-            raise ValuationError(f"expression {doc!r} is not a JSON object")
+        json_value(doc, "expression", ValuationError, dict)
         return LaurentRational(load(doc["num"]), load(doc["den"]) if doc.get("den") else None)
 
     def __repr__(self):
@@ -272,17 +270,10 @@ class SkeletonPoint:
 
     @staticmethod
     def from_json_dict(doc) -> "SkeletonPoint":
-        kato = json_list(doc, "kato_point")
-        if any(type(c) is not str for c in kato):
-            raise ValuationError(f"kato_point {kato!r} is not a list of component ids")
-        return SkeletonPoint.make(kato, json_list(doc, "weights"), doc.get("mode", "trivial"))
-
-
-def json_list(doc, key):
-    """``doc[key]``, refused unless it is a JSON list."""
-    if type(doc[key]) is not list:
-        raise ValuationError(f"{key} {doc[key]!r} is not a list")
-    return doc[key]
+        kato = json_value(doc["kato_point"], "kato_point", ValuationError, list)
+        json_value(kato, "kato_point", ValuationError, list, str, "a list of component ids")
+        weights = json_value(doc["weights"], "weights", ValuationError, list)
+        return SkeletonPoint.make(kato, weights, doc.get("mode", "trivial"))
 
 
 def chart_weight_vector(point: SkeletonPoint, chart):

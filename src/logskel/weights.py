@@ -23,7 +23,7 @@ from fractions import Fraction
 
 from .lattice import adjugate
 from .logstructure import LogChart, PairDescription
-from .rationals import INF, fmt, is_inf, q, xadd, xscale
+from .rationals import INF, fmt, is_inf, json_value, q, xadd, xscale
 from .valuations import LaurentRational, SkeletonPoint, chart_weight_vector
 
 
@@ -86,15 +86,11 @@ class PluriForm:
 
     @staticmethod
     def from_json_dict(doc) -> "PluriForm":
-        charts = doc.get("charts", [])
-        if type(charts) is not list or any(type(e) is not dict for e in charts):
-            raise WeightError(f"charts {charts!r} is not a list of JSON objects")
+        charts = json_value(doc.get("charts", []), "charts", WeightError, list, dict)
         for name, value in [("m", doc["m"])] + [("chart", e["chart"]) for e in charts]:
-            if type(value) is not int:
-                raise WeightError(f"{name} {value!r} is not an integer")
+            json_value(value, name, WeightError, int)
         for value in [doc["dlog"]] + [e["dlog"] for e in charts if "dlog" in e]:
-            if type(value) is not list or any(type(c) is not str for c in value):
-                raise WeightError(f"dlog {value!r} is not a list of component ids")
+            json_value(value, "dlog", WeightError, list, str, "a list of component ids")
         if "charts" in doc:
             nums = {e["chart"]: LaurentRational.from_json_dict(e["numerator"])
                     for e in doc["charts"]}

@@ -5,12 +5,25 @@ kept as written so that its orbit-first enumeration can be compared with it
 cell for cell and column for column.  It stores every chain of the
 subdivision with a chain -> index dict and applies every group element to
 every chain: tests only.  ``orbit_space_flags`` is the subchain flag
-construction that the face-path flags of ``orbit_space_complex`` replaced.
+construction that the face-path flags of ``orbit_space_complex`` replaced,
+and ``barycentric_subdivision`` materializes the subdivided complex itself.
 """
 
 import itertools
 
 from homology_oracle import simplices_by_dim
+from logskel.complexes import SimplicialComplex
+
+
+def barycentric_subdivision(k):
+    """Order complex of the face poset; vertices are the simplices of ``k``."""
+    facets = []
+    for f in k.facets:
+        fl = sorted(f, key=str)
+        for perm in itertools.permutations(fl):
+            chain = tuple(tuple(sorted(perm[: i + 1], key=str)) for i in range(len(perm)))
+            facets.append(frozenset(chain))
+    return SimplicialComplex.from_facets(facets)
 
 
 class OrbitCellsOracle:

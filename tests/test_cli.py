@@ -164,15 +164,18 @@ def test_json_top_level_not_an_object_is_validation_error(tmp_path, flag):
              "--form": os.path.join(FIX, "strict_inclusion_form.json"),
              "--points": os.path.join(FIX, "strict_inclusion_points.json")}
     bad = tmp_path / "bad.json"
-    bad.write_text("[1, 2]")
     files[flag] = str(bad)
     commands = {"--fan": ["skeleton", "--fan"], "--complex": ["homology", "--complex"]}
     argv = commands[flag] + [files[flag]] if flag in commands else [
         "weight", *(x for f in ("--pair", "--form", "--points") for x in (f, files[f]))]
-    out = run_cli(*argv)
-    assert out.returncode == 2
-    assert out.stdout == "" and "Traceback" not in out.stderr
-    assert f"{bad}: the top level is not a JSON object" in out.stderr
+    # nesting deeper than the parser's recursion limit is refused too, not a RecursionError
+    for text, message in (("[1, 2]", "the top level is not a JSON object"),
+                          ("[" * 100_000, "invalid JSON: nested too deeply to parse")):
+        bad.write_text(text)
+        out = run_cli(*argv)
+        assert out.returncode == 2
+        assert out.stdout == "" and "Traceback" not in out.stderr
+        assert f"{bad}: {message}" in out.stderr
 
 
 UNKNOWN_COORDINATE_PAIR = {"mode": "trivial", "strata": [["B"]],
@@ -210,9 +213,11 @@ UNKNOWN_COORDINATE_PAIR = {"mode": "trivial", "strata": [["B"]],
     (["closure", "--pair", os.path.join(FIX, "a2_pair.json")], "--points",
      {"points": [{"kato_point": ["B1", "B1"], "weights": ["inf", "2"]}]},
      "kato_point ['B1', 'B1'] names a component twice"),
+    (["homology"], "--complex", {"vertices": [json.loads("[" * 500 + "0" + "]" * 500), 1], "facets": [[0, 1]]},
+     "a vertex label nests lists more than 300 deep"),
 ], ids=["points", "point", "facets", "vertices", "coordinate", "toric-kato-point", "snc-weights",
         "toric-nested-index", "toric-bool-index", "snc-unknown-component", "snc-nested-id",
-        "weight-repeated-id", "closure-repeated-id"])
+        "weight-repeated-id", "closure-repeated-id", "deep-label"])
 def test_json_bad_shape_is_validation_error(tmp_path, argv, flag, doc, message):
     path = tmp_path / "doc.json"
     path.write_text(json.dumps(doc))

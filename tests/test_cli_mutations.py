@@ -3,11 +3,13 @@
 Each file case changes one field of one input of one CLI job: it replaces a
 value with one of a fixed list of JSON values, deletes a key, or repeats a
 list element.  Each argv case of a job that reads no file replaces one
-value, drawn from a fixed list of strings for the type of its flag, or
-deletes or repeats one whole option, its flag and values.  Invalid input must exit 2 with one line on stderr
-(after argparse's usage text, for a command line argparse refuses); anything
-else must exit 0 with JSON on stdout.  Any other exception is a crash (exit 1
-on the command line), and so is a call that runs past its alarm.
+value, drawn from a fixed list of strings for the type of its flag, repeats
+one whole option, its flag and values, or deletes what the command can do
+without: an optional option, or one value of a multi-value option.  Invalid
+input must exit 2 with one line on stderr (after argparse's usage text, for
+a command line argparse refuses); anything else must exit 0 with JSON on
+stdout.  Any other exception is a crash (exit 1 on the command line), and so
+is a call that runs past its alarm.
 """
 
 import contextlib
@@ -83,6 +85,7 @@ ARGV_VALUES = {
     "--a": RATIONALS,
     "--group": ["gl", "sl"],
 }
+OPTIONAL = {"--samples", "--tolerance", "--seed"}  # sphere-check's; every other option of ARGV_JOBS is required
 
 # crashes found by hand before sphere-check bounded its arguments: a tolerance
 # that is also the degeneracy threshold (ArithmeticError), and 2 * 10^7
@@ -148,24 +151,28 @@ def mutation_cases(seed, count):
 
 def argv_cases(seed, count):
     """(argv, description) for ``count`` seeded mutations of ARGV_JOBS: one
-    value replaced, or one whole option (its flag and values) deleted or
-    repeated."""
+    value replaced, one whole option (its flag and values) repeated, or one
+    optional option or one value of a multi-value option deleted.  A
+    required option deleted, or the last value of one, only meets argparse,
+    so a job with nothing else to delete draws no deletes."""
     rng = random.Random(seed)
     for _ in range(count):
         argv = list(rng.choice(ARGV_JOBS))
-        kind = rng.choice(["replace", "replace", "delete", "repeat"])
+        flags = [i for i, arg in enumerate(argv) if arg.startswith("--")]
+        options = [(at, next((i for i in flags if i > at), len(argv))) for at in flags]
+        deletable = [(at, end) for at, end in options if argv[at] in OPTIONAL]
+        deletable += [(i, i + 1) for at, end in options if end - at > 2 for i in range(at + 1, end)]
+        kind = rng.choice(["replace", "replace", "delete", "repeat"] if deletable else ["replace", "replace", "repeat"])
         if kind == "replace":  # a value, by the type of its flag: a flag replaced only meets argparse
             at = rng.choice([i for i, arg in enumerate(argv) if i and not arg.startswith("--")])
             flag = next(arg for arg in argv[at::-1] if arg.startswith("--"))
             argv[at] = rng.choice(ARGV_VALUES[flag])
             yield argv, f"replace token {at}"
             continue
-        flags = [i for i, arg in enumerate(argv) if arg.startswith("--")]
-        at = rng.choice(flags)
-        end = next((i for i in flags if i > at), len(argv))
+        at, end = rng.choice(deletable if kind == "delete" else options)
         option = argv[at:end]
         argv[at:end] = [] if kind == "delete" else option + option
-        yield argv, f"{kind} option {' '.join(option)}"
+        yield argv, f"{kind} {' '.join(option)}"
 
 
 def _alarm(signum, frame):

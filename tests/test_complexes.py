@@ -14,7 +14,6 @@ from logskel.complexes import (
     ComplexError,
     GroupAction,
     SimplicialComplex,
-    barycentric_subdivision,
     character_variety_complex,
     character_variety_homology,
     cycle_complex,
@@ -46,7 +45,7 @@ from logskel.logstructure import kato_fan_toric, product
 from logskel.polyhedra import Cone, Fan, fan_p1xp1, fan_p2, maximal_sets, primitive
 import homology_oracle
 from lattice_oracle import rat_solve
-from orbit_oracle import OrbitCellsOracle
+from orbit_oracle import OrbitCellsOracle, barycentric_subdivision
 from polyhedra_oracle import derived_subdivision
 from sphere_oracle import all_close_pairs, sphere_check_oracle
 
@@ -470,6 +469,16 @@ def test_facet_order_of_colliding_labels_is_fixed(tmp_path):
     assert len(orders) == 1, orders
     # ranks by (str, repr): "1" < 1 < 2 < "x"
     assert orders.pop().strip() == str([["'1'", "2"], ["'1'", "'x'"], ["1", "2"], ["'x'", "1"]])
+
+
+def test_vertex_labels_nest_at_most_300_lists():
+    def doc(depth):
+        return {"vertices": [json.loads("[" * depth + "0" + "]" * depth), 1], "facets": [[0, 1]]}
+
+    edge = SimplicialComplex.from_json_dict(doc(300))
+    assert homology(edge) == homology(SimplicialComplex.from_facets([(0, 1)]))
+    with pytest.raises(ComplexError, match="nests lists more than 300 deep"):
+        SimplicialComplex.from_json_dict(doc(301))
 
 
 def test_dense_core_gets_no_empty_lines(monkeypatch):
