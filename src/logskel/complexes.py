@@ -452,11 +452,6 @@ class _OrbitCells:
             above = mask[:] = _at(self._subset, above, mask)
         return keys, masks
 
-    def chains(self, d, keys):
-        """Top-first chains of simplex ids (rows) of packed level-d keys."""
-        tops, masks = self._masks(d, keys)
-        return np.vstack([tops, self._ids(tops, masks)]).T
-
     def _encode(self, tops, full, masks):
         """Packed keys of chains (tops, their full masks, masks as from _masks)."""
         key, above = tops.astype(np.int64), full

@@ -210,16 +210,9 @@ def saturation_quotient_map(vectors, rank):
     return u[len(diag):]
 
 
-def content(vec) -> int:
-    g = 0
-    for x in vec:
-        g = gcd(g, abs(x))
-    return g
-
-
 def primitive(vec):
     """Divide an integer vector by the gcd of its entries (0 stays 0)."""
-    g = content(vec)
+    g = gcd(*vec)
     if g == 0:
         return tuple(vec)
     return tuple(x // g for x in vec)
@@ -247,8 +240,8 @@ class SparseIntMatrix:
                     self.rows.setdefault(i, {})[j] = val
 
     def _eliminate(self, pi, pj):
-        """Pivot on entry (pi, pj) (must be +-1) and delete its row/column,
-        and every other line the pivot empties."""
+        """Pivot on entry (pi, pj) (must be +-1) and delete every line it
+        empties; returns the other entries of its column and row."""
         piv = self.rows[pi][pj]
         col_entries = [(i, v) for i, v in self.cols[pj].items() if i != pi]
         row_entries = [(j, v) for j, v in self.rows[pi].items() if j != pj]
@@ -274,18 +267,21 @@ class SparseIntMatrix:
         del self.rows[pi]
         del self.cols[pj]
         self.pivot_rows.append(pi)
+        return col_entries, row_entries
 
     def diagonal_snf(self):
         """Nonzero SNF diagonal entries (with multiplicity), sorted by divisibility.
 
         Unit-pivot elimination driven by a lazy min-heap over column sizes
         (singleton columns are zero-fill and come first); rows that drop to
-        a single entry are also consumed eagerly.  Every line a pivot empties
-        is deleted, so what is left is exactly the non-unit remainder; the
-        dense transform-free SNF runs on it only when it is nonempty.  The
-        rows removed by unit pivots, by either route, are recorded in
-        ``self.pivot_rows``: for a coboundary matrix they are the cells whose
-        rows the next higher boundary matrix may drop.
+        a single entry are also consumed eagerly.  A column popped without a
+        +-1 entry is dropped: it changes only when a pivot row crosses it,
+        which pushes it again.  Every line a pivot empties is deleted, so what
+        is left is exactly the non-unit remainder; the dense transform-free
+        SNF runs on it only when it is nonempty.  The rows removed by unit
+        pivots, by either route, are recorded in ``self.pivot_rows``: for a
+        coboundary matrix they are the cells whose rows the next higher
+        boundary matrix may drop.
         """
         import heapq
         from collections import deque
@@ -293,25 +289,19 @@ class SparseIntMatrix:
         heap = [(len(col), j) for j, col in self.cols.items()]
         heapq.heapify(heap)
         rowq = deque(i for i, row in self.rows.items() if len(row) == 1)
-        deferred = []
-        eliminated_since_resurrect = 1
 
         def eliminate_tracked(pi, pj):
-            nonlocal eliminated_since_resurrect
-            touched_rows = set(self.cols[pj]) - {pi}
-            touched_cols = set(self.rows[pi]) - {pj}
-            self._eliminate(pi, pj)
-            eliminated_since_resurrect += 1
-            for i in touched_rows:
+            col_entries, row_entries = self._eliminate(pi, pj)
+            for i, _ in col_entries:
                 row = self.rows.get(i)
                 if row is not None and len(row) == 1:
                     rowq.append(i)
-            for j in touched_cols:
+            for j, _ in row_entries:
                 col = self.cols.get(j)
                 if col is not None:
                     heapq.heappush(heap, (len(col), j))
 
-        while self.rows:
+        while rowq or heap:
             if rowq:
                 i = rowq.popleft()
                 row = self.rows.get(i)
@@ -320,14 +310,6 @@ class SparseIntMatrix:
                     if v in (1, -1):
                         eliminate_tracked(i, j)
                 continue
-            if not heap:
-                if deferred and eliminated_since_resurrect:
-                    heap = [(len(self.cols[j]), j) for _, j in deferred if j in self.cols]
-                    heapq.heapify(heap)
-                    deferred = []
-                    eliminated_since_resurrect = 0
-                    continue
-                break
             sz, j = heapq.heappop(heap)
             col = self.cols.get(j)
             if col is None or len(col) != sz:
@@ -340,10 +322,8 @@ class SparseIntMatrix:
                     if best_rowlen is None or rl < best_rowlen:
                         best_rowlen = rl
                         pick = i
-            if pick is None:
-                deferred.append((sz, j))
-                continue
-            eliminate_tracked(pick, j)
+            if pick is not None:
+                eliminate_tracked(pick, j)
 
         diag = [1] * len(self.pivot_rows)
         if self.rows:

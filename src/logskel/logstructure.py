@@ -125,13 +125,6 @@ class KatoFan:
         """True when x is in the closure of y (so C_x surjects onto C_y)."""
         return (x, y) in self.order or x == y
 
-    def check_poset(self):
-        for x, y in self.order:
-            for z in self.points:
-                if (y, z) in self.order and (x, z) not in self.order:
-                    raise LogStructureError("specializations do not compose")
-        return True
-
 
 def _sorted_key(ids) -> tuple:
     return tuple(sorted(ids))
@@ -144,9 +137,8 @@ def kato_fan_snc(component_ids, strata) -> KatoFan:
     must be closed under subsets: in an snc pair every subset of the
     components through a stratum meets.
     """
-    strata = {frozenset(s) for s in strata}
-    strata.add(frozenset())
-    for s in strata:
+    strata = {frozenset(s) for s in strata} | {frozenset()}
+    for s in sorted(strata, key=lambda s: (len(s), sorted(s))):
         if not s <= set(component_ids):
             raise LogStructureError(f"stratum {sorted(s)} uses unknown components")
         for c in sorted(s):

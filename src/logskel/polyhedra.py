@@ -150,9 +150,6 @@ class Cone:
     def is_pointed(self) -> bool:
         return () in _faces(self.rays, self.rank)
 
-    def is_simplicial(self) -> bool:
-        return len(self.rays) == self.dim()
-
     def __repr__(self):
         return f"Cone{list(map(list, self.rays))}"
 
@@ -367,15 +364,19 @@ class Fan:
             self.cone_geometry(big).rays, self.rank)
 
     def validate(self):
-        """Check that maximal cones meet in a common face.  Every cone is a
-        face of a maximal one, and faces of a cone meet in faces, so then
-        any two cones do."""
-        for a, b in itertools.combinations(self.maximal_cones(), 2):
+        """Check that maximal cones meet in a common face, and that every
+        cone is a face of each maximal cone holding its rays.  Faces of a
+        cone meet in faces, so then any two cones do."""
+        maximal = self.maximal_cones()
+        for a, b in itertools.combinations(maximal, 2):
             ca, cb = self.cone_geometry(a), self.cone_geometry(b)
             # the meet of two pointed cones is pointed: these are its extreme rays
             meet = tuple(dual_rays(ca.facet_normals() + cb.facet_normals(), self.rank))
             if meet not in _faces(ca.rays, self.rank) or meet not in _faces(cb.rays, self.rank):
                 raise FanError(f"intersection of {sorted(a)} and {sorted(b)} is not a common face")
+        for c, m in itertools.product(self.cones, maximal):
+            if c <= m and not self._is_face(c, m):
+                raise FanError(f"cone {sorted(c)} lies in the cone {sorted(m)} but is not a face of it")
 
     # -- serialization ---------------------------------------------------
 

@@ -52,8 +52,6 @@ class _Infinity:
 
 INF = _Infinity()
 
-ExtRat = object  # Fraction | INF; alias for documentation only
-
 
 def is_inf(x) -> bool:
     return x is INF

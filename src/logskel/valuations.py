@@ -258,9 +258,6 @@ class SkeletonPoint:
     def is_finite(self) -> bool:
         return not any(is_inf(w) for w in self.weights)
 
-    def support(self):
-        return tuple(c for c, w in zip(self.kato, self.weights) if is_inf(w) or w > 0)
-
     def to_json_dict(self):
         return {
             "kato_point": list(self.kato),

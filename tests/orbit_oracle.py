@@ -6,10 +6,13 @@ cell for cell and column for column.  It stores every chain of the
 subdivision with a chain -> index dict and applies every group element to
 every chain: tests only.  ``orbit_space_flags`` is the subchain flag
 construction that the face-path flags of ``orbit_space_complex`` replaced,
-and ``barycentric_subdivision`` materializes the subdivided complex itself.
+``barycentric_subdivision`` materializes the subdivided complex itself, and
+``chains`` unpacks the library's packed cell keys for the comparison.
 """
 
 import itertools
+
+import numpy as np
 
 from homology_oracle import simplices_by_dim
 from logskel.complexes import SimplicialComplex
@@ -24,6 +27,13 @@ def barycentric_subdivision(k):
             chain = tuple(tuple(sorted(perm[: i + 1], key=str)) for i in range(len(perm)))
             facets.append(frozenset(chain))
     return SimplicialComplex.from_facets(facets)
+
+
+def chains(cells, d, keys):
+    """Top-first chains of simplex ids (rows) of the packed level-d keys of
+    the ``_OrbitCells`` ``cells``."""
+    tops, masks = cells._masks(d, keys)
+    return np.vstack([tops, cells._ids(tops, masks)]).T
 
 
 class OrbitCellsOracle:

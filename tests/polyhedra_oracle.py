@@ -11,6 +11,7 @@ enumeration of the parallelepiped step of the Hilbert basis.
 it checks the recursion over faces of the derived subdivision.
 ``derived_subdivision`` builds the subdivided fan from the library's pieces:
 the library needs only the pieces (``link_complex``), the tests the fan.
+``is_simplicial`` checks that the pieces are simplicial.
 """
 
 from __future__ import annotations
@@ -94,12 +95,17 @@ def parallelepiped_points(rays, rank):
     return pts
 
 
+def is_simplicial(cone):
+    """Whether the extreme rays of ``cone`` are linearly independent."""
+    return len(cone.rays) == cone.dim()
+
+
 def derived_pieces(fan):
     """The maximal cones of the derived subdivision as ray tuples, and
     whether any cone was starred: every current cone that holds the rays of
     a non-simplicial face, largest dimension first, is replaced by the
     cones over its facets that miss the face's barycentre ray."""
-    bad = [g for g in map(fan.cone_geometry, fan.cones) if len(g.rays) > 2 and not g.is_simplicial()]
+    bad = [g for g in map(fan.cone_geometry, fan.cones) if len(g.rays) > 2 and not is_simplicial(g)]
     cones = [fan.cone_geometry(c).rays for c in fan.maximal_cones()]
     for face in sorted(bad, key=lambda f: (-f.dim(), f.rays)):
         ray = primitive([sum(col) for col in zip(*face.rays)])

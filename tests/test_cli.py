@@ -243,13 +243,16 @@ def test_points_out_of_order_keep_their_weights(tmp_path):
 
 
 def test_overlapping_fan_cones_are_validation_error(tmp_path):
-    doc = {"rank": 2, "rays": [[1, 0], [0, 1], [1, 1]], "cones": [[0, 1], [1, 2]]}
-    path = tmp_path / "fan.json"
-    path.write_text(json.dumps(doc))
-    out = run_cli("dual-complex", "--fan", str(path))
-    assert out.returncode == 2
-    assert out.stdout == ""
-    assert "intersection of [0, 1] and [1, 2] is not a common face" in out.stderr
+    overlap = {"rank": 2, "rays": [[1, 0], [0, 1], [1, 1]], "cones": [[0, 1], [1, 2]]}
+    # a square pyramid and one of its diagonals, which lies in it but is no face
+    pyramid = {"rank": 3, "rays": [[1, 0, 1], [0, 1, 1], [-1, 0, 1], [0, -1, 1]],
+               "cones": [[0, 1, 2, 3], [0, 2]]}
+    for doc, message in ((overlap, "intersection of [0, 1] and [1, 2] is not a common face"),
+                         (pyramid, "cone [0, 2] lies in the cone [0, 1, 2, 3] but is not a face of it")):
+        path = tmp_path / "fan.json"
+        path.write_text(json.dumps(doc))
+        for command in ("dual-complex", "skeleton"):
+            _one_line_validation_error(run_cli(command, "--fan", str(path)), message)
 
 
 @pytest.mark.parametrize("facet,message", [
@@ -618,6 +621,24 @@ def test_stratum_family_not_closed_under_subsets_is_validation_error(tmp_path):
     out = run_cli("ks", "--pair", str(pair), "--form", os.path.join(FIX, "a2_form_z1.json"))
     _one_line_validation_error(
         out, "stratum family not closed under subsets: ['B1', 'B2'] is declared but ['B1'] is not")
+
+
+def test_unknown_stratum_message_does_not_depend_on_hash_seed(tmp_path):
+    # B2 is renamed in the chart, so both ['B2'] and ['B1', 'B2'] name an
+    # unknown component; the smaller stratum is checked first
+    with open(os.path.join(FIX, "a2_pair.json")) as fh:
+        doc = json.load(fh)
+    doc["charts"][0]["boundary"][1]["id"] = "B9"
+    pair = tmp_path / "pair.json"
+    pair.write_text(json.dumps(doc))
+    runs = [subprocess.Popen([sys.executable, "-m", "logskel", "skeleton", "--pair", str(pair)],
+                             stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, cwd=ROOT,
+                             env={**CHILD_ENV, "PYTHONHASHSEED": str(seed)})
+            for seed in range(8)]
+    for p in runs:
+        stdout, stderr = p.communicate(timeout=60)
+        out = subprocess.CompletedProcess(p.args, p.returncode, stdout, stderr)
+        _one_line_validation_error(out, "stratum ['B2'] uses unknown components")
 
 
 def test_homology_refuses_simplex_past_desk_scale(tmp_path):

@@ -45,8 +45,8 @@ from logskel.logstructure import kato_fan_toric, product
 from logskel.polyhedra import Cone, Fan, fan_p1xp1, fan_p2, maximal_sets, primitive
 import homology_oracle
 from lattice_oracle import rat_solve
-from orbit_oracle import OrbitCellsOracle, barycentric_subdivision
-from polyhedra_oracle import derived_subdivision
+from orbit_oracle import OrbitCellsOracle, barycentric_subdivision, chains
+from polyhedra_oracle import derived_subdivision, is_simplicial
 from sphere_oracle import all_close_pairs, sphere_check_oracle
 
 
@@ -77,7 +77,7 @@ def test_link_nonsimplicial_cone_subdivides():
     f = Fan(3, [(1, 0, 1), (0, 1, 1), (-1, 0, 1), (0, -1, 1)],
             [frozenset({0, 1, 2, 3})])
     out = derived_subdivision(f)
-    assert all(out.cone_geometry(c).is_simplicial() for c in out.cones)
+    assert all(is_simplicial(out.cone_geometry(c)) for c in out.cones)
     lk = link_complex(f)
     prof = homology(lk)
     assert prof.degrees[0][0] == 1 and all(r == 0 for r, _ in prof.degrees[1:])
@@ -596,7 +596,7 @@ def test_orbit_cells_match_materializing_oracle(case, monkeypatch):
     cells, oracle = _OrbitCells(k, action), OrbitCellsOracle(k, action)
     assert cells.cell_counts() == oracle.cell_counts()
     for d in range(cells.dim + 1):
-        reps = cells.chains(d, cells.keys[d]).tolist()
+        reps = chains(cells, d, cells.keys[d]).tolist()
         assert [tuple(chain[::-1]) for chain in reps] == oracle.rep_chains(d)
     whole = [cells.faces(d) for d in range(1, cells.dim + 1)]
     monkeypatch.setattr(complexes, "_FACE_BLOCK", 7)  # several blocks per level
@@ -805,7 +805,7 @@ def test_least_matches_brute_force_minimum_over_the_whole_group(case):
         # each chain below its top as masks: bit i is the top's i-th vertex by rank
         where = [{v: i for i, v in enumerate(sorted(sims[row[0]], key=rank.__getitem__))} for row in rows]
         masks = [[sum(1 << at[v] for v in sims[c]) for c in row[1:]] for row, at in zip(rows, where)]
-        least = cells.chains(length - 1, cells._least(
+        least = chains(cells, length - 1, cells._least(
             np.array([row[0] for row in rows]), np.array(masks, dtype=np.intp).reshape(len(rows), length - 1).T))
         expect = [min(tuple(ids[frozenset(map(g.__getitem__, sims[c]))] for c in row)
                       for g in action.elements) for row in rows]

@@ -59,8 +59,10 @@ def test_sparse_snf_matches_dense():
         rows, cols = rng.randint(2, 7), rng.randint(2, 7)
         m = random_matrix(rng, rows, cols, 4)
         columns = [{i: m[i][j] for i in range(rows) if m[i][j]} for j in range(cols)]
-        got = SparseIntMatrix(columns, rows).diagonal_snf()
-        assert sorted(got) == sorted(snf_diagonal(m))
+        sparse = SparseIntMatrix(columns, rows)
+        assert sorted(sparse.diagonal_snf()) == sorted(snf_diagonal(m))
+        # no unit is left: a column popped without one is never crossed again
+        assert not any(v in (1, -1) for col in sparse.cols.values() for v in col.values())
 
 
 def test_sparse_matrix_refuses_zero_entries():
@@ -101,6 +103,8 @@ def test_sparse_and_dense_snf_match_sympy(m):
     assert sparse.diagonal_snf() == expect
     # unit pivots remove distinct rows, one per unit of the diagonal at most
     assert len(set(sparse.pivot_rows)) == len(sparse.pivot_rows) <= expect.count(1)
+    # no unit is left in the remainder: it is what the dense SNF finishes
+    assert not any(v in (1, -1) for col in sparse.cols.values() for v in col.values())
 
 
 def test_kernel_is_saturated():

@@ -12,6 +12,13 @@ from logskel.logstructure import (
 from logskel.polyhedra import Fan, fan_a2, fan_p1, fan_p1xp1, fan_p2, product_fan
 
 
+def check_poset(k):
+    """The specializations of the Kato fan ``k`` compose."""
+    for x, y in k.order:
+        for z in k.points:
+            assert (y, z) not in k.order or (x, z) in k.order, "specializations do not compose"
+
+
 def snc_square():
     return kato_fan_snc(
         ["1", "2"],
@@ -127,7 +134,7 @@ def test_product_counts():
     p2 = kato_fan_toric(fan_p2())
     prod = product(p2, p2)
     assert len(prod) == 49
-    prod.check_poset()
+    check_poset(prod)
 
 
 def test_product_matches_product_fan():
@@ -166,7 +173,7 @@ def test_product_associative_commutative_up_to_iso():
 
 def test_specialization_functoriality():
     pair = strict_inclusion_pair()
-    pair.kato_fan().check_poset()
+    check_poset(pair.kato_fan())
 
 
 def test_pair_json_roundtrip():
