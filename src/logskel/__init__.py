@@ -57,23 +57,21 @@ from .weights import (
     toric_essential_skeleton,
     weight,
 )
-from .complexes import (
-    GroupAction,
-    HomologyProfile,
-    SimplicialComplex,
-    character_variety_complex,
-    character_variety_homology,
-    cycle_complex,
-    homology,
-    join,
-    join_all,
-    link_complex,
-    quotient,
-    quotient_homology,
-    simplex_boundary_complex,
-    sphere_profile,
-    sphere_quotient_map_check,
-    tate_strata,
-)
 
 __version__ = "0.1.0"
+
+# complexes is the one module that needs numpy; it loads on first use (PEP 562)
+_COMPLEXES = frozenset({
+    "GroupAction", "HomologyProfile", "SimplicialComplex", "character_variety_complex",
+    "character_variety_homology", "cycle_complex", "homology", "join", "join_all",
+    "link_complex", "quotient", "quotient_homology", "simplex_boundary_complex",
+    "sphere_profile", "sphere_quotient_map_check", "tate_strata",
+})
+
+
+def __getattr__(name):
+    if name in _COMPLEXES:
+        from . import complexes
+
+        return getattr(complexes, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

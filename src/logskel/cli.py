@@ -14,18 +14,8 @@ import os
 import sys
 
 from . import fixtures as fx
-from .complexes import (
-    ComplexError,
-    SimplicialComplex,
-    character_variety_homology,
-    check_sphere_tolerance,
-    homology,
-    link_complex,
-    sphere_quotient_map_check,
-    tate_strata,
-)
-from .logstructure import LogStructureError, PairDescription, kato_fan_toric
-from .polyhedra import Fan, FanError, compactified_fan_strata
+from .logstructure import PairDescription, kato_fan_toric
+from .polyhedra import Fan, compactified_fan_strata
 from .rationals import fmt, json_value, q
 from .valuations import (
     SkeletonPoint,
@@ -49,8 +39,8 @@ from .weights import (
 # samples x n x max(n, 4) bounds both (10^6 samples at n = 3: 1.2 * 10^7)
 SPHERE_CHECK_STEPS = 1 << 24
 
-VALIDATION_ERRORS = (LogStructureError, FanError, ValuationError, WeightError,
-                     ComplexError, KeyError, ValueError, json.JSONDecodeError)
+# every logskel error class, and json.JSONDecodeError, subclasses ValueError
+VALIDATION_ERRORS = (KeyError, ValueError)
 
 
 def _load_json(path):
@@ -167,6 +157,8 @@ def cmd_essential(args):
 
 
 def cmd_slice(args):
+    from .complexes import homology
+
     pair = _load_pair(args)
     sub = None
     if args.essential:
@@ -196,6 +188,8 @@ def cmd_residue(args):
 
 
 def cmd_dual_complex(args):
+    from .complexes import SimplicialComplex, homology, link_complex
+
     if args.fan:
         fan = Fan.from_json_dict(_load_json(args.fan))
         cx = link_complex(fan)
@@ -211,7 +205,7 @@ def cmd_dual_complex(args):
     _emit(doc, args)
 
 
-def _write_off(cx: SimplicialComplex, path):
+def _write_off(cx, path):
     """Facet dump in OFF format with a deterministic circle layout."""
     import math
 
@@ -229,12 +223,16 @@ def _write_off(cx: SimplicialComplex, path):
 
 
 def cmd_homology(args):
+    from .complexes import SimplicialComplex, homology
+
     cx = SimplicialComplex.from_json_dict(_load_json(args.complex))
     _emit({"schema": "1", "command": "homology",
            "homology": homology(cx).to_json_dict()}, args)
 
 
 def cmd_character_variety(args):
+    from .complexes import character_variety_homology
+
     prof = character_variety_homology(args.group, args.n)
     expected_dim = 2 * args.n - 1 if args.group == "gl" else 2 * args.n - 3
     doc = {
@@ -250,6 +248,8 @@ def cmd_character_variety(args):
 
 
 def cmd_tate(args):
+    from .complexes import tate_strata
+
     doc = tate_strata(args.n, args.alpha)
     _emit({"schema": "1", "command": "tate", **doc}, args)
 
@@ -273,6 +273,8 @@ def cmd_gauss(args):
 
 def cmd_sphere_check(args):
     import numpy as np
+
+    from .complexes import check_sphere_tolerance, sphere_quotient_map_check
 
     for flag, value in (("--n", args.n), ("--samples", args.samples), ("--tolerance", args.tolerance)):
         if not value > 0:  # also rejects a NaN tolerance

@@ -10,7 +10,6 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from .complexes import character_variety_homology, homology, link_complex, sphere_profile, tate_strata
 from .logstructure import BoundaryComponent, LogChart, PairDescription, kato_fan_toric
 from .polyhedra import compactified_fan_strata, fan_p2
 from .valuations import LaurentRational, SkeletonPoint, normalize_dvf
@@ -248,6 +247,8 @@ def toric_essential_is_whole():
 
 @_check("Dwork slice at <b,alpha>=1 is a circle")
 def dwork_slice_circle():
+    from .complexes import homology, sphere_profile
+
     pair = dwork_pair()
     sc = slice_dvf(pair, essential_skeleton(pair, []))
     return homology(sc.to_simplicial()) == sphere_profile(1)
@@ -262,21 +263,29 @@ def gauss_exponents():
 
 @_check("link of P2 is a circle")
 def p2_link_circle():
+    from .complexes import homology, link_complex, sphere_profile
+
     return homology(link_complex(fan_p2())) == sphere_profile(1)
 
 
 @_check("gl n=2 has the S^3 homology profile")
 def gl2_sphere():
+    from .complexes import character_variety_homology, sphere_profile
+
     return character_variety_homology("gl", 2) == sphere_profile(3)
 
 
 @_check("sl n=2 has the S^1 homology profile")
 def sl2_sphere():
+    from .complexes import character_variety_homology, sphere_profile
+
     return character_variety_homology("sl", 2) == sphere_profile(1)
 
 
 @_check("tate cases: |a|>0 generic, |a|=0 single divisor, |a|<0 table")
 def tate_cases():
+    from .complexes import tate_strata
+
     a, b, c = (tate_strata(2, alpha) for alpha in ((1, 1), (1, -1), (-1, -1)))
     neg_ok = all(s["contained"] == (len(s["J"]) - 2 in (0, 1)) for s in c["strata"])
     return (a["case"] == "generic" and b["case"] == "single_divisor"

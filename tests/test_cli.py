@@ -666,3 +666,36 @@ def test_skeleton_refuses_hilbert_basis_past_desk_scale(tmp_path):
                          capture_output=True, text=True, cwd=ROOT, env=CHILD_ENV, timeout=10, preexec_fn=limit)
     _one_line_validation_error(
         out, f"the simplicial pieces have lattice index {10 ** 7}, over the desk-scale {2 ** 20}")
+
+
+def test_commands_without_complexes_start_numpy_free(tmp_path):
+    # numpy and logskel.complexes load on first use, so the exact commands
+    # never pay their import; only a fresh interpreter can show it
+    si, a2 = (os.path.join(FIX, f"{name}_pair.json") for name in ("strict_inclusion", "a2"))
+    si_form = os.path.join(FIX, "strict_inclusion_form.json")
+    argvs = [
+        ["skeleton", "--pair", si], ["skeleton", "--fan", os.path.join(FIX, "p2_fan.json")],
+        ["closure", "--pair", a2, "--points", os.path.join(FIX, "closure_points_a2.json")],
+        ["weight", "--pair", si, "--form", si_form,
+         "--points", os.path.join(FIX, "strict_inclusion_points.json")],
+        ["ks", "--pair", si, "--form", si_form],
+        ["essential", "--pair", os.path.join(FIX, "dwork_pair.json")],
+        ["residue", "--pair", si, "--form", si_form, "--stratum", "D4", "--ks"],
+        ["gauss", "--c", "5/3", "--a", "2", "--l", "3", "--m", "2"],
+    ]
+    code = ("import sys\n"
+            "def loaded(when):\n"
+            "    heavy = [m for m in ('numpy', 'logskel.complexes') if m in sys.modules]\n"
+            "    assert not heavy, (when, heavy)\n"
+            "import logskel\n"
+            "loaded('import logskel')\n"
+            "from logskel import cli\n"
+            "loaded('import logskel.cli')\n"
+            f"for i, argv in enumerate({argvs!r}):\n"
+            "    assert cli.main(argv + ['-o', f'{i}.json']) == 0, argv\n"
+            "    loaded(argv[0])\n")
+    env = dict(CHILD_ENV, LOGSKEL_OUTPUT_DIR=str(tmp_path))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         cwd=ROOT, env=env, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert len(list(tmp_path.glob("*.json"))) == len(argvs)
