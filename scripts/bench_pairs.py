@@ -5,7 +5,10 @@
         [--pairs N]
 
 Run from inside the repository.  The parent is exported with ``git archive``
-into a temporary directory (removed on exit).  Each pair runs the benchmark
+into ``<tmp>/parent`` and the working tree's files (tracked or untracked, not
+ignored) are copied into ``<tmp>/change``, so both sides run from checkouts of
+one path length: ``peak_rss_mb`` moves with the length of the checkout path.
+The temporary directory is removed on exit.  Each pair runs the benchmark
 command of BENCHMARK.json (``perfbench/run.py``) once per side and workload on
 one seed, seeds S, S+1, ...; the side that goes first alternates from pair to
 pair, so drift of the host falls on both sides alike.  The benchmark's own checks
@@ -40,6 +43,18 @@ TRACE_SECONDS = 1   # one untraced and one traced pass
 def git(root, *args):
     out = subprocess.run(["git", *args], cwd=root, capture_output=True, text=True, check=True)
     return out.stdout.strip()
+
+
+def copy_working_tree(root, dest):
+    """Copies the files ``git ls-files`` lists as tracked or untracked and not
+    ignored from ``root`` into ``dest``; a tracked file deleted from the
+    working tree is left out."""
+    listed = subprocess.run(["git", "ls-files", "-z", "--cached", "--others", "--exclude-standard"],
+                            cwd=root, capture_output=True, check=True).stdout.decode()
+    for name in filter(None, listed.split("\0")):
+        if os.path.isfile(os.path.join(root, name)):
+            os.makedirs(os.path.dirname(os.path.join(dest, name)), exist_ok=True)
+            shutil.copy2(os.path.join(root, name), os.path.join(dest, name))
 
 
 def bench(root, command, workload, seed, seconds, trace):
@@ -97,13 +112,13 @@ def main():
     parent_rev = git(root, "rev-parse", args.parent)
 
     tmp = tempfile.mkdtemp(prefix="bench-pairs-")
-    parent_root = os.path.join(tmp, "parent")
+    sides = {"parent": os.path.join(tmp, "parent"), "change": os.path.join(tmp, "change")}
     try:
-        os.mkdir(parent_root)
+        os.mkdir(sides["parent"])
         archive = subprocess.run(["git", "archive", parent_rev], cwd=root, capture_output=True,
                                  check=True)
-        subprocess.run(["tar", "-x", "-C", parent_root], input=archive.stdout, check=True)
-        sides = {"parent": parent_root, "change": root}
+        subprocess.run(["tar", "-x", "-C", sides["parent"]], input=archive.stdout, check=True)
+        copy_working_tree(root, sides["change"])
         runs = {wl: {side: [] for side in sides} for wl in names}
         for i in range(args.pairs):
             seed = args.seed + i

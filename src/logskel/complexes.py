@@ -47,19 +47,19 @@ class ComplexError(ValueError):
 class SimplicialComplex:
     """Abstract simplicial complex: hashable vertex labels plus facets.
 
-    Vertices are ranked by str, then repr where str collides (``_labels``),
-    and facets are rows of vertex ranks: ``_rows`` maps each facet size to
-    one int32 array of sorted rows in lexicographic order, the simplex
-    table's order.  ``facets``, their frozensets of labels in that order, is
-    built on first use, so homology never builds it.
+    ``vertices`` are ranked by str, then repr where str collides, and facets
+    are rows of vertex ranks (indices into ``vertices``): ``_rows`` maps each
+    facet size to one int32 array of sorted rows in lexicographic order, the
+    simplex table's order.  ``facets``, their frozensets of labels in that
+    order, is built on first use, so homology never builds it.
     """
 
     def __init__(self, vertices, facets):
-        self.vertices = tuple(vertices)
-        index = {v: i for i, v in enumerate(self.vertices)}
-        if len(index) < len(self.vertices):  # labels that compare equal would merge vertices
-            a, b = next((i, index[v]) for i, v in enumerate(self.vertices) if index[v] != i)
-            raise ComplexError(f"vertices {a} and {b} have equal labels {self.vertices[a]!r} and {self.vertices[b]!r}")
+        vertices = tuple(vertices)
+        index = {v: i for i, v in enumerate(vertices)}
+        if len(index) < len(vertices):  # labels that compare equal would merge vertices
+            a, b = next((i, index[v]) for i, v in enumerate(vertices) if index[v] != i)
+            raise ComplexError(f"vertices {a} and {b} have equal labels {vertices[a]!r} and {vertices[b]!r}")
         fs, rows = maximal_sets({frozenset(f) for f in facets}), {}
         try:
             for f in fs:
@@ -67,15 +67,15 @@ class SimplicialComplex:
         except KeyError:
             f = next(f for f in fs if not f <= index.keys())
             raise ComplexError(f"facet {sorted(f, key=str)} uses undeclared vertices") from None
-        self._store(self.vertices, {size: np.array(r, dtype=np.int32) for size, r in rows.items()})
+        self._store(vertices, {size: np.array(r, dtype=np.int32) for size, r in rows.items()})
 
     def _store(self, vertices, rows):
-        """Ranks ``vertices`` and keeps the facets ``rows``, by size int arrays
-        of indices into ``vertices``, one distinct facet per row in any
-        order: the one path every complex is built by.  Refuses a repeated
-        facet and a vertex in none."""
+        """Ranks ``vertices`` into ``self.vertices`` and keeps the facets
+        ``rows``, by size int arrays of indices into ``vertices``, one
+        distinct facet per row in any order: the one path every complex is
+        built by.  Refuses a repeated facet and a vertex in none."""
         order = sorted(range(len(vertices)), key=lambda i: (str(vertices[i]), repr(vertices[i])))
-        self._labels, self._rows, used = [vertices[i] for i in order], {}, np.zeros(len(order), dtype=bool)
+        self.vertices, self._rows, used = tuple(vertices[i] for i in order), {}, np.zeros(len(order), dtype=bool)
         rank = np.empty(len(order), dtype=np.int32)
         rank[order] = np.arange(len(order))
         for size in sorted(rows):
@@ -88,26 +88,26 @@ class SimplicialComplex:
 
     @cached_property
     def facets(self):
-        return tuple(frozenset(map(self._labels.__getitem__, row))
+        return tuple(frozenset(map(self.vertices.__getitem__, row))
                      for block in self._rows.values() for row in block.tolist())
 
     @staticmethod
     def from_facets(facets) -> "SimplicialComplex":
         facets = [frozenset(f) for f in facets]
-        return SimplicialComplex(sorted(set().union(*facets), key=str), facets)
+        return SimplicialComplex(set().union(*facets), facets)
 
     def dim(self) -> int:
         return max(self._rows, default=0) - 1
 
     def _simplex_table(self):
-        """The simplices as rows of vertex ranks (the ranks of ``_labels``).
+        """The simplices as rows of vertex ranks.
 
-        Returns (labels by rank, rows, faces): rows[d] holds the d-simplices
-        as sorted int32 rows in lexicographic order, the simplex order, and
-        faces[d][j, i] (d >= 1) is the row of rows[d - 1] that is row j
-        without column i.  Built top-down: each level is the rows above with
-        one column dropped plus the facets of its size, deduplicated by one
-        lexsort whose inverse is the face array of the level above.
+        Returns (rows, faces): rows[d] holds the d-simplices as sorted int32
+        rows in lexicographic order, the simplex order, and faces[d][j, i]
+        (d >= 1) is the row of rows[d - 1] that is row j without column i.
+        Built top-down: each level is the rows above with one column dropped
+        plus the facets of its size, deduplicated by one lexsort whose
+        inverse is the face array of the level above.
         """
         bound = sum(len(block) * ((1 << size) - 1) for size, block in self._rows.items())
         if bound > _MAX_SIMPLICES:
@@ -121,26 +121,23 @@ class SimplicialComplex:
             faces.insert(1, inverse[:len(above) * (d + 2)].reshape(d + 2, len(above)).T.astype(np.int32))
             rows.insert(0, level)
             above = level
-        return self._labels, rows, faces[:len(rows)]
+        return rows, faces[:len(rows)]
 
     def simplices_by_dim(self):
         """List of sorted simplex tuples per dimension (0..dim)."""
-        labels, rows, _ = self._simplex_table()
-        return [[tuple(map(labels.__getitem__, row)) for row in level.tolist()] for level in rows]
+        return [[tuple(map(self.vertices.__getitem__, row)) for row in level.tolist()]
+                for level in self._simplex_table()[0]]
 
     def euler_characteristic(self) -> int:
-        return sum((-1) ** d * len(level) for d, level in enumerate(self._simplex_table()[1]))
+        return sum((-1) ** d * len(level) for d, level in enumerate(self._simplex_table()[0]))
 
     def relabeled(self, prefix) -> "SimplicialComplex":
         return SimplicialComplex([(prefix, v) for v in self.vertices],
                                  [frozenset((prefix, v) for v in f) for f in self.facets])
 
     def to_json_dict(self):
-        index = {v: i for i, v in enumerate(self.vertices)}
-        where = [index[v] for v in self._labels]  # each rank's index in vertices
-        facets = (sorted(sorted(map(where.__getitem__, row)) for row in rows.tolist()) for rows in self._rows.values())
         return {"schema": "1", "vertices": [_label_json(v) for v in self.vertices],
-                "facets": list(itertools.chain.from_iterable(facets))}
+                "facets": [row for rows in self._rows.values() for row in rows.tolist()]}
 
     @staticmethod
     def from_json_dict(doc) -> "SimplicialComplex":
@@ -160,7 +157,7 @@ class SimplicialComplex:
         return set(self.vertices) == set(other.vertices) and set(self.facets) == set(other.facets)
 
     def __repr__(self):
-        return f"SimplicialComplex(v={len(self.vertices)}, facets={len(self.facets)}, dim={self.dim()})"
+        return f"SimplicialComplex(v={len(self.vertices)}, facets={sum(map(len, self._rows.values()))}, dim={self.dim()})"
 
 
 def _unique_rows(rows):
@@ -219,49 +216,43 @@ def simplex_boundary_complex(n: int) -> SimplicialComplex:
 
 
 class GroupAction:
-    """Finite permutation group on the vertices of a complex, by generators."""
+    """Finite permutation group on the vertices of a complex, by generators.
+
+    ``elements`` is the group as an (order x V) int32 array of rank
+    permutations: row g maps vertex i of ``complex.vertices`` to g[i].  Row 0
+    is the identity, and the rest follow in breadth-first order of the
+    generators' compositions."""
 
     def __init__(self, complex_: SimplicialComplex, generators):
         self.complex = complex_
-        verts = set(complex_.vertices)
+        index = {v: i for i, v in enumerate(complex_.vertices)}
         gens = []
         for g in generators:
             g = dict(g)
-            if set(g) != verts or set(g.values()) != verts:
+            if g.keys() != index.keys() or set(g.values()) != index.keys():
                 raise ComplexError("generator is not a permutation of the vertex set")
-            gens.append(g)
-        facets = set(complex_.facets)
+            gens.append(np.array([index[g[v]] for v in complex_.vertices], dtype=np.int32))
         for g in gens:
-            for f in facets:
-                if frozenset(g[v] for v in f) not in facets:
-                    raise ComplexError("generator does not map facets to facets (non-simplicial action)")
-        self.elements = self._closure(gens, verts)
-
-    @staticmethod
-    def _closure(gens, verts):
-        ident = {v: v for v in verts}
-        seen = {_perm_key(ident): ident}
-        frontier = [ident]
+            if any(not np.array_equal(_unique_rows(np.sort(g[rows], axis=1))[0], rows)
+                   for rows in complex_._rows.values()):
+                raise ComplexError("generator does not map facets to facets (non-simplicial action)")
+        ident = np.arange(len(index), dtype=np.int32)
+        seen, frontier = {ident.tobytes(): ident}, [ident]
         while frontier:
             nxt = []
             for p in frontier:
                 for g in gens:
-                    comp = {v: g[p[v]] for v in p}
-                    k = _perm_key(comp)
-                    if k not in seen:
-                        seen[k] = comp
+                    comp = g[p]
+                    if (key := comp.tobytes()) not in seen:
+                        seen[key] = comp
                         nxt.append(comp)
                         if len(seen) > _MAX_GROUP_ORDER:
                             raise ComplexError("group closure exceeds the desk-scale bound")
             frontier = nxt
-        return list(seen.values())
+        self.elements = np.array(list(seen.values()), dtype=np.int32).reshape(len(seen), len(index))
 
     def order(self) -> int:
         return len(self.elements)
-
-
-def _perm_key(p):
-    return tuple(sorted(p.items(), key=lambda kv: str(kv[0])))
 
 
 def join(a: SimplicialComplex, b: SimplicialComplex) -> SimplicialComplex:
@@ -379,12 +370,11 @@ def _at(table, p, m):
 class _OrbitCells:
     def __init__(self, base: SimplicialComplex, action: GroupAction):
         self.dim = base.dim()
-        labels, rows, faces = base._simplex_table()
+        rows, faces = base._simplex_table()
         starts = np.cumsum([0] + [len(level) for level in rows])  # simplex id of each level's row 0
         n = int(starts[-1])
         self._radices = _chain_radices(n, self.dim)
-        rank = {v: i for i, v in enumerate(labels)}
-        moved = np.array([[rank[g[v]] for v in labels] for g in action.elements], dtype=np.int32)
+        moved = action.elements
         # one row per group element; per simplex, a row taking it to the least of its orbit
         self._perms = np.concatenate([
             _row_ids(level, np.sort(moved[:, level], axis=2).reshape(-1, d + 1)).reshape(len(moved), -1)
@@ -531,15 +521,13 @@ class _OrbitCells:
                 rows[d + 1] = paths + starts[d::-1]
         out = SimplicialComplex.__new__(SimplicialComplex)
         out._store(cells, rows)  # flags of maximal cells are distinct maximal chains
-        out.vertices = tuple(out._labels)
         return out
 
 
 def _orbit_cells(k: SimplicialComplex, action_generators):
-    """Orbit cells of ``k`` under a GroupAction or the group generated by
-    vertex maps; None for the trivial group, whose quotient is ``k``."""
-    action = action_generators if isinstance(action_generators, GroupAction) \
-        else GroupAction(k, action_generators)
+    """Orbit cells of ``k`` under the group generated by vertex maps; None for
+    the trivial group, whose quotient is ``k``."""
+    action = GroupAction(k, action_generators)
     return None if action.order() == 1 else _OrbitCells(k, action)
 
 
@@ -745,7 +733,7 @@ def _spanning_forest(vertices, edges):
 
 def homology(k: SimplicialComplex) -> HomologyProfile:
     """Simplicial homology with integer coefficients via Smith normal form."""
-    _, rows, faces = k._simplex_table()
+    rows, faces = k._simplex_table()
     return _homology_from_boundaries([len(level) for level in rows], faces.__getitem__)
 
 

@@ -153,16 +153,16 @@ def xdot(exponents, weights):
     """<gamma, alpha> with integer exponents and extended weights.
 
     Zero exponents contribute 0 even against infinite weights; a negative
-    exponent against an infinite weight is rejected (the function is not
-    regular at such a point).
+    exponent against an infinite weight is refused (ValueError), wherever it
+    stands: the function is not regular at such a point.
     """
+    if any(g < 0 and a is INF for g, a in zip(exponents, weights)):
+        raise ValueError("negative exponent at an infinite weight")
     total = Fraction(0)
     for g, a in zip(exponents, weights):
         if g == 0:
             continue
         if a is INF:
-            if g < 0:
-                raise ArithmeticError("negative exponent at an infinite weight")
             return INF
         total += g * a
     return total

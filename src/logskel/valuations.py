@@ -40,7 +40,7 @@ class Term:
         return xadd(self.coeff_val, xdot(self.exps, weights))
 
 
-def _terms_from(spec_list, arity=None):
+def _terms_from(spec_list):
     out = []
     for item in spec_list:
         if isinstance(item, Term):
@@ -51,10 +51,6 @@ def _terms_from(spec_list, arity=None):
         cv = q(rest[0]) if rest else Fraction(0)
         coeff = q(rest[1]) if len(rest) > 1 and rest[1] is not None else None
         out.append(Term(exps=tuple(exps), coeff_val=cv, coeff=coeff))
-    if arity is not None:
-        for t in out:
-            if len(t.exps) != arity:
-                raise ValuationError("exponent length mismatch")
     return tuple(out)
 
 
@@ -66,12 +62,11 @@ class LaurentRational:
     be negative.
     """
 
-    def __init__(self, numerator, denominator=None, arity=None):
-        self.numerator = _terms_from(numerator, arity)
+    def __init__(self, numerator, denominator=None):
+        self.numerator = _terms_from(numerator)
         if denominator is None:
-            ar = len(self.numerator[0].exps) if self.numerator else (arity or 0)
-            denominator = [Term(exps=(0,) * ar)]
-        self.denominator = _terms_from(denominator, arity)
+            denominator = [Term(exps=(0,) * (len(self.numerator[0].exps) if self.numerator else 0))]
+        self.denominator = _terms_from(denominator)
         if not self.denominator:
             raise ValuationError("denominator must be nonzero")
         arities = {len(t.exps) for t in self.numerator} | {len(t.exps) for t in self.denominator}
@@ -315,7 +310,7 @@ def scale(a, point: SkeletonPoint) -> SkeletonPoint:
                          mode="trivial")
 
 
-def retract(chart, coord_weights, mode="trivial") -> SkeletonPoint:
+def retract(chart, coord_weights) -> SkeletonPoint:
     """Retraction of a chart-monomial point onto the skeleton.
 
     Keeps the weights of the boundary coordinates and forgets the rest; the
@@ -332,7 +327,7 @@ def retract(chart, coord_weights, mode="trivial") -> SkeletonPoint:
         kato.append(cid)
         vals[cid] = weights[chart.coordinates.index(coord)]
     kato = tuple(sorted(kato))
-    return SkeletonPoint(kato=kato, weights=tuple(vals[c] for c in kato), mode=mode)
+    return SkeletonPoint(kato=kato, weights=tuple(vals[c] for c in kato))
 
 
 def classify_closure_point(point: SkeletonPoint, fan):

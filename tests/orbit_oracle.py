@@ -6,8 +6,9 @@ cell for cell and column for column.  It stores every chain of the
 subdivision with a chain -> index dict and applies every group element to
 every chain: tests only.  ``orbit_space_flags`` is the subchain flag
 construction that the face-path flags of ``orbit_space_complex`` replaced,
-``barycentric_subdivision`` materializes the subdivided complex itself, and
-``chains`` unpacks the library's packed cell keys for the comparison.
+``barycentric_subdivision`` materializes the subdivided complex itself,
+``chains`` unpacks the library's packed cell keys for the comparison, and
+``vertex_maps`` reads a group's rank permutations as vertex-label dicts.
 """
 
 import itertools
@@ -27,6 +28,12 @@ def barycentric_subdivision(k):
             chain = tuple(tuple(sorted(perm[: i + 1], key=str)) for i in range(len(perm)))
             facets.append(frozenset(chain))
     return SimplicialComplex.from_facets(facets)
+
+
+def vertex_maps(action):
+    """The elements of a ``GroupAction`` as dicts from vertex to image vertex."""
+    verts = action.complex.vertices
+    return [dict(zip(verts, map(verts.__getitem__, row))) for row in action.elements.tolist()]
 
 
 def chains(cells, d, keys):
@@ -50,7 +57,7 @@ class OrbitCellsOracle:
                 self.sims.append(s)
         # vertex permutations as simplex-id permutations
         self.perms = []
-        for g in action.elements:
+        for g in vertex_maps(action):
             arr = [0] * len(self.sims)
             for s, i in self.ids.items():
                 arr[i] = self.ids[tuple(sorted((g[v] for v in s), key=str))]

@@ -315,6 +315,20 @@ def test_dual_complex_square_pyramid(tmp_path):
     assert doc["homology"]["degree"] == [{"rank": 1, "torsion": []}] + [{"rank": 0, "torsion": []}] * 3
 
 
+def test_dual_complex_off_dump(tmp_path):
+    # the Dwork triangle: three boundary components, pairwise meeting
+    path = tmp_path / "dwork.off"
+    out = run_cli("dual-complex", "--pair", os.path.join(FIX, "dwork_pair.json"), "--off", str(path))
+    assert out.returncode == 0, out.stderr
+    doc = json.loads(out.stdout)
+    assert doc["off"] == str(path)
+    assert doc["complex"]["vertices"] == ["E0", "E1", "E2"]
+    lines = path.read_text().splitlines()
+    assert lines[:2] == ["OFF", "3 3 0"] and len(lines) == 8
+    assert all(len(line.split()) == 3 for line in lines[2:5])
+    assert lines[5:] == ["2 0 1", "2 0 2", "2 1 2"]
+
+
 def test_homology_command_roundtrip(tmp_path):
     cx = {"schema": "1", "vertices": [0, 1, 2],
           "facets": [[0, 1], [1, 2], [0, 2]]}
@@ -582,6 +596,20 @@ def _one_line_validation_error(out, message):
     assert out.returncode == 2
     assert out.stdout == ""
     assert out.stderr == f"validation error: {message}\n"
+
+
+@pytest.mark.parametrize("exps", [[1, -1], [-1, 1]])
+def test_negative_exponent_at_an_infinite_weight_is_validation_error(tmp_path, exps):
+    # z1 / z2 and z2 / z1 at weights (inf, inf): whichever entry comes first
+    with open(os.path.join(FIX, "a2_form_z1.json")) as fh:
+        form = json.load(fh)
+    form["charts"][0]["numerator"]["num"][0]["exp"] = exps
+    (tmp_path / "form.json").write_text(json.dumps(form))
+    (tmp_path / "points.json").write_text(json.dumps(
+        {"points": [{"kato_point": ["B1", "B2"], "weights": ["inf", "inf"]}]}))
+    out = run_cli("weight", "--pair", os.path.join(FIX, "a2_pair.json"),
+                  "--form", str(tmp_path / "form.json"), "--points", str(tmp_path / "points.json"))
+    _one_line_validation_error(out, "negative exponent at an infinite weight")
 
 
 def test_ks_nonzero_coefficient_valuation_is_validation_error(tmp_path):

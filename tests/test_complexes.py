@@ -45,7 +45,7 @@ from logskel.logstructure import kato_fan_toric, product
 from logskel.polyhedra import Cone, Fan, fan_p1xp1, fan_p2, maximal_sets, primitive
 import homology_oracle
 from lattice_oracle import rat_solve
-from orbit_oracle import OrbitCellsOracle, barycentric_subdivision, chains
+from orbit_oracle import OrbitCellsOracle, barycentric_subdivision, chains, vertex_maps
 from polyhedra_oracle import derived_subdivision, is_simplicial
 from sphere_oracle import all_close_pairs, sphere_check_oracle
 
@@ -279,7 +279,7 @@ def test_simplex_table_matches_enumeration_oracle():
         simplices = homology_oracle.simplices_by_dim(k)
         assert k.simplices_by_dim() == simplices
         ids = [{s: i for i, s in enumerate(level)} for level in simplices]
-        _, rows, faces = k._simplex_table()
+        rows, faces = k._simplex_table()
         assert [len(level) for level in rows] == [len(level) for level in simplices]
         assert len(faces) == len(rows)
         for d in range(1, len(rows)):
@@ -469,6 +469,22 @@ def test_facet_order_of_colliding_labels_is_fixed(tmp_path):
     assert len(orders) == 1, orders
     # ranks by (str, repr): "1" < 1 < 2 < "x"
     assert orders.pop().strip() == str([["'1'", "2"], ["'1'", "'x'"], ["1", "2"], ["'x'", "1"]])
+
+
+def test_vertex_order_of_colliding_labels_is_fixed():
+    # "1" and 1, "2" and 2 share their str; from_facets must not take the
+    # order of such a pair from string hashing (set order)
+    script = ("from logskel.complexes import SimplicialComplex; "
+              "k = SimplicialComplex.from_facets([('1', 1, 'b'), ('b', 2, '2'), tuple('xyzwvuq')]); "
+              "print(k.vertices, k.to_json_dict())")
+    outputs = set()
+    for seed in ("0", "8"):  # two different set orders of these labels
+        env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": os.pathsep.join(sys.path)}
+        run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True)
+        outputs.add(run.stdout)
+    assert len(outputs) == 1, outputs
+    vertices = ("'1'", "1", "'2'", "2", "'b'", "'q'", "'u'", "'v'", "'w'", "'x'", "'y'", "'z'")
+    assert outputs.pop().startswith("(" + ", ".join(vertices) + ")")
 
 
 def test_vertex_labels_nest_at_most_300_lists():
@@ -696,7 +712,7 @@ def test_group_tables_match_frozenset_construction(case):
     cells = _OrbitCells(k, action)
     sims = [s for level in homology_oracle.simplices_by_dim(k) for s in level]
     ids = {frozenset(s): i for i, s in enumerate(sims)}
-    perms = [[ids[frozenset(map(g.__getitem__, s))] for s in sims] for g in action.elements]
+    perms = [[ids[frozenset(map(g.__getitem__, s))] for s in sims] for g in vertex_maps(action)]
     assert cells._perms.tolist() == perms
     rank = {v: i for i, v in enumerate(sorted(k.vertices, key=lambda v: (str(v), repr(v))))}
     assert cells._mask_starts[-1] == len(cells._sub) == sum(2 ** len(s) for s in sims)
@@ -710,8 +726,9 @@ def test_group_tables_match_frozenset_construction(case):
 def _stabilizers(k, action):
     """Per simplex id, the indices of the non-identity group elements fixing it."""
     sims = [s for level in homology_oracle.simplices_by_dim(k) for s in level]
-    moving = [i for i, g in enumerate(action.elements) if any(g[v] != v for v in g)]
-    return sims, [[i for i in moving if {action.elements[i][v] for v in s} == set(s)] for s in sims]
+    maps = vertex_maps(action)
+    moving = [i for i, g in enumerate(maps) if any(g[v] != v for v in g)]
+    return sims, [[i for i in moving if {maps[i][v] for v in s} == set(s)] for s in sims]
 
 
 @pytest.mark.parametrize("case", sorted(ORBIT_CASES))
@@ -739,7 +756,7 @@ def test_mask_tables_match_face_pairs_and_group_images(case):
     sims, stabs = _stabilizers(k, action)
     ids = {frozenset(s): i for i, s in enumerate(sims)}
     rank = {v: i for i, v in enumerate(sorted(k.vertices, key=lambda v: (str(v), repr(v))))}
-    digit, subset, compress = cells._digit, cells._subset, cells._compress
+    digit, subset, compress, maps = cells._digit, cells._subset, cells._compress, vertex_maps(action)
     assert digit.shape == subset.shape == compress.shape == (2 ** (cells.dim + 1),) * 2
 
     def mask_over(verts, vs):
@@ -761,7 +778,7 @@ def test_mask_tables_match_face_pairs_and_group_images(case):
                     assert subset[p, digit[p, m]] == m
                     assert compress[p, m] == mask_over(upper, lower)
             assert digit[p, p] == len(below)
-        g = action.elements[cells._moves[t]]
+        g = maps[cells._moves[t]]
         image = sims[cells._perms[cells._moves[t], t]]
         assert set(map(g.__getitem__, s)) == set(image)
         table = cells._move_masks[cells._mask_starts[t]:cells._mask_starts[t + 1]]
@@ -771,7 +788,7 @@ def test_mask_tables_match_face_pairs_and_group_images(case):
         for e in stabs[t]:
             r = next(stab_rows)
             table = cells._stab_masks[cells._stab_starts[r]:cells._stab_starts[r] + (1 << len(verts))]
-            assert table.tolist() == [mask_over(verts, [action.elements[e][v] for i, v in enumerate(verts)
+            assert table.tolist() == [mask_over(verts, [maps[e][v] for i, v in enumerate(verts)
                                                         if m >> i & 1]) for m in range(1 << len(verts))]
     assert next(stab_rows, None) is None
     assert len(cells._stab_masks) == sum(2 ** len(s) * len(stab) for s, stab in zip(sims, stabs))
@@ -801,6 +818,7 @@ def test_least_matches_brute_force_minimum_over_the_whole_group(case):
             chain.append(below)
         by_length.setdefault(len(chain), []).append([ids[frozenset(s)] for s in chain])
     rank = {v: i for i, v in enumerate(sorted(k.vertices, key=lambda v: (str(v), repr(v))))}
+    maps = vertex_maps(action)
     for length, rows in by_length.items():
         # each chain below its top as masks: bit i is the top's i-th vertex by rank
         where = [{v: i for i, v in enumerate(sorted(sims[row[0]], key=rank.__getitem__))} for row in rows]
@@ -808,7 +826,7 @@ def test_least_matches_brute_force_minimum_over_the_whole_group(case):
         least = chains(cells, length - 1, cells._least(
             np.array([row[0] for row in rows]), np.array(masks, dtype=np.intp).reshape(len(rows), length - 1).T))
         expect = [min(tuple(ids[frozenset(map(g.__getitem__, sims[c]))] for c in row)
-                      for g in action.elements) for row in rows]
+                      for g in maps) for row in rows]
         assert [tuple(row) for row in least.tolist()] == expect
 
 
@@ -901,11 +919,11 @@ def test_materialized_quotient_rows_match_the_frozenset_route(case):
     k, gens = ORBIT_CASES[case]()
     q = quotient(k, gens)
     oracle = SimplicialComplex.from_facets(q.facets)
-    assert (q.vertices, q.facets, q._labels) == (oracle.vertices, oracle.facets, oracle._labels)
+    assert (q.vertices, q.facets) == (oracle.vertices, oracle.facets)
     assert q.to_json_dict() == oracle.to_json_dict()
     rank = {v: i for i, v in enumerate(sorted(q.vertices, key=lambda v: (str(v), repr(v))))}
     assert list(q.facets) == sorted(set(q.facets), key=lambda f: (len(f), sorted(map(rank.get, f))))
-    for mine, theirs in zip(q._simplex_table()[1:], oracle._simplex_table()[1:]):  # rows, faces
+    for mine, theirs in zip(q._simplex_table(), oracle._simplex_table()):  # rows, faces
         assert len(mine) == len(theirs)
         for a, b in zip(mine, theirs):
             assert a.dtype == b.dtype == np.int32 and np.array_equal(a, b)
@@ -915,10 +933,25 @@ def test_materialized_quotient_rows_match_the_frozenset_route(case):
     assert homology(q) == homology(oracle)
 
 
+@pytest.mark.parametrize("group", ["gl", "sl"])
+def test_group_action_builds_no_facet_frozensets(group):
+    # the action is checked and closed on rank rows; its elements are the
+    # int32 rank permutations that _OrbitCells reads as they are
+    k, gens = _character_variety_action(group, 3)
+    action = GroupAction(k, gens)
+    assert "facets" not in vars(k)
+    assert action.elements.dtype == np.int32 and action.elements.shape == (6, len(k.vertices))
+    assert action.elements[0].tolist() == list(range(len(k.vertices)))
+    assert vertex_maps(action)[1:1 + len(gens)] == gens
+    _OrbitCells(k, action)
+    assert "facets" not in vars(k)
+
+
 def test_materialized_quotient_builds_no_frozensets_for_homology():
     q = character_variety_complex("sl", 3)
     assert "facets" not in vars(q)  # built on first use only
     assert homology(q) == sphere_profile(3) and q.dim() == 3 and "facets" not in vars(q)
+    assert repr(q) == "SimplicialComplex(v=640, facets=3456, dim=3)" and "facets" not in vars(q)
     assert len(q.facets) == 3456 and "facets" in vars(q)
 
 
@@ -985,7 +1018,6 @@ def test_sl_link_cache_hands_out_fresh_objects():
     for rows in link._rows.values():  # the facet rows, in place, then their table
         rows[:] = 0
     link._rows.clear()
-    link._labels.reverse()
     gens[0][ray] = None
     gens[1].clear()
     gens.append({})
@@ -993,7 +1025,7 @@ def test_sl_link_cache_hands_out_fresh_objects():
     facets, pairs = _sl_link_data.__wrapped__(3)
     fresh = SimplicialComplex.from_facets(facets)
     assert again is not link and again.to_json_dict() == fresh.to_json_dict()
-    assert (again.vertices, again.facets, again._labels) == (fresh.vertices, fresh.facets, fresh._labels)
+    assert (again.vertices, again.facets) == (fresh.vertices, fresh.facets)
     assert again._rows.keys() == fresh._rows.keys() and len(again._rows) == 1
     assert all(np.array_equal(again._rows[size], fresh._rows[size]) for size in fresh._rows)
     assert again_gens == [dict(p) for p in pairs] and len(again_gens) == 2

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from logskel.fixtures import a2_pair
 from logskel.logstructure import LogChart
 from logskel.polyhedra import Fan, fan_a2, fan_p1xp1, fan_p2
-from logskel.rationals import INF, is_inf, xmin
+from logskel.rationals import INF, is_inf, xdot, xmin
 from logskel.valuations import (
     LaurentRational,
     SkeletonPoint,
@@ -49,6 +49,15 @@ def test_evaluate_min_over_monomials():
 
 def test_evaluate_drops_infinite_term():
     assert evaluate(pt(2, INF), poly((1, 0), (0, 1)), CHART) == 2
+
+
+def test_negative_exponent_at_an_infinite_weight_is_refused_in_either_order():
+    for exps in ((1, -1), (-1, 1)):
+        with pytest.raises(ValueError, match="negative exponent at an infinite weight"):
+            xdot(exps, (INF, INF))
+        with pytest.raises(ValueError, match="negative exponent at an infinite weight"):
+            poly(exps).value((INF, INF))
+    assert xdot((1, 0, -1), (INF, INF, 2)) is INF and xdot((0, -1), (INF, 2)) == -2
 
 
 def test_evaluate_zero_function_is_error():
