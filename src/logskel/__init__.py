@@ -30,6 +30,7 @@ from .logstructure import (
     kato_fan_snc,
     kato_fan_toric,
     product,
+    tate_strata,
     toric_trace,
     trace,
 )
@@ -65,7 +66,7 @@ _COMPLEXES = frozenset({
     "GroupAction", "HomologyProfile", "SimplicialComplex", "character_variety_complex",
     "character_variety_homology", "cycle_complex", "homology", "join", "join_all",
     "link_complex", "quotient", "quotient_homology", "simplex_boundary_complex",
-    "sphere_profile", "sphere_quotient_map_check", "tate_strata",
+    "sphere_profile", "sphere_quotient_map_check",
 })
 
 

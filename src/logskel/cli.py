@@ -14,7 +14,7 @@ import os
 import sys
 
 from . import fixtures as fx
-from .logstructure import PairDescription, kato_fan_toric
+from .logstructure import PairDescription, kato_fan_toric, tate_strata
 from .polyhedra import Fan, compactified_fan_strata
 from .rationals import fmt, json_value, q
 from .valuations import (
@@ -248,8 +248,6 @@ def cmd_character_variety(args):
 
 
 def cmd_tate(args):
-    from .complexes import tate_strata
-
     doc = tate_strata(args.n, args.alpha)
     _emit({"schema": "1", "command": "tate", **doc}, args)
 

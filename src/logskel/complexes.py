@@ -20,15 +20,8 @@ from functools import cached_property, lru_cache, reduce
 import numpy as np
 
 from .lattice import SparseIntMatrix
-from .polyhedra import (
-    Fan,
-    _derived_pieces,
-    fan_p1xp1,
-    intersect_fan_subspace,
-    maximal_sets,
-    primitive,
-    product_fan,
-)
+from .logstructure import tate_strata  # noqa: F401  (still importable from here)
+from .polyhedra import Cone, Fan, _derived_pieces, dual_rays, maximal_sets, primitive
 from .rationals import json_value
 
 _FACE_BLOCK = 1 << 12  # chains per block in _OrbitCells; bounds its peak memory
@@ -37,7 +30,6 @@ _MAX_GROUP_ORDER = 20_000  # group closure bound
 _MAX_LABEL_DEPTH = 300  # lists nested in a JSON vertex label; each level takes two of Python's 1000 frames
 _MAX_FACETS = 2_000_000  # orbit-space triangulation bound, in (d+1)! flags per maximal d-cell
 _MAX_SIMPLICES = 1 << 20  # simplex enumeration bound, sum of 2^|f| - 1 over facets f
-_MAX_TATE_ROWS = 1 << 20  # negative-case (J, j) rows, n * 2^(n-1): accepts n <= 16
 
 
 class ComplexError(ValueError):
@@ -772,12 +764,23 @@ def _sl_link_and_action(n: int):
 
 @lru_cache(maxsize=None)
 def _sl_link_data(n: int):
-    """The link facets as sorted ray tuples and each generator as (ray, image) pairs."""
-    model = reduce(product_fan, [fan_p1xp1() for _ in range(n)])
+    """The link facets as sorted ray tuples and each generator as (ray, image) pairs.
+
+    The kernel fan cuts each maximal cone of the model fan of (P^1 x P^1)^n,
+    a sign orthant of Z^2n listed in the product fan's order, with the
+    kernel: the cone dual to the orthant's signed coordinates of the
+    difference basis.  The opposite orthant gives the negated cone."""
     # ker alpha_n = {sum x_i = 0, sum y_i = 0}; saturated difference basis e[2i + t] - e[2i + 2 + t]
     basis = [tuple((j == 2 * i + t) - (j == 2 * i + 2 + t) for j in range(2 * n))
              for i in range(n - 1) for t in (0, 1)]
-    facets = [p for p in _derived_pieces(intersect_fan_subspace(model, basis))[0] if p]  # as in link_complex
+    k, signs = len(basis), [sum(s, ()) for s in itertools.product(((1, 1), (1, -1), (-1, 1), (-1, -1)), repeat=n)]
+    # kernel coordinates c lie in the orthant s when sum_i c_i s_j basis[i][j] >= 0 for every j
+    half = [tuple(dual_rays([[x * b[j] for b in basis] for j, x in enumerate(s)], k))
+            for s in signs[:len(signs) // 2]]
+    # the orthant listed 4^n - 1 - i is minus the one listed i
+    cones = half + [tuple(sorted(tuple(-x for x in r) for r in rays)) for rays in reversed(half)]
+    fan = Fan.from_cones([Cone(rays=rays, rank=k) for rays in dict.fromkeys(cones)], k)
+    facets = [p for p in _derived_pieces(fan)[0] if p]  # as in link_complex
     # block permutations of (x_i, y_i) expressed in kernel coordinates
     perms = []
     if n >= 2:
@@ -827,7 +830,7 @@ def character_variety_homology(group: str, n: int) -> HomologyProfile:
 
 
 # --------------------------------------------------------------------------
-# Sphere quotient map (numeric check) and Tate strata
+# Sphere quotient map (numeric check)
 # --------------------------------------------------------------------------
 
 def _monic_coefficients(z):
@@ -918,53 +921,3 @@ def check_sphere_tolerance(n: int, tolerance: float):
     if not tolerance * (1 + 2 * math.sqrt(n)) < 1:  # NaN and inf fail too
         raise ValueError(f"tolerance {tolerance} is not below 1/(1 + 2 sqrt(n)) = "
                          f"{1 / (1 + 2 * math.sqrt(n)):.4g} at n = {n}")
-
-
-def tate_strata(n: int, alpha):
-    """Classification of the special-fibre strata of the multiplication-kernel
-    closure in a product of degenerating multiplicative groups.
-
-    Case table on s = |alpha|: s > 0 has no special strata; s = 0 has one
-    boundary divisor with local model G_m^{n-1} x A^1; s < 0 classifies the
-    (J, j) strata: contained iff |J| + s in {0, 1}, cut by the x-coordinate
-    when the sum is 0 and by the y-coordinate when it is 1.  The n 2^(n-1)
-    rows of that case are counted, and refused past _MAX_TATE_ROWS, first.
-    """
-    alpha = list(alpha)
-    if not alpha:
-        raise ValueError("alpha must be nonempty")
-    if n < 2:
-        raise ValueError("the classification needs n >= 2")
-    if len(alpha) != n:
-        raise ValueError("alpha must have length n")
-    s = sum(alpha)
-    result = {"n": n, "alpha": list(alpha), "total": s}
-    if s > 0:
-        result["case"] = "generic"
-        result["strata"] = []
-        return result
-    if s == 0:
-        result["case"] = "single_divisor"
-        result["local_model"] = "Gm^(n-1) x A1"
-        result["divisor_coordinate"] = "y"
-        result["strata"] = [{"J": list(range(1, n + 1)), "contained": True}]
-        return result
-    if n << (n - 1) > _MAX_TATE_ROWS:
-        raise ValueError(f"n = {n} has {n << (n - 1)} (J, j) strata, over the desk-scale {_MAX_TATE_ROWS}")
-    result["case"] = "negative"
-    strata = []
-    for size in range(1, n + 1):
-        for J in itertools.combinations(range(1, n + 1), size):
-            for j in J:
-                val = size + s
-                contained = val in (0, 1)
-                entry = {"J": list(J), "j": j, "contained": contained}
-                if contained:
-                    entry["divisor_coordinate"] = "x" if val == 0 else "y"
-                    # at the generic point exactly one coordinate of the
-                    # distinguished pair cuts the fibre; the other is a unit,
-                    # so the deeper boundary is met in codimension two
-                    entry["codim_two_boundary"] = True
-                strata.append(entry)
-    result["strata"] = strata
-    return result

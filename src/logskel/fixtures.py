@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from .logstructure import BoundaryComponent, LogChart, PairDescription, kato_fan_toric
+from .logstructure import BoundaryComponent, LogChart, PairDescription, kato_fan_toric, tate_strata
 from .polyhedra import compactified_fan_strata, fan_p2
 from .valuations import LaurentRational, SkeletonPoint, normalize_dvf
 from .weights import (
@@ -284,8 +284,6 @@ def sl2_sphere():
 
 @_check("tate cases: |a|>0 generic, |a|=0 single divisor, |a|<0 table")
 def tate_cases():
-    from .complexes import tate_strata
-
     a, b, c = (tate_strata(2, alpha) for alpha in ((1, 1), (1, -1), (-1, -1)))
     neg_ok = all(s["contained"] == (len(s["J"]) - 2 in (0, 1)) for s in c["strata"])
     return (a["case"] == "generic" and b["case"] == "single_divisor"

@@ -1,4 +1,5 @@
-"""Log-regular pairs at desk scale: charts, boundary data, Kato fans, traces.
+"""Log-regular pairs at desk scale: charts, boundary data, Kato fans, traces,
+and the special-fibre strata of the Tate-curve kernel.
 
 A pair is described by snc charts (coordinates plus boundary components) and
 a globally declared stratum poset; the toric route builds the same Kato-fan
@@ -9,6 +10,7 @@ a Hilbert-basis presentation of the dual monoid in the toric case.
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -17,6 +19,8 @@ from .polyhedra import Cone, Fan, dot, dual_cone, hilbert_basis, star_fan
 from .lattice import span_snf
 from .rationals import fmt, json_value, q
 from .valuations import LaurentRational
+
+_MAX_TATE_ROWS = 1 << 20  # negative-case (J, j) rows, n * 2^(n-1): accepts n <= 16
 
 
 class LogStructureError(ValueError):
@@ -396,3 +400,53 @@ class PairDescription:
 
     def dumps(self) -> str:
         return json.dumps(self.to_json_dict(), sort_keys=True, indent=1)
+
+
+def tate_strata(n: int, alpha):
+    """Classification of the special-fibre strata of the multiplication-kernel
+    closure in a product of degenerating multiplicative groups.
+
+    Case table on s = |alpha|: s > 0 has no special strata; s = 0 has one
+    boundary divisor with local model G_m^{n-1} x A^1; s < 0 classifies the
+    (J, j) strata: contained iff |J| + s in {0, 1}, cut by the x-coordinate
+    when the sum is 0 and by the y-coordinate when it is 1.  The n 2^(n-1)
+    rows of that case are counted, and refused past _MAX_TATE_ROWS, first.
+    """
+    alpha = list(alpha)
+    if not alpha:
+        raise ValueError("alpha must be nonempty")
+    if n < 2:
+        raise ValueError("the classification needs n >= 2")
+    if len(alpha) != n:
+        raise ValueError("alpha must have length n")
+    s = sum(alpha)
+    result = {"n": n, "alpha": list(alpha), "total": s}
+    if s > 0:
+        result["case"] = "generic"
+        result["strata"] = []
+        return result
+    if s == 0:
+        result["case"] = "single_divisor"
+        result["local_model"] = "Gm^(n-1) x A1"
+        result["divisor_coordinate"] = "y"
+        result["strata"] = [{"J": list(range(1, n + 1)), "contained": True}]
+        return result
+    if n << (n - 1) > _MAX_TATE_ROWS:
+        raise ValueError(f"n = {n} has {n << (n - 1)} (J, j) strata, over the desk-scale {_MAX_TATE_ROWS}")
+    result["case"] = "negative"
+    strata = []
+    for size in range(1, n + 1):
+        for J in itertools.combinations(range(1, n + 1), size):
+            for j in J:
+                val = size + s
+                contained = val in (0, 1)
+                entry = {"J": list(J), "j": j, "contained": contained}
+                if contained:
+                    entry["divisor_coordinate"] = "x" if val == 0 else "y"
+                    # at the generic point exactly one coordinate of the
+                    # distinguished pair cuts the fibre; the other is a unit,
+                    # so the deeper boundary is met in codimension two
+                    entry["codim_two_boundary"] = True
+                strata.append(entry)
+    result["strata"] = strata
+    return result

@@ -234,9 +234,10 @@ def hilbert_basis(c: Cone):
     Bounded enumeration: candidates are the primitive rays plus the lattice
     points of the fundamental parallelepipeds of a triangulation, one per
     class of the piece's lattice modulo its rays; reduction removes every
-    element that splits as a sum of two nonzero monoid points, testing
-    membership in integers on the walls of ``c``.  The class counts are
-    summed first, and past ``_MAX_INDEX`` nothing is enumerated.
+    element that splits as a sum of two nonzero monoid points, comparing
+    the values the candidates take on the walls of ``c``, computed once.
+    The class counts are summed first, and past ``_MAX_INDEX`` nothing is
+    enumerated.
     """
     if not c.is_pointed():
         raise NotPointedError("Hilbert basis requires a pointed cone (units present)")
@@ -250,15 +251,11 @@ def hilbert_basis(c: Cone):
     candidates = set(c.rays)
     candidates.update(p for sub, group in pieces for p in _parallelepiped_points(sub, group) if any(p))
     normals = c.facet_normals()
-    grading = [sum(m[j] for m in normals) for j in range(c.rank)]
-
-    def inside(v):
-        return all(dot(m, v) >= 0 for m in normals)
-
-    ordered = sorted(candidates, key=lambda v: (dot(grading, v), v))
+    values = {v: tuple(dot(m, v) for m in normals) for v in candidates}
+    ordered = sorted(candidates, key=lambda v: (sum(values[v]), v))
     basis = []
-    for x in ordered:  # reducible when x - y is in the cone (0 included)
-        if not any(inside(tuple(a - b for a, b in zip(x, y))) for y in basis):
+    for x in ordered:  # reducible when x - y is in the cone (0 included): no wall value of x below y's
+        if not any(all(a >= b for a, b in zip(values[x], values[y])) for y in basis):
             basis.append(x)
     return sorted(basis)
 

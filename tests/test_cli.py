@@ -710,6 +710,7 @@ def test_commands_without_complexes_start_numpy_free(tmp_path):
         ["essential", "--pair", os.path.join(FIX, "dwork_pair.json")],
         ["residue", "--pair", si, "--form", si_form, "--stratum", "D4", "--ks"],
         ["gauss", "--c", "5/3", "--a", "2", "--l", "3", "--m", "2"],
+        ["tate", "--n", "3", "--alpha", "-1", "0", "-1"],
     ]
     code = ("import sys\n"
             "def loaded(when):\n"

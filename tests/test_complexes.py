@@ -40,7 +40,7 @@ from logskel.complexes import (
     _sphere_images,
     _unique_rows,
 )
-from logskel import complexes
+from logskel import complexes, logstructure
 from logskel.logstructure import kato_fan_toric, product
 from logskel.polyhedra import Cone, Fan, fan_p1xp1, fan_p2, maximal_sets, primitive
 import homology_oracle
@@ -48,6 +48,7 @@ from lattice_oracle import rat_solve
 from orbit_oracle import OrbitCellsOracle, barycentric_subdivision, chains, vertex_maps
 from polyhedra_oracle import derived_subdivision, is_simplicial
 from sphere_oracle import all_close_pairs, sphere_check_oracle
+from test_polyhedra import _sl_kernel_fan
 
 
 # -- link complexes ---------------------------------------------------------
@@ -1032,6 +1033,20 @@ def test_sl_link_cache_hands_out_fresh_objects():
     assert homology(again) == sphere_profile(3)
 
 
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_sl_link_matches_the_model_fan_route(n, monkeypatch):
+    """The kernel fan cut from the sign orthants is the model-fan route's
+    fan, the n-fold product of P^1 x P^1 met with the kernel, to its ray
+    numbering and cone order; with that fan's pieces in its place, the link
+    keeps its facet order and generator pairs."""
+    facets, pairs = _sl_link_data.__wrapped__(n)
+    real, model, seen = complexes._derived_pieces, _sl_kernel_fan(n), []
+    monkeypatch.setattr(complexes, "_derived_pieces", lambda fan: seen.append(fan) or real(model))
+    assert _sl_link_data.__wrapped__(n) == (facets, pairs)
+    (fan,) = seen
+    assert (fan.rank, fan.rays, fan.cones) == (model.rank, model.rays, model.cones)
+
+
 @pytest.mark.parametrize("n", [2, 3])
 def test_sl_generators_match_per_vertex_solve(n):
     """Each generator, one integer matrix in kernel coordinates, maps every
@@ -1195,7 +1210,7 @@ def test_tate_negative_case_is_bounded_up_front(monkeypatch):
     assert tate_strata(17, [1] * 17)["case"] == "generic"
     assert tate_strata(17, [0] * 17)["case"] == "single_divisor"
     # the bound is on n 2^(n-1) rows: 3 * 2^2 = 12 is accepted, 4 * 2^3 is not
-    monkeypatch.setattr(complexes, "_MAX_TATE_ROWS", 12)
+    monkeypatch.setattr(logstructure, "_MAX_TATE_ROWS", 12)
     assert len(tate_strata(3, (-1, 0, 0))["strata"]) == 12
     with pytest.raises(ValueError, match="strata"):
         tate_strata(4, (-1, 0, 0, 0))
