@@ -191,33 +191,27 @@ def cmd_dual_complex(args):
     from .complexes import SimplicialComplex, homology, link_complex
 
     if args.fan:
-        fan = Fan.from_json_dict(_load_json(args.fan))
-        cx = link_complex(fan)
+        cx = link_complex(Fan.from_json_dict(_load_json(args.fan)))
     else:
-        pair = _load_pair(args)
-        facets = [frozenset(s) for s in pair.strata if s]
-        cx = SimplicialComplex.from_facets(facets)
+        cx = SimplicialComplex.from_facets(s for s in _load_pair(args).strata if s)
     doc = {"schema": "1", "command": "dual-complex", "complex": cx.to_json_dict(),
            "homology": homology(cx).to_json_dict()}
     if args.off:
-        _write_off(cx, args.off)
+        _write_off(doc["complex"], args.off)
         doc["off"] = args.off
     _emit(doc, args)
 
 
-def _write_off(cx, path):
-    """Facet dump in OFF format with a deterministic circle layout."""
+def _write_off(complex_doc, path):
+    """Facet dump in OFF format of a complex's JSON, with a deterministic circle layout."""
     import math
 
-    n = len(cx.vertices)
-    index = {v: i for i, v in enumerate(cx.vertices)}
-    lines = ["OFF", f"{n} {len(cx.facets)} 0"]
+    n, facets = len(complex_doc["vertices"]), complex_doc["facets"]
+    lines = ["OFF", f"{n} {len(facets)} 0"]
     for i in range(n):
         ang = 2 * math.pi * i / max(n, 1)
         lines.append(f"{math.cos(ang):.6f} {math.sin(ang):.6f} 0.000000")
-    for f in cx.facets:
-        idx = sorted(index[v] for v in f)
-        lines.append(" ".join([str(len(idx))] + [str(i) for i in idx]))
+    lines += [" ".join(map(str, [len(row), *row])) for row in facets]
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 

@@ -21,7 +21,7 @@ import numpy as np
 
 from .lattice import SparseIntMatrix
 from .logstructure import tate_strata  # noqa: F401  (still importable from here)
-from .polyhedra import Cone, Fan, _derived_pieces, dual_rays, maximal_sets, primitive
+from .polyhedra import Fan, _derived_pieces, dual_rays, maximal_sets, primitive
 from .rationals import json_value
 
 _FACE_BLOCK = 1 << 12  # chains per block in _OrbitCells; bounds its peak memory
@@ -736,7 +736,7 @@ def homology(k: SimplicialComplex) -> HomologyProfile:
 def link_complex(fan: Fan) -> SimplicialComplex:
     """Link of a fan: vertices are rays, facets are the non-zero maximal cones
     of its derived subdivision, the pieces of ``_derived_pieces``."""
-    facets = [c for c in _derived_pieces(fan)[0] if c]
+    facets = _derived_pieces([fan.cone_geometry(c).rays for c in fan.maximal_cones()], fan.rank)
     if not facets:
         raise ComplexError("link of the zero fan is empty")
     return SimplicialComplex.from_facets(facets)
@@ -769,7 +769,8 @@ def _sl_link_data(n: int):
     The kernel fan cuts each maximal cone of the model fan of (P^1 x P^1)^n,
     a sign orthant of Z^2n listed in the product fan's order, with the
     kernel: the cone dual to the orthant's signed coordinates of the
-    difference basis.  The opposite orthant gives the negated cone."""
+    difference basis.  The opposite orthant gives the negated cone.  No
+    ``Fan`` is built: a cut cone inside another is a face of it."""
     # ker alpha_n = {sum x_i = 0, sum y_i = 0}; saturated difference basis e[2i + t] - e[2i + 2 + t]
     basis = [tuple((j == 2 * i + t) - (j == 2 * i + 2 + t) for j in range(2 * n))
              for i in range(n - 1) for t in (0, 1)]
@@ -779,8 +780,7 @@ def _sl_link_data(n: int):
             for s in signs[:len(signs) // 2]]
     # the orthant listed 4^n - 1 - i is minus the one listed i
     cones = half + [tuple(sorted(tuple(-x for x in r) for r in rays)) for rays in reversed(half)]
-    fan = Fan.from_cones([Cone(rays=rays, rank=k) for rays in dict.fromkeys(cones)], k)
-    facets = [p for p in _derived_pieces(fan)[0] if p]  # as in link_complex
+    facets = _derived_pieces([tuple(sorted(c)) for c in maximal_sets(dict.fromkeys(map(frozenset, cones)))], k)
     # block permutations of (x_i, y_i) expressed in kernel coordinates
     perms = []
     if n >= 2:

@@ -7,12 +7,12 @@ Kernels and span coordinates come from the integer Smith normal form in
 cone from double description in integers, straight in Z^rank when the
 vectors span it; no Fraction arithmetic happens here.  Independent
 generators are their cone's extreme rays.  A cone's walls, the rays of its
-dual, are computed once per ray tuple, and so are its facets as (normal,
-rays on it); its faces, face tests, pointedness and triangulations, the
-pieces of a derived subdivision (by recursion over faces) and the
-membership test of the Hilbert basis are all read off them, and its
-parallelepiped points off a Smith normal form.  Each cone a fan holds is
-the index set of its extreme rays.  Ambient ranks stay small (<= 8).
+dual, are computed once per ray tuple, and so are its facets as masks of
+the rays on them.  Faces, face tests, pointedness, the Hilbert basis's
+membership test and the facets of each face, its maximal meets with them,
+are read off those, so triangulations recurse over faces with no second
+dualization; parallelepiped points come off a Smith normal form.  Each cone
+a fan holds is the index set of its extreme rays; ambient ranks stay <= 8.
 """
 
 from __future__ import annotations
@@ -131,16 +131,12 @@ class Cone:
     def from_generators(generators, rank) -> "Cone":
         _check_rank(rank)
         gens = tuple(sorted({primitive(g) for g in generators if any(g)}))
-        if not gens:
-            return Cone(rays=(), rank=rank)
         if len(gens) <= rank and len(_gauss_jordan(gens, rank)[1]) == len(gens):
             return Cone(rays=gens, rank=rank)  # independent: each is an extreme ray
         # extreme rays via double dualization (canonical for pointed cones)
         return Cone(rays=_walls(_walls(gens, rank), rank), rank=rank)
 
     def dim(self) -> int:
-        if not self.rays:
-            return 0
         return len(_gauss_jordan(self.rays, self.rank)[1])
 
     def facet_normals(self):
@@ -169,10 +165,10 @@ def _walls(rays, rank):
 
 @lru_cache(maxsize=None)
 def _facets(rays, rank):
-    """(normal, rays on it) for each facet of the cone on the sorted ``rays``:
-    the walls that are not zero on every ray."""
-    facets = ((m, tuple(r for r in rays if dot(m, r) == 0)) for m in _walls(rays, rank))
-    return tuple((m, on) for m, on in facets if len(on) < len(rays))
+    """The facets of the cone on the sorted ``rays`` as masks of the rays on
+    them, bit i for rays[i]: the walls that are not zero on every ray."""
+    masks = (sum(1 << i for i, r in enumerate(rays) if dot(m, r) == 0) for m in _walls(rays, rank))
+    return tuple(w for w in masks if w != (1 << len(rays)) - 1)
 
 
 @lru_cache(maxsize=None)
@@ -184,24 +180,33 @@ def _faces(rays, rank):
     is pointed."""
     if len(_gauss_jordan(rays, rank)[1]) == len(rays):
         return tuple(f for size in range(len(rays) + 1) for f in itertools.combinations(rays, size))
-    walls = [sum(1 << i for i, r in enumerate(rays) if r in on) for _, on in _facets(rays, rank)]
     faces = {(1 << len(rays)) - 1}
-    for w in walls:
+    for w in _facets(rays, rank):
         faces |= {f & w for f in faces}
     faces = (tuple(r for i, r in enumerate(rays) if f >> i & 1) for f in faces)
     return tuple(sorted(faces, key=lambda f: (len(f), f)))
+
+
+def _facet_masks(face, walls):
+    """The facets of a face of a pointed cone as ray masks: the maximal
+    proper meets of the mask ``face`` with the cone's facet masks ``walls``,
+    since every face of a face is a face of the cone."""
+    meets = dict.fromkeys(face & w for w in walls if face & w != face)
+    return [m for m in meets if not any(m != o and m & o == m for o in meets)]
 
 
 def _simplicial_subcones(rays, rank):
     """Triangulate a pointed cone into simplicial subcones on its rays: the
     cones from its first ray over the triangulated facets that miss it.  A
     pointed cone is simplicial exactly when each facet misses one ray."""
-    facets = _facets(rays, rank)
-    if all(len(on) == len(rays) - 1 for _, on in facets):
-        return [rays]
-    apex = rays[0]
-    return [tuple(sorted(sub + (apex,))) for _, on in facets if apex not in on
-            for sub in _simplicial_subcones(on, rank)]
+    def cut(face, facets):
+        if all((face & ~f).bit_count() == 1 for f in facets):
+            return [face]
+        apex = face & -face  # the face's first ray
+        return [sub | apex for f in facets if not f & apex for sub in cut(f, _facet_masks(f, walls))]
+
+    walls = _facets(rays, rank)  # the facets of the cone itself
+    return [tuple(r for i, r in enumerate(rays) if m >> i & 1) for m in cut((1 << len(rays)) - 1, walls)]
 
 
 def _class_group(rays):
@@ -299,50 +304,48 @@ class Fan:
     """Finite fan: shared primitive ray pool plus cones as ray-index sets.
 
     Cones are pointed, so the extreme-ray index set determines the cone.
-    The zero cone (empty index set) is always present.  With ``validate``
+    The zero cone (empty index set) is always present.  Rays are distinct,
     each declared index set must be the extreme rays of a pointed cone, and
     the faces of every cone are added; ``from_cones`` adds them the same way.
     """
 
-    def __init__(self, rank: int, rays=None, cones=None, validate: bool = True):
+    def __init__(self, rank: int, rays=None, cones=None):
         _check_rank(rank)
         self.rank = rank
         self.rays = [tuple(r) for r in (rays or [])]
         self._ray_index = {r: i for i, r in enumerate(self.rays)}
+        if len(self._ray_index) < len(self.rays):  # one ray under two indices makes two cones of one
+            a, b = next((i, self._ray_index[r]) for i, r in enumerate(self.rays) if self._ray_index[r] != i)
+            raise FanError(f"rays {a} and {b} are equal: {list(self.rays[a])}")
         self.cones = _sorted_cones(cones or [])
-        if validate:
-            for idx in list(self.cones):
-                c = Cone.from_generators([self.rays[i] for i in idx], rank)
-                if set(c.rays) != {self.rays[i] for i in idx}:
-                    raise FanError(f"generators {sorted(idx)} are not the extreme rays of their cone")
-                self._add_cone_with_faces(c)
-            self.cones = _sorted_cones(self.cones)
+        for idx in list(self.cones):
+            c = Cone.from_generators([self.rays[i] for i in idx], rank)
+            if set(c.rays) != {self.rays[i] for i in idx}:
+                raise FanError(f"generators {sorted(idx)} are not the extreme rays of their cone")
+            self._add_cone_with_faces(c)
+        self.cones = _sorted_cones(self.cones)
 
     # -- construction -------------------------------------------------
 
     @staticmethod
     def from_cones(cones, rank) -> "Fan":
-        fan = Fan(rank, validate=False)
+        fan = Fan(rank)
         for c in cones:
             fan._add_cone_with_faces(c)
         fan.cones = _sorted_cones(fan.cones)
         return fan
 
-    def _ray_id(self, ray):
-        ray = primitive(ray)
-        if ray not in self._ray_index:
-            self._ray_index[ray] = len(self.rays)
-            self.rays.append(ray)
-        return self._ray_index[ray]
-
     def _add_cone_with_faces(self, c: Cone):
         faces = _faces(c.rays, c.rank)
         if faces[0]:  # the least face is the lineality space
             raise FanError(f"fan cones must be pointed: {c}")
-        # new rays are numbered in the order the sorted faces first list them
-        ids = {r: self._ray_id(r) for r in dict.fromkeys(r for face in faces for r in face)}
+        # new rays, primitive as a Cone's are, are numbered in the order the sorted faces first list them
+        for r in dict.fromkeys(r for face in faces for r in face):
+            if r not in self._ray_index:
+                self._ray_index[r] = len(self.rays)
+                self.rays.append(r)
         for face in faces:
-            self.cones.append(frozenset(ids[r] for r in face))
+            self.cones.append(frozenset(self._ray_index[r] for r in face))
 
     # -- geometry ------------------------------------------------------
 
@@ -452,29 +455,34 @@ def compactified_fan_strata(fan: Fan):
     return [(fan.cone_geometry(sigma), star_fan(fan, sigma)) for sigma in fan.cones]
 
 
-def _derived_pieces(fan: Fan):
-    """The maximal cones of the derived subdivision as ray tuples, and
-    whether any cone was starred: the fan starred once at the barycentre
-    ray of each non-simplicial cone, largest dimension first.  That cuts
-    each maximal cone by recursion over its faces: a simplicial face H is
-    one piece, its rays plus the barycentres collected above it; otherwise
-    H's barycentre is collected and each facet of H, from the ``_facets``
-    cache, is cut the same way.  No piece is dualized; ``cut`` memoizes
-    the pieces below each face, less the barycentres above it."""
-    rank, memo = fan.rank, {}
+def _derived_pieces(cones, rank):
+    """The non-zero maximal cones of the derived subdivision of the fan with
+    the maximal ``cones`` (sorted ray tuples), as ray tuples: the fan starred
+    once at the barycentre ray of each non-simplicial cone, largest dimension
+    first.  That cuts each maximal cone by recursion over its faces: a face
+    H of dimension d is one piece when it has d rays, its rays plus the
+    barycentres collected above it; otherwise H's barycentre is collected
+    and each facet of H, of dimension d - 1, is cut the same way.  Only the
+    non-simplicial maximal cones are dualized; ``cut`` memoizes the pieces
+    below each face, less the barycentres above it."""
+    memo = {}
 
-    def cut(rays):
-        if rays not in memo:
-            if len(rays) <= 2 or len(_gauss_jordan(rays, rank)[1]) == len(rays):
-                memo[rays] = [rays]
-            else:
-                centre = primitive([sum(col) for col in zip(*rays)])
-                memo[rays] = [p + (centre,) for _, on in _facets(rays, rank) for p in cut(on)]
-        return memo[rays]
+    def cut(rays, face, dim):
+        key = tuple(r for i, r in enumerate(rays) if face >> i & 1)
+        if key not in memo:
+            if len(key) == dim:
+                memo[key] = [key]
+            else:  # reached only below a non-simplicial maximal cone, the only ones dualized
+                centre = primitive([sum(col) for col in zip(*key)])
+                memo[key] = [p + (centre,) for f in _facet_masks(face, _facets(rays, rank))
+                             for p in cut(rays, f, dim - 1)]
+        return memo[key]
 
-    cones = [fan.cone_geometry(c).rays for c in fan.maximal_cones()]
-    pieces = [tuple(sorted(p)) for rays in cones for p in cut(rays)]
-    return pieces, any(cut(rays) != [rays] for rays in cones)
+    pieces = []
+    for rays in cones:
+        dim = len(_gauss_jordan(rays, rank)[1])
+        pieces += [tuple(sorted(p)) for p in cut(rays, (1 << len(rays)) - 1, dim) if p]
+    return pieces
 
 
 def intersect_fan_subspace(fan: Fan, basis) -> Fan:
@@ -529,4 +537,4 @@ def product_fan(f1: Fan, f2: Fan) -> Fan:
     for c1 in f1.cones:
         for c2 in f2.cones:
             cones.append(frozenset(c1) | frozenset(i + shift for i in c2))
-    return Fan(rank, rays, cones, validate=False)
+    return Fan(rank, rays, cones)

@@ -20,7 +20,7 @@ import itertools
 
 from lattice_oracle import det, rat_solve
 from logskel.lattice import identity, int_kernel_basis, primitive, span_snf, transpose
-from logskel.polyhedra import Cone, Fan, _derived_pieces, _facets, dot
+from logskel.polyhedra import Cone, Fan, _derived_pieces, _walls, dot
 
 
 def dual_rays(vectors, rank):
@@ -115,17 +115,19 @@ def derived_pieces(fan):
             if not face_rays <= set(rays):
                 starred.append(rays)
                 continue
-            for m, on in _facets(rays, fan.rank):
+            for m in _walls(rays, fan.rank):
                 if dot(m, ray) > 0:
-                    starred.append(tuple(sorted(on + (ray,))))
+                    starred.append(tuple(sorted([r for r in rays if dot(m, r) == 0] + [ray])))
         cones = starred
     return cones, bool(bad)
 
 
 def derived_subdivision(fan):
     """Simplicial refinement with the same support, which commutes with every
-    lattice automorphism of the fan.  A simplicial fan is returned as it is."""
-    pieces, starred = _derived_pieces(fan)
-    if not starred:
+    lattice automorphism of the fan.  A simplicial fan, whose pieces are its
+    non-zero maximal cones, is returned as it is."""
+    cones = [fan.cone_geometry(c).rays for c in fan.maximal_cones()]
+    pieces = _derived_pieces(cones, fan.rank)
+    if pieces == [c for c in cones if c]:
         return fan
     return Fan.from_cones([Cone(rays=c, rank=fan.rank) for c in pieces], fan.rank)

@@ -294,6 +294,16 @@ def test_non_pointed_fan_cone_is_validation_error(tmp_path, rays):
     assert "fan cones must be pointed" in out.stderr
 
 
+@pytest.mark.parametrize("command", ["skeleton", "dual-complex"])
+def test_repeated_fan_ray_is_validation_error(tmp_path, command):
+    """Rays 0 and 2 are one ray: read as two, the two cones on it made a
+    fan of five Kato points with a face "2" and no face "0"."""
+    path = tmp_path / "fan.json"
+    path.write_text(json.dumps({"schema": "1", "rank": 2, "rays": [[1, 0], [0, 1], [1, 0]],
+                                "cones": [[0, 1], [1, 2]]}))
+    _one_line_validation_error(run_cli(command, "--fan", str(path)), "rays 0 and 2 are equal: [1, 0]")
+
+
 def test_dual_complex_command():
     out = run_cli("dual-complex", "--fan", os.path.join(FIX, "p2_fan.json"))
     doc = json.loads(out.stdout)

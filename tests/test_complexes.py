@@ -40,7 +40,7 @@ from logskel.complexes import (
     _sphere_images,
     _unique_rows,
 )
-from logskel import complexes, logstructure
+from logskel import complexes, logstructure, polyhedra
 from logskel.logstructure import kato_fan_toric, product
 from logskel.polyhedra import Cone, Fan, fan_p1xp1, fan_p2, maximal_sets, primitive
 import homology_oracle
@@ -1035,16 +1035,38 @@ def test_sl_link_cache_hands_out_fresh_objects():
 
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_sl_link_matches_the_model_fan_route(n, monkeypatch):
-    """The kernel fan cut from the sign orthants is the model-fan route's
-    fan, the n-fold product of P^1 x P^1 met with the kernel, to its ray
-    numbering and cone order; with that fan's pieces in its place, the link
-    keeps its facet order and generator pairs."""
+    """The maximal cones cut from the sign orthants are those of the
+    model-fan route's fan, the n-fold product of P^1 x P^1 met with the
+    kernel, each once; with that fan's pieces in their place, the link keeps
+    its facets and generator pairs."""
     facets, pairs = _sl_link_data.__wrapped__(n)
     real, model, seen = complexes._derived_pieces, _sl_kernel_fan(n), []
-    monkeypatch.setattr(complexes, "_derived_pieces", lambda fan: seen.append(fan) or real(model))
-    assert _sl_link_data.__wrapped__(n) == (facets, pairs)
-    (fan,) = seen
-    assert (fan.rank, fan.rays, fan.cones) == (model.rank, model.rays, model.cones)
+    maximal = [model.cone_geometry(c).rays for c in model.maximal_cones()]
+    monkeypatch.setattr(complexes, "_derived_pieces",
+                        lambda cones, rank: seen.append((cones, rank)) or real(maximal, model.rank))
+    again, again_pairs = _sl_link_data.__wrapped__(n)
+    assert set(again) == set(facets) and len(again) == len(facets) and again_pairs == pairs
+    ((cones, rank),) = seen
+    assert rank == model.rank and set(cones) == set(maximal) and len(cones) == len(maximal)
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_sl_link_dualizes_only_its_maximal_cut_cones(n, monkeypatch):
+    """Cold, the sl link builds no fan and dualizes no proper face: each
+    cone whose walls it looks up is a maximal cone of the kernel fan."""
+    model = _sl_kernel_fan(n)
+    maximal = {model.cone_geometry(c).rays for c in model.maximal_cones()}
+    for cache in (polyhedra._walls, polyhedra._facets, polyhedra._faces):
+        cache.cache_clear()
+
+    def no_fan(cones, rank):
+        raise AssertionError("the sl link built a Fan")
+
+    real, walled = polyhedra.dual_rays, []  # the cones _walls is called on, its cache keys
+    monkeypatch.setattr(polyhedra.Fan, "from_cones", staticmethod(no_fan))
+    monkeypatch.setattr(polyhedra, "dual_rays", lambda rays, rank: walled.append(rays) or real(rays, rank))
+    _sl_link_data.__wrapped__(n)
+    assert len(walled) == polyhedra._walls.cache_info().currsize and set(walled) <= maximal
 
 
 @pytest.mark.parametrize("n", [2, 3])

@@ -11,7 +11,9 @@ from logskel import polyhedra
 from logskel.polyhedra import (
     _class_group,
     _derived_pieces,
+    _facet_masks,
     _facets,
+    _faces,
     _parallelepiped_points,
     _walls,
     Cone,
@@ -651,30 +653,59 @@ def _face_fan(points, rank):
     inside: the cones over its facets, read off the facets of the cone over
     the points at height 1."""
     lifted = Cone.from_generators([p + (1,) for p in points], rank + 1)
-    cones = [[r[:-1] for r in on] for _, on in _facets(lifted.rays, rank + 1)]
+    cones = [[r[:-1] for i, r in enumerate(lifted.rays) if w >> i & 1] for w in _facets(lifted.rays, rank + 1)]
     rays = sorted({r for c in cones for r in c})
     return Fan(rank, rays, [frozenset(map(rays.index, c)) for c in cones])
 
 
-def test_derived_pieces_match_the_starring_oracle():
-    """The recursion over faces against starring the whole cone list once
-    per non-simplicial face: the same pieces and the same starred flag on
-    the sl 3 and sl 4 kernel fans, the glued pyramids and seeded face fans
-    of polytopes with vertices in {-1, 0, 1}^rank, ranks 3 and 4, whose
-    square and cube faces are not simplicial."""
+def _seeded_face_fans():
+    """Face fans of polytopes with vertices in {-1, 0, 1}^rank, six each of
+    ranks 3 and 4, seeded: the unit vectors and about 30% of the rest."""
     rng = random.Random(2102)
-    fans = [_sl_kernel_fan(3), _sl_kernel_fan(4), _glued_pyramids()]
+    fans = []
     for rank in (3, 4) * 6:
         units = [tuple(s * (i == j) for j in range(rank)) for i in range(rank) for s in (1, -1)]
         fans.append(_face_fan(units + [p for p in itertools.product((-1, 0, 1), repeat=rank)
                                        if any(p) and rng.random() < 0.3], rank))
+    return fans
+
+
+def test_facet_masks_match_the_face_oracle():
+    """The facets of every face of each maximal cone, read off the cone's
+    wall masks, are the maximal proper faces the normal-subset oracle finds
+    from the face's own rays: on the glued pyramids, the sl 3 kernel fan and
+    the seeded face fans.  The faces are listed by ``_faces``, which
+    ``test_faces_match_normal_subset_oracle`` checks."""
+    count, expected = 0, {}
+    for fan in [_glued_pyramids(), _sl_kernel_fan(3), *_seeded_face_fans()]:
+        for c in fan.maximal_cones():
+            rays = fan.cone_geometry(c).rays
+            walls = _facets(rays, fan.rank)
+            for face in _faces(rays, fan.rank):
+                masks = _facet_masks(sum(1 << rays.index(r) for r in face), walls)
+                got = [tuple(r for i, r in enumerate(rays) if m >> i & 1) for m in masks]
+                if face not in expected:  # a face of two maximal cones is checked in each
+                    proper = oracle.cone_faces(face, oracle.dual_rays(face, fan.rank))[:-1]
+                    expected[face] = {f for f in proper if not any(set(f) < set(g) for g in proper)}
+                assert len(got) == len(set(got)) and set(got) == expected[face], face
+                count += 1
+    assert count > 1000, count
+
+
+def test_derived_pieces_match_the_starring_oracle():
+    """The recursion over faces against starring the whole cone list once
+    per non-simplicial face: the same pieces, which differ from the maximal
+    cones exactly when the oracle starred a cone, on the sl 3 and sl 4
+    kernel fans, the glued pyramids and seeded face fans of polytopes with
+    vertices in {-1, 0, 1}^rank, ranks 3 and 4, whose square and cube faces
+    are not simplicial."""
     kinds = collections.Counter()
-    for fan in fans:
-        pieces, starred = _derived_pieces(fan)
-        expected, expected_starred = oracle.derived_pieces(fan)
+    for fan in [_sl_kernel_fan(3), _sl_kernel_fan(4), _glued_pyramids(), *_seeded_face_fans()]:
+        maximal = [fan.cone_geometry(c).rays for c in fan.maximal_cones()]
+        pieces = _derived_pieces(maximal, fan.rank)
+        expected, starred = oracle.derived_pieces(fan)
         assert len(pieces) == len(set(pieces)) and set(pieces) == set(expected)
-        assert starred == expected_starred
-        maximal = {fan.cone_geometry(c).rays for c in fan.maximal_cones()}
+        assert starred == (set(pieces) != set(maximal))
         deep = any(not oracle.is_simplicial(g) and g.rays not in maximal for g in map(fan.cone_geometry, fan.cones))
         kinds["deep" if deep else "starred" if starred else "simplicial"] += 1
     assert kinds["deep"] >= 6 and kinds["starred"] >= 5 and kinds["simplicial"] >= 1, kinds
