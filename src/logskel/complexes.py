@@ -15,7 +15,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache, reduce
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -62,10 +62,10 @@ class SimplicialComplex:
         self._store(vertices, {size: np.array(r, dtype=np.int32) for size, r in rows.items()})
 
     def _store(self, vertices, rows):
-        """Ranks ``vertices`` into ``self.vertices`` and keeps the facets
-        ``rows``, by size int arrays of indices into ``vertices``, one
-        distinct facet per row in any order: the one path every complex is
-        built by.  Refuses a repeated facet and a vertex in none."""
+        """Ranks ``vertices`` into ``self.vertices``, keeps the facets ``rows``
+        (by size int arrays of indices into ``vertices``, one distinct facet
+        per row in any order) and returns the complex: the one path every
+        complex is built by.  Refuses a repeated facet and a vertex in none."""
         order = sorted(range(len(vertices)), key=lambda i: (str(vertices[i]), repr(vertices[i])))
         self.vertices, self._rows, used = tuple(vertices[i] for i in order), {}, np.zeros(len(order), dtype=bool)
         rank = np.empty(len(order), dtype=np.int32)
@@ -77,6 +77,7 @@ class SimplicialComplex:
             used[self._rows[size].ravel()] = True
         if not used.all():
             raise ComplexError("every declared vertex must appear in some facet")
+        return self
 
     @cached_property
     def facets(self):
@@ -122,10 +123,6 @@ class SimplicialComplex:
 
     def euler_characteristic(self) -> int:
         return sum((-1) ** d * len(level) for d, level in enumerate(self._simplex_table()[0]))
-
-    def relabeled(self, prefix) -> "SimplicialComplex":
-        return SimplicialComplex([(prefix, v) for v in self.vertices],
-                                 [frozenset((prefix, v) for v in f) for f in self.facets])
 
     def to_json_dict(self):
         return {"schema": "1", "vertices": [_label_json(v) for v in self.vertices],
@@ -247,21 +244,32 @@ class GroupAction:
         return len(self.elements)
 
 
+def _join(parts, vertices) -> SimplicialComplex:
+    """The join of ``parts`` on ``vertices``, their labels in part order: its
+    facets are the products of the parts' rank rows, each part's shifted past
+    the vertices before it.  These are distinct and maximal (f + g <= f' + g'
+    forces f <= f' and g <= g'), so ``_store`` takes them as they are."""
+    rows, shift = {0: np.zeros((1, 0), dtype=np.int32)}, 0
+    for part in parts:
+        product = {}
+        for (s, left), (t, right) in itertools.product(rows.items(), part._rows.items()):
+            product.setdefault(s + t, []).append(
+                np.hstack([np.repeat(left, len(right), axis=0), np.tile(right + shift, (len(left), 1))]))
+        rows, shift = {size: np.concatenate(blocks) for size, blocks in product.items()}, shift + len(part.vertices)
+    return SimplicialComplex.__new__(SimplicialComplex)._store(vertices, rows)
+
+
 def join(a: SimplicialComplex, b: SimplicialComplex) -> SimplicialComplex:
     """Join: facets are unions of one facet from each side (labels made disjoint)."""
-    if set(a.vertices) & set(b.vertices):
-        a = a.relabeled(0)
-        b = b.relabeled(1)
-    facets = [fa | fb for fa in a.facets for fb in b.facets]
-    return SimplicialComplex(tuple(a.vertices) + tuple(b.vertices), facets)
+    return join_all([a, b]) if set(a.vertices) & set(b.vertices) else _join([a, b], a.vertices + b.vertices)
 
 
 def join_all(complexes) -> SimplicialComplex:
     """n-fold join with factor-indexed labels (i, v)."""
-    parts = [c.relabeled(i) for i, c in enumerate(complexes)]
+    parts = list(complexes)
     if not parts:
         raise ComplexError("empty join")
-    return reduce(join, parts)  # disjoint labels: join keeps them
+    return _join(parts, [(i, v) for i, c in enumerate(parts) for v in c.vertices])
 
 
 # --------------------------------------------------------------------------
@@ -511,9 +519,8 @@ class _OrbitCells:
                 paths = np.column_stack([np.repeat(paths, e + 1, axis=0), faces[e][paths[:, -1]].ravel()])
             if len(paths):
                 rows[d + 1] = paths + starts[d::-1]
-        out = SimplicialComplex.__new__(SimplicialComplex)
-        out._store(cells, rows)  # flags of maximal cells are distinct maximal chains
-        return out
+        # flags of maximal cells are distinct maximal chains
+        return SimplicialComplex.__new__(SimplicialComplex)._store(cells, rows)
 
 
 def _orbit_cells(k: SimplicialComplex, action_generators):

@@ -410,6 +410,9 @@ class Fan:
                 raise FanError(f"cone {c}: {bad[0]!r} is not an index into the {len(rays)} rays")
         fan = Fan(rank, rays, [frozenset(c) for c in doc["cones"]])
         fan.validate()
+        for r in rays:  # a ray in no cone has not been through a Cone yet
+            if math.gcd(*r) != 1:
+                raise FanError(f"ray {list(r)} is not primitive")
         return fan
 
     def dumps(self) -> str:

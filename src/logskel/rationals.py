@@ -120,13 +120,6 @@ def fmt(value) -> str:
     return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
 
 
-def xadd(a, b):
-    """Extended addition; inf absorbs."""
-    if a is INF or b is INF:
-        return INF
-    return a + b
-
-
 def xmin(values):
     """Minimum of extended rationals; min over the empty list is inf."""
     best = INF

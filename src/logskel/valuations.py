@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from .lattice import rat_solve
 from .polyhedra import dot
-from .rationals import INF, fmt, is_inf, json_value, parse_ext, q, xadd, xdot, xmin
+from .rationals import INF, fmt, is_inf, json_value, parse_ext, q, xdot, xmin
 
 
 class ValuationError(ValueError):
@@ -37,7 +37,7 @@ class Term:
     coeff: Fraction = None
 
     def value(self, weights):
-        return xadd(self.coeff_val, xdot(self.exps, weights))
+        return self.coeff_val + xdot(self.exps, weights)
 
 
 def _terms_from(spec_list):
@@ -229,7 +229,7 @@ class SkeletonPoint:
         if len(self.kato) != len(self.weights):
             raise ValuationError("one weight per monoid generator")
         for w in self.weights:
-            if not is_inf(w) and w < 0:
+            if w < 0:
                 raise ValuationError("weights must be nonnegative")
 
     @staticmethod

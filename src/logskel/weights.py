@@ -23,7 +23,7 @@ from fractions import Fraction
 
 from .lattice import adjugate
 from .logstructure import LogChart, PairDescription
-from .rationals import INF, fmt, is_inf, json_value, q, xadd, xscale
+from .rationals import INF, fmt, is_inf, json_value, q, xscale
 from .valuations import LaurentRational, SkeletonPoint, chart_weight_vector
 
 
@@ -202,16 +202,16 @@ def _weight_on_vector(pair, chart, chart_index, form, coord_weights, kato):
         _dvf_normal_form_check(pair, chart, dlog)
     extra = Fraction(0)
     for eq in _outside_dlog_equations(pair, chart, dlog):
-        extra = xadd(extra, eq.value(coord_weights))
+        extra += eq.value(coord_weights)
     if pair.mode == "dvf":
-        return xadd(val, xscale(form.m, xadd(1, extra)))
+        return val + xscale(form.m, 1 + extra)
     correction = Fraction(0)
     for cid in kato:
         a = pair.components[cid].coefficient
         if a != 1:
             w = coord_weights[chart.axis(cid)]
-            correction = xadd(correction, w if is_inf(w) else (1 - a) * w)
-    return xadd(val, xadd(xscale(form.m, extra), xscale(form.m, correction)))
+            correction += w if is_inf(w) else (1 - a) * w
+    return val + xscale(form.m, extra) + xscale(form.m, correction)
 
 
 def _trivial_terms(pair, chart, chart_index, form):
@@ -244,7 +244,7 @@ def _face_rays_check(pair, chart, chart_index, form, kato):
         ray = [Fraction(0)] * arity
         ray[chart.axis(cid)] = Fraction(1)
         val = _weight_on_vector(pair, chart, chart_index, form, ray, kato)
-        if not is_inf(val) and val < 0:
+        if val < 0:
             return cid
     return None
 
@@ -296,7 +296,7 @@ def ks_skeleton(pair: PairDescription, form: PluriForm) -> SubFan:
         value, verts, rays = _minimize_face_slice(pair, chart, idx, form, key, b)
         if value is None:
             continue
-        if is_inf(best) or value < best:
+        if value < best:
             best = value
             argmin = [(key, verts, rays)]
         elif value == best:

@@ -304,6 +304,19 @@ def test_repeated_fan_ray_is_validation_error(tmp_path, command):
     _one_line_validation_error(run_cli(command, "--fan", str(path)), "rays 0 and 2 are equal: [1, 0]")
 
 
+@pytest.mark.parametrize("rays,cones,message", [
+    ([[1, 0], [0, 1], [0, 0], [2, 2]], [[0, 1]], "ray [0, 0] is not primitive"),
+    ([[1, 0], [0, 1], [2, 2]], [[0, 1]], "ray [2, 2] is not primitive"),
+    # a bad ray in a cone keeps the cone's message
+    ([[1, 0], [0, 1], [2, 2]], [[0, 1], [2]], "generators [2] are not the extreme rays of their cone"),
+])
+def test_non_primitive_fan_ray_is_validation_error(tmp_path, rays, cones, message):
+    """A ray in no cone is checked on its own: no cone's generators test it."""
+    path = tmp_path / "fan.json"
+    path.write_text(json.dumps({"schema": "1", "rank": 2, "rays": rays, "cones": cones}))
+    _one_line_validation_error(run_cli("skeleton", "--fan", str(path)), message)
+
+
 def test_dual_complex_command():
     out = run_cli("dual-complex", "--fan", os.path.join(FIX, "p2_fan.json"))
     doc = json.loads(out.stdout)

@@ -44,6 +44,7 @@ from logskel import complexes, logstructure, polyhedra
 from logskel.logstructure import kato_fan_toric, product
 from logskel.polyhedra import Cone, Fan, fan_p1xp1, fan_p2, maximal_sets, primitive
 import homology_oracle
+import join_oracle
 from lattice_oracle import rat_solve
 from orbit_oracle import OrbitCellsOracle, barycentric_subdivision, chains, vertex_maps
 from polyhedra_oracle import derived_subdivision, is_simplicial
@@ -129,6 +130,41 @@ def test_join_homology_rule_through_s5():
         left = rng.choice(models[a])
         right = rng.choice(models[b])
         assert homology(join(left, right)) == sphere_profile(a + b + 1)
+
+
+def test_joins_match_the_frozenset_oracle(monkeypatch):
+    """``join`` and ``join_all`` against pairwise facet unions and their
+    maximal sets, on seeded complexes of mixed facet sizes drawn from label
+    families that share labels or not, with the empty facet among them; the
+    joins themselves run no constructor and no maximal-set search."""
+    rng = random.Random(3203)
+    empty = SimplicialComplex.from_facets([frozenset()])  # one facet, the empty one
+    ks = [_random_labelled_complex(rng) for _ in range(60)] + [empty, cycle_complex(3)]
+    pairs = [tuple(rng.sample(ks, 2)) for _ in range(150)] + [(empty, empty), (empty, ks[0]), (ks[0], ks[0])]
+    parts = [rng.sample(ks, 3) for _ in range(20)] + [[empty, cycle_complex(3), empty], [ks[1]]]
+    expected = ([join_oracle.join(a, b) for a, b in pairs]
+                + [join_oracle.join_all(p) for p in parts])
+
+    def refuse(*args):
+        raise AssertionError("a join left the rank rows")
+
+    monkeypatch.setattr(SimplicialComplex, "__init__", refuse)
+    monkeypatch.setattr(complexes, "maximal_sets", refuse)
+    got = [join(a, b) for a, b in pairs] + [join_all(p) for p in parts]
+    for k, want in zip(got, expected):
+        assert k.vertices == want.vertices
+        assert k.to_json_dict() == want.to_json_dict()
+    shared = sum(bool(set(a.vertices) & set(b.vertices)) for a, b in pairs)
+    assert 20 <= shared <= len(pairs) - 20, shared  # both label paths of join
+    assert max(len({len(f) for f in k.facets}) for k in got) >= 3  # facets of three sizes in one join
+    assert got[len(pairs) - 3].facets == (frozenset(),)  # the join of two empty facets
+
+
+def test_join_refusals_are_kept():
+    with pytest.raises(ComplexError, match="empty join"):
+        join_all([])
+    with pytest.raises(ComplexError, match="every declared vertex must appear in some facet"):
+        join(SimplicialComplex([], []), cycle_complex(3))
 
 
 # -- homology ------------------------------------------------------------------
