@@ -301,18 +301,17 @@ def join_all(complexes) -> SimplicialComplex:
 # face arrays.  Stab(t) acts below t only by permuting t's positions, and
 # ``_moves`` takes each simplex to the least of its orbit by a map of
 # positions; each of these maps is one table over the masks of its simplex.
-# ``_least`` is the one Stab(top) minimisation: the least key over the
-# identity and the stabilizer's tables, so a chain whose top has a trivial
-# stabilizer is only encoded.  It also drives the enumeration, by orderly
-# generation (Read 1978; McKay 1998): an element of Stab(t) that maps a chain
-# lower maps every extension lower, so a chain is a representative only if
-# its prefix is, and the level-(d+1) keys are the one-element extensions of
-# the level-d keys that ``_least`` leaves in place (it sees only those under
-# a nontrivial Stab(top)).  Extensions of sorted keys come out sorted.  Of
-# the faces of a representative, face 0 is its prefix, whose key is its own
-# without the last digit; faces 1..d-1 keep the top, already least, and drop
-# one mask; only face d takes m1 as its new top, in whose positions the rest
-# is compressed, and moves it to the least of its orbit first.
+# ``_least`` is the one Stab(top) minimisation, for face lookups.  The
+# enumeration is by canonical augmentation (Read 1978; McKay 1998): a
+# representative p is least under Stab(t), so g p > p, and then g c > c for
+# every extension c, unless g fixes every element of p, an automorphism of
+# p.  So the level-(d+1) keys are the one-element extensions of the level-d
+# keys that no automorphism of their prefix moves to a lower last digit, and
+# each keeps those that fix its last element.  Of the faces of a cell, face
+# 0 is its prefix, whose key is its own without the last digit; faces 1..d-1
+# keep the top, already least, and drop one mask, all read off one image per
+# stabilizer element; only face d takes m1 as its new top, in whose positions
+# the rest is compressed, and moves it to the least of its orbit first.
 # --------------------------------------------------------------------------
 
 def _chain_radices(simplices: int, dim: int):
@@ -406,23 +405,40 @@ class _OrbitCells:
         self._move_masks = _position_maps(rows, starts, moved, ids, self._moves, self._perms[self._moves, ids])
         self._stab_masks = _position_maps(rows, starts, moved, tops, self._stab, tops)
         self._stab_starts = np.cumsum(widths[tops]) - widths[tops]
-        self.keys = [np.flatnonzero(self._perms.min(axis=0) == ids)]
+        self.keys = [np.flatnonzero(least := self._perms.min(axis=0) == ids)]
+        # automorphisms of each level's cells, as (cell, _stab row), by cell
+        stabs = np.flatnonzero(least[tops]).astype(np.int32)
+        cells = np.searchsorted(self.keys[0], tops[stabs]).astype(np.int32)
         for d in range(self.dim):
-            level = []
+            level, autos = [], []
             for lo in range(0, len(self.keys[d]), _FACE_BLOCK):
-                parents = self.keys[d][lo:lo + _FACE_BLOCK]
-                tops, masks = self._masks(d, parents)
-                last = masks[-1] if d else self._full[tops]
-                counts = _at(self._digit, last, last).astype(np.intp)  # the last element's proper subsets
-                first = parents * self._radices[d] - np.cumsum(counts) + counts  # minus its slot
-                children = np.repeat(first, counts) + np.arange(counts.sum())
-                keep = np.ones(len(children), dtype=bool)
-                search = np.flatnonzero(np.repeat(self._stab_sizes[tops], counts))
-                owner = np.repeat(np.arange(len(parents)), counts)[search]
-                below = _at(self._subset, last[owner], children[search] % self._radices[d])
-                keep[search] = self._least(tops[owner], np.vstack([masks[:, owner], below])) == children[search]
-                level.append(children[keep])
+                a, b = np.searchsorted(cells, [lo, lo + _FACE_BLOCK])
+                children, (cell, stab) = self._children(d, self.keys[d][lo:lo + _FACE_BLOCK], cells[a:b] - lo, stabs[a:b])
+                autos.append((cell + sum(map(len, level)), stab))
+                level.append(children)
             self.keys.append(np.concatenate(level))
+            cells, stabs = (np.concatenate(column) for column in zip(*autos))
+            cells, stabs = np.sort(cells).astype(np.int32), stabs[np.argsort(cells)]
+
+    def _children(self, d, parents, owners, stabs):
+        """The extensions of the level-d cells ``parents`` that are cells, and their
+        automorphisms, by the rule above; automorphisms come as (cell index, _stab row)."""
+        tops, masks = self._masks(d, parents)
+        last = masks[-1] if d else self._full[tops]
+        counts = _at(self._digit, last, last).astype(np.intp)  # the last element's proper subsets
+        slots = np.cumsum(counts) - counts  # each parent's first child
+        children = np.repeat(parents * self._radices[d] - slots, counts) + np.arange(counts.sum())
+        fan = counts[owners]  # one entry per (automorphism, child)
+        parent, stab = np.repeat(owners, fan), np.repeat(stabs, fan)
+        digit = np.arange(len(parent)) - np.repeat(np.cumsum(fan) - fan, fan)
+        image = self._stab_masks[self._stab_starts[stab] + _at(self._subset, last[parent], digit)]
+        moved = _at(self._digit, last[parent], image)
+        child = slots[parent] + digit
+        keep = np.ones(len(children), dtype=bool)
+        keep[child[moved < digit]] = False
+        drop = np.flatnonzero(~keep)
+        fixed = np.flatnonzero((moved == digit) & keep[child])  # the kept children's automorphisms
+        return children[keep], (child[fixed] - np.searchsorted(drop, child[fixed]), stab[fixed])
 
     def cell_counts(self):
         return [len(keys) for keys in self.keys]
@@ -442,33 +458,40 @@ class _OrbitCells:
             above = mask[:] = _at(self._subset, above, mask)
         return keys, masks
 
-    def _encode(self, tops, full, masks):
-        """Packed keys of chains (tops, their full masks, masks as from _masks)."""
-        key, above = tops.astype(np.int64), full
-        for radix, mask in zip(self._radices, masks):
-            key *= radix
-            key += _at(self._digit, above, mask)
-            above = mask
-        return key
+    def _encode(self, tops, full, masks, drops=(None,)):
+        """Packed keys of chains (tops, their full masks, masks as from _masks):
+        row i of the chains without mask row drops[i] (None drops none), which
+        share every digit but the one of the row after the dropped one."""
+        above = np.concatenate([full[None], masks[:-1]])
+        digits = _at(self._digit, above, masks)
+        spans = _at(self._digit, above[:-1], masks[1:])  # spans[r]: row r + 1's digit in the row above r
+        keys = np.empty((len(drops), len(tops)), dtype=np.int64)
+        for key, r in zip(keys, drops):
+            r = len(masks) if r is None else r
+            key[:] = tops
+            for radix, digit in zip(self._radices, itertools.chain(digits[:r], spans[r:r + 1], digits[r + 2:])):
+                key *= radix
+                key += digit
+        return keys
 
-    def _least(self, tops, masks):
-        """The least packed key over the images of chains (tops, with masks
-        as from _masks) under the stabilizer of their top, itself the least
-        of its orbit."""
+    def _least(self, tops, masks, drops=(None,)):
+        """The least packed keys over the images of chains (tops, with masks as
+        from _masks) under the stabilizer of their top, itself the least of its
+        orbit, one block per drop as in _encode, all from one image per element."""
         full = self._full[tops]
-        key = self._encode(tops, full, masks)  # key order is tuple order
+        key = self._encode(tops, full, masks, drops)  # key order is tuple order
         # rows under a nontrivial stabilizer, largest first: the rows whose top
         # has a j-th non-identity element are the first hits[j]
         sizes = self._stab_sizes[tops]
         rows = np.argsort(-sizes)[:np.count_nonzero(sizes)]
         hits = len(tops) - np.cumsum(np.bincount(sizes))[:-1]
-        tops, full, masks, best = tops.take(rows), full.take(rows), masks.take(rows, axis=1), key.take(rows)
+        tops, full, masks, best = tops.take(rows), full.take(rows), masks.take(rows, axis=1), key[:, rows]
         starts = self._stab_offsets[tops]
         for j, hit in enumerate(hits):
             image = self._stab_masks.take(self._stab_starts.take(starts[:hit] + j) + masks[:, :hit])
-            np.minimum(best[:hit], self._encode(tops[:hit], full[:hit], image), out=best[:hit])
-        key[rows] = best
-        return key
+            np.minimum(best[:, :hit], self._encode(tops[:hit], full[:hit], image, drops), out=best[:, :hit])
+        key[:, rows] = best
+        return key.ravel()
 
     def faces(self, d):
         """Face array of the d-cells, d >= 1: entry [j, i] is the (d-1)-cell of
@@ -479,13 +502,11 @@ class _OrbitCells:
         for lo in range(0, len(keys), _FACE_BLOCK):
             block = keys[lo:lo + _FACE_BLOCK]
             tops, masks = self._masks(d, block)
-            kept = [np.delete(masks, d - 1 - i, axis=0) for i in range(1, d)]
             second = self._ids(tops, masks[0])  # face d's top, moved to the least of its orbit
             rest = self._move_masks[self._mask_starts[second] + _at(self._compress, masks[0], masks[1:])]
-            least = self._least(np.concatenate([np.tile(tops, d - 1), self._perms[self._moves[second], second]]),
-                                np.hstack(kept + [rest]))
-            prefix = block // self._radices[d - 1]  # face 0
-            cells = np.searchsorted(self.keys[d - 1], np.concatenate([prefix, least]))
+            middle = self._least(tops, masks, range(d - 2, -1, -1)) if d > 1 else block[:0]  # faces 1..d-1 keep the top
+            last = self._least(self._perms[self._moves[second], second], rest)
+            cells = np.searchsorted(self.keys[d - 1], np.concatenate([block // self._radices[d - 1], middle, last]))
             out[lo:lo + _FACE_BLOCK] = cells.reshape(d + 1, len(block)).T
         return out
 

@@ -218,19 +218,32 @@ def _class_group(rays):
     return [d[i][i] for i in range(len(rays))], v
 
 
-def _parallelepiped_points(rays, group):
+def _parallelepiped_points(rays, group, walls):
     """Lattice points of {sum t_i r_i : 0 <= t_i < 1} for independent rays,
-    sorted, one per class: the point of class c in prod [0, d_i) has
-    t = V D^-1 c mod 1.  Every d_i divides the last one, e, so e t is
-    sum_i c_i (e / d_i) V_i mod e, and only the d_i > 1 contribute."""
+    one per class, mapped to their values on ``walls``: the point of class
+    c in prod [0, d_i) has t = V D^-1 c mod 1.  Every d_i divides the last
+    one, e, so e t is sum_i c_i (e / d_i) V_i mod e, and only the d_i > 1
+    contribute.  A mixed-radix walk steps one digit at a time, carrying e t
+    and e p with its wall values, less e r_j and its values where e t_j wraps."""
     diag, v = group
-    e = diag[-1]
-    steps = [(d, [row[i] * (e // d) for row in v]) for i, d in enumerate(diag) if d > 1]
-    points = []
-    for c in itertools.product(*(range(d) for d, _ in steps)):
-        t = [sum(k * col[j] for k, (_, col) in zip(c, steps)) % e for j in range(len(rays))]
-        points.append(tuple(sum(x * r[i] for x, r in zip(t, rays)) // e for i in range(len(rays[0]))))
-    return sorted(points)
+    e, rank = diag[-1], len(rays[0])
+    units = [list(r) + [dot(m, r) for m in walls] for r in rays]  # r_j and its wall values
+    steps = [(d, [row[i] * (e // d) % e for row in v]) for i, d in enumerate(diag) if d > 1]
+    deltas = [[sum(c * u for c, u in zip(col, column)) for column in zip(*units)] for _, col in steps]
+    t, scaled, digits, points = [0] * len(rays), [0] * len(units[0]), [0] * len(steps), {}
+    for _ in range(math.prod(d for d, _ in steps)):
+        point = [x // e for x in scaled]
+        points[tuple(point[:rank])] = tuple(point[rank:])
+        for k in range(len(steps) - 1, -1, -1):  # step the last digit, carrying past each wrap
+            scaled = [x + y for x, y in zip(scaled, deltas[k])]
+            for j, c in enumerate(steps[k][1]):
+                wrap, t[j] = divmod(t[j] + c, e)
+                if wrap:
+                    scaled = [x - e * y for x, y in zip(scaled, units[j])]
+            digits[k] = (digits[k] + 1) % steps[k][0]
+            if digits[k]:
+                break
+    return points
 
 
 def hilbert_basis(c: Cone):
@@ -240,9 +253,9 @@ def hilbert_basis(c: Cone):
     points of the fundamental parallelepipeds of a triangulation, one per
     class of the piece's lattice modulo its rays; reduction removes every
     element that splits as a sum of two nonzero monoid points, comparing
-    the values the candidates take on the walls of ``c``, computed once.
-    The class counts are summed first, and past ``_MAX_INDEX`` nothing is
-    enumerated.
+    the values the candidates take on the walls of ``c``, read off the
+    class walk.  The class counts are summed first, and past ``_MAX_INDEX``
+    nothing is enumerated.
     """
     if not c.is_pointed():
         raise NotPointedError("Hilbert basis requires a pointed cone (units present)")
@@ -253,11 +266,12 @@ def hilbert_basis(c: Cone):
     if index > _MAX_INDEX:
         raise DimensionLimitError(
             f"the simplicial pieces have lattice index {index}, over the desk-scale {_MAX_INDEX}")
-    candidates = set(c.rays)
-    candidates.update(p for sub, group in pieces for p in _parallelepiped_points(sub, group) if any(p))
     normals = c.facet_normals()
-    values = {v: tuple(dot(m, v) for m in normals) for v in candidates}
-    ordered = sorted(candidates, key=lambda v: (sum(values[v]), v))
+    values = {v: tuple(dot(m, v) for m in normals) for v in c.rays}
+    for sub, group in pieces:
+        values.update(_parallelepiped_points(sub, group, normals))
+    values.pop((0,) * c.rank)
+    ordered = sorted(values, key=lambda v: (sum(values[v]), v))
     basis = []
     for x in ordered:  # reducible when x - y is in the cone (0 included): no wall value of x below y's
         if not any(all(a >= b for a, b in zip(values[x], values[y])) for y in basis):

@@ -867,6 +867,36 @@ def test_least_matches_brute_force_minimum_over_the_whole_group(case):
         assert [tuple(row) for row in least.tolist()] == expect
 
 
+@pytest.mark.parametrize("block", [4096, 7])
+@pytest.mark.parametrize("case", sorted(ORBIT_CASES))
+def test_enumeration_keeps_the_extensions_that_least_leaves_in_place(case, block, monkeypatch):
+    # the keep rule, which tries only each chain's own automorphisms, against
+    # the minimisation over all of Stab(top): every key is its own _least, and
+    # the next level is every one-element extension that _least leaves in
+    # place; the S5 action has chains with automorphisms two levels deep
+    from logskel import complexes
+
+    monkeypatch.setattr(complexes, "_FACE_BLOCK", block)
+    k, gens = ORBIT_CASES[case]()
+    cells = _OrbitCells(k, GroupAction(k, gens))
+    deepest = -1
+    for d, keys in enumerate(cells.keys):
+        tops, masks = cells._masks(d, keys)
+        assert np.array_equal(cells._least(tops, masks), keys)
+        sizes = cells._stab_sizes[tops]  # does an element of Stab(top) fix the whole chain?
+        owner = np.repeat(np.arange(len(keys)), sizes)
+        rows = np.arange(sizes.sum()) + np.repeat(cells._stab_offsets[tops] - np.cumsum(sizes) + sizes, sizes)
+        images = cells._stab_masks[cells._stab_starts[rows] + masks[:, owner]]
+        deepest = d if (images == masks[:, owner]).all(axis=0).any() else deepest
+        if d < cells.dim:
+            radix, last = cells._radices[d], masks[-1] if d else cells._full[tops]
+            extensions = (keys[:, None] * radix + np.arange(radix))[np.arange(radix) < cells._digit[last, last][:, None]]
+            least = cells._least(*cells._masks(d + 1, extensions))
+            assert np.array_equal(cells.keys[d + 1], extensions[least == extensions])
+    if case == "s5-on-simplex-boundary":
+        assert deepest == 2
+
+
 def test_orbit_cells_share_one_move_per_group_element():
     # the antipodal map of a 2000-cycle: 4,000 simplices, half of them off
     # their orbit's least simplex by the one nontrivial element, so the table

@@ -14,6 +14,7 @@ from logskel.polyhedra import (
     _facet_masks,
     _facets,
     _faces,
+    _gauss_jordan,
     _parallelepiped_points,
     _walls,
     Cone,
@@ -450,9 +451,11 @@ def test_parallelepiped_walls_match_fraction_solve_off_full_rank():
         if not c.rays or c.dim() != len(c.rays) or box > 1000:
             continue
         group = _class_group(c.rays)
-        got = _parallelepiped_points(c.rays, group)
-        assert got == oracle.parallelepiped_points(c.rays, rank), c
+        walls = c.facet_normals()
+        got = _parallelepiped_points(c.rays, group, walls)
+        assert sorted(got) == oracle.parallelepiped_points(c.rays, rank), c
         assert len(got) == math.prod(group[0]), c
+        assert all(values == tuple(dot(m, p) for m in walls) for p, values in got.items()), c
         nontrivial[rank] += len(got) > 1
         done[rank] += 1
     assert min(done.values()) >= 40 and len(done) == 4
@@ -485,9 +488,11 @@ def test_parallelepiped_classes_match_fraction_solve_full_rank():
                 continue
             done[rank] += 1
         group = _class_group(rays)
-        got = _parallelepiped_points(rays, group)
+        walls = _walls(rays, len(rays))
+        got = _parallelepiped_points(rays, group, walls)
         assert len(got) == math.prod(group[0]) == abs(det([list(r) for r in rays])), rays
-        assert got == oracle.parallelepiped_points(rays, len(rays)), rays
+        assert sorted(got) == oracle.parallelepiped_points(rays, len(rays)), rays
+        assert all(values == tuple(dot(m, p) for m in walls) for p, values in got.items()), rays
         indices.append(group[0])
     assert sum(d[-2] > 1 for d in indices) >= 2 and max(map(math.prod, indices)) >= 300
 
@@ -698,13 +703,19 @@ def test_derived_pieces_match_the_starring_oracle():
     cones exactly when the oracle starred a cone, on the sl 3 and sl 4
     kernel fans, the glued pyramids and seeded face fans of polytopes with
     vertices in {-1, 0, 1}^rank, ranks 3 and 4, whose square and cube faces
-    are not simplicial."""
+    are not simplicial.  Each maximal cone cut alone gives its own pieces,
+    each as many independent rays as the cone's dimension."""
     kinds = collections.Counter()
     for fan in [_sl_kernel_fan(3), _sl_kernel_fan(4), _glued_pyramids(), *_seeded_face_fans()]:
         maximal = [fan.cone_geometry(c).rays for c in fan.maximal_cones()]
         pieces = _derived_pieces(maximal, fan.rank)
         expected, starred = oracle.derived_pieces(fan)
         assert len(pieces) == len(set(pieces)) and set(pieces) == set(expected)
+        alone = [_derived_pieces([rays], fan.rank) for rays in maximal]
+        assert sorted(itertools.chain(*alone)) == sorted(pieces)
+        for rays, cut in zip(maximal, alone):
+            dim = len(_gauss_jordan(rays, fan.rank)[1])
+            assert all(len(p) == dim == len(_gauss_jordan(p, fan.rank)[1]) for p in cut), rays
         assert starred == (set(pieces) != set(maximal))
         deep = any(not oracle.is_simplicial(g) and g.rays not in maximal for g in map(fan.cone_geometry, fan.cones))
         kinds["deep" if deep else "starred" if starred else "simplicial"] += 1
