@@ -2,9 +2,10 @@
 
 Everything here works over Python ints and Fractions; no floating point.
 Matrices are lists of row lists.  One fraction-free Gauss-Jordan elimination
-gives determinants, adjugates and rational solutions; the Smith normal form
-pivots by smallest nonzero magnitude; the sparse variant is the elimination
-backend for boundary matrices of simplicial complexes.
+gives ranks, rational solutions and the vertices and rays of simplicial
+cones; the Smith normal form pivots by smallest nonzero magnitude; the
+sparse variant is the elimination backend for boundary matrices of
+simplicial complexes.
 """
 
 from __future__ import annotations
@@ -29,37 +30,33 @@ def _gauss_jordan(rows, ncols):
     of sign ``sign``, and B the pivot block of P times the input, the rows
     are d B^-1 P times the input and d = det B, so pivot row k holds d at
     column ``pivots[k]`` and the other rows 0.  Every division is exact.
+    A row with 0 in the pivot column is only rescaled by piv / d, and left
+    as it is when piv = d.
     """
     m = [list(map(int, row)) for row in rows]
     pivots, d, sign = [], 1, 1
     for c in range(ncols):
         r = len(pivots)
-        p = next((i for i in range(r, len(m)) if m[i][c]), None)
-        if p is None:
+        for p in range(r, len(m)):
+            if m[p][c]:
+                break
+        else:
             continue
         if p != r:
             m[r], m[p] = m[p], m[r]
             sign = -sign
         top, piv = m[r], m[r][c]
         for i, row in enumerate(m):
-            if i != r:
-                f = row[c]
+            f = row[c]
+            if f and i != r:
                 m[i] = [(piv * x - f * y) // d for x, y in zip(row, top)]
+            elif not f and piv != d:
+                m[i] = [piv * x // d for x in row]
         pivots.append(c)
         d = piv
         if len(pivots) == len(m):
             break
     return m, pivots, d, sign
-
-
-def adjugate(a):
-    """(det a, adj a) for a square integer matrix, adj read off the reduced
-    [a | I] so that a adj = det I; adj is None when det a = 0."""
-    n = len(a)
-    red, pivots, d, sign = _gauss_jordan([list(row) + e for row, e in zip(a, identity(n))], n)
-    if len(pivots) < n:
-        return 0, None
-    return sign * d, [[sign * x for x in row[n:]] for row in red]
 
 
 def rat_solve(a, b):

@@ -22,6 +22,7 @@ import json
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import add, ge, mul, sub
 
 from .lattice import (
     _gauss_jordan,
@@ -48,7 +49,7 @@ class NotPointedError(ValueError):
 
 
 def dot(u, v) -> int:
-    return sum(a * b for a, b in zip(u, v))
+    return sum(map(mul, u, v))
 
 
 def _check_rank(rank: int):
@@ -131,7 +132,7 @@ class Cone:
     def from_generators(generators, rank) -> "Cone":
         _check_rank(rank)
         gens = tuple(sorted({primitive(g) for g in generators if any(g)}))
-        if len(gens) <= rank and len(_gauss_jordan(gens, rank)[1]) == len(gens):
+        if _independent(gens, rank):
             return Cone(rays=gens, rank=rank)  # independent: each is an extreme ray
         # extreme rays via double dualization (canonical for pointed cones)
         return Cone(rays=_walls(_walls(gens, rank), rank), rank=rank)
@@ -157,6 +158,14 @@ def dual_cone(c: Cone) -> Cone:
 
 
 @lru_cache(maxsize=None)
+def _independent(rays, rank):
+    """Whether the ``rays`` are linearly independent, by one fraction-free
+    Gauss-Jordan pass per ray tuple: then they are their cone's extreme
+    rays, its faces are their subsets and it is one simplicial piece."""
+    return len(rays) <= rank and len(_gauss_jordan(rays, rank)[1]) == len(rays)
+
+
+@lru_cache(maxsize=None)
 def _walls(rays, rank):
     """The rays of the dual of the cone on ``rays``, sorted: its facet
     normals and the +- pairs of its lineality, once per ray tuple."""
@@ -178,7 +187,7 @@ def _faces(rays, rank):
     the cone under intersection with its facets, one facet at a time.  The
     least face is the lineality space, so () is a face exactly when the cone
     is pointed."""
-    if len(_gauss_jordan(rays, rank)[1]) == len(rays):
+    if _independent(rays, rank):
         return tuple(f for size in range(len(rays) + 1) for f in itertools.combinations(rays, size))
     faces = {(1 << len(rays)) - 1}
     for w in _facets(rays, rank):
@@ -198,13 +207,16 @@ def _facet_masks(face, walls):
 def _simplicial_subcones(rays, rank):
     """Triangulate a pointed cone into simplicial subcones on its rays: the
     cones from its first ray over the triangulated facets that miss it.  A
-    pointed cone is simplicial exactly when each facet misses one ray."""
+    pointed cone is simplicial exactly when each facet misses one ray, as
+    independent rays are, whose facets are never built."""
     def cut(face, facets):
         if all((face & ~f).bit_count() == 1 for f in facets):
             return [face]
         apex = face & -face  # the face's first ray
         return [sub | apex for f in facets if not f & apex for sub in cut(f, _facet_masks(f, walls))]
 
+    if _independent(rays, rank):
+        return [rays]
     walls = _facets(rays, rank)  # the facets of the cone itself
     return [tuple(r for i, r in enumerate(rays) if m >> i & 1) for m in cut((1 << len(rays)) - 1, walls)]
 
@@ -224,22 +236,25 @@ def _parallelepiped_points(rays, group, walls):
     c in prod [0, d_i) has t = V D^-1 c mod 1.  Every d_i divides the last
     one, e, so e t is sum_i c_i (e / d_i) V_i mod e, and only the d_i > 1
     contribute.  A mixed-radix walk steps one digit at a time, carrying e t
-    and e p with its wall values, less e r_j and its values where e t_j wraps."""
+    and e p with its wall values, less e r_j and its values (computed once)
+    where e t_j wraps."""
     diag, v = group
     e, rank = diag[-1], len(rays[0])
     units = [list(r) + [dot(m, r) for m in walls] for r in rays]  # r_j and its wall values
     steps = [(d, [row[i] * (e // d) % e for row in v]) for i, d in enumerate(diag) if d > 1]
-    deltas = [[sum(c * u for c, u in zip(col, column)) for column in zip(*units)] for _, col in steps]
+    deltas = [[dot(col, column) for column in zip(*units)] for _, col in steps]
+    units = [[e * x for x in u] for u in units]
     t, scaled, digits, points = [0] * len(rays), [0] * len(units[0]), [0] * len(steps), {}
     for _ in range(math.prod(d for d, _ in steps)):
         point = [x // e for x in scaled]
         points[tuple(point[:rank])] = tuple(point[rank:])
         for k in range(len(steps) - 1, -1, -1):  # step the last digit, carrying past each wrap
-            scaled = [x + y for x, y in zip(scaled, deltas[k])]
+            scaled = list(map(add, scaled, deltas[k]))
             for j, c in enumerate(steps[k][1]):
-                wrap, t[j] = divmod(t[j] + c, e)
-                if wrap:
-                    scaled = [x - e * y for x, y in zip(scaled, units[j])]
+                t[j] += c
+                if t[j] >= e:
+                    t[j] -= e
+                    scaled = list(map(sub, scaled, units[j]))
             digits[k] = (digits[k] + 1) % steps[k][0]
             if digits[k]:
                 break
@@ -274,7 +289,7 @@ def hilbert_basis(c: Cone):
     ordered = sorted(values, key=lambda v: (sum(values[v]), v))
     basis = []
     for x in ordered:  # reducible when x - y is in the cone (0 included): no wall value of x below y's
-        if not any(all(a >= b for a, b in zip(values[x], values[y])) for y in basis):
+        if not any(all(map(ge, values[x], values[y])) for y in basis):
             basis.append(x)
     return sorted(basis)
 

@@ -21,7 +21,7 @@ import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .lattice import adjugate
+from .lattice import _gauss_jordan, primitive
 from .logstructure import LogChart, PairDescription
 from .rationals import INF, fmt, is_inf, json_value, q, xscale
 from .valuations import LaurentRational, SkeletonPoint, chart_weight_vector
@@ -337,7 +337,9 @@ def _minimize_face_slice(pair, chart, chart_index, form, kato, b):
     """Exact minimum of the weight over {<b, alpha> = 1, alpha >= 0}.
 
     Enumerates candidate vertices: slice corners plus intersections with the
-    loci where two linear pieces of the weight agree.  Returns (min, argmin
+    loci where two linear pieces of the weight agree.  Ties are taken once
+    up to scale and sign, and each vertex is one fraction-free elimination
+    of [b | 1] over n - 1 of the walls and ties.  Returns (min, argmin
     vertices, argmin recession rays); None when the slice is empty.
     """
     kato = tuple(sorted(kato))
@@ -365,30 +367,23 @@ def _minimize_face_slice(pair, chart, chart_index, form, kato, b):
         for t in list(eq.numerator) + list(eq.denominator):
             pieces.append([t.exps[ax] for ax in axes])
 
-    # hyperplanes: coordinate walls, slice (b: multiplicities), and
-    # piece-vs-piece ties; every row is an integer vector
-    hyperplanes = []
-    for i in range(n):
-        e = [0] * n
-        e[i] = 1
-        hyperplanes.append((e, 0))
-    hyperplanes.append((list(b), 1))
+    # hyperplanes through 0: coordinate walls and piece-vs-piece ties, as
+    # primitive integer rows with a positive first entry, so that a tie
+    # repeated up to scale or sign (it would only repeat a vertex or make a
+    # singular system) is taken once
+    planes = dict.fromkeys(tuple(int(i == j) for j in range(n)) for i in range(n))
     for p1, p2 in itertools.combinations(pieces, 2):
-        diff = [a - c for a, c in zip(p1, p2)]
+        diff = primitive([a - c for a, c in zip(p1, p2)])
         if any(diff):
-            hyperplanes.append((diff, 0))
+            planes[max(diff, tuple(-x for x in diff))] = None
 
-    slice_normal = list(b)
+    # each vertex solves <b, alpha> = 1 and n - 1 of them: one elimination
+    # of the augmented system, whose last column is then d times alpha
     candidates = set()
-    for combo in itertools.combinations(range(len(hyperplanes)), n - 1) if n > 1 else [()]:
-        rows = [slice_normal] + [hyperplanes[i][0] for i in combo]
-        rhs = [1] + [hyperplanes[i][1] for i in combo]
-        d, adj = adjugate(rows)
-        if d == 0:
-            continue
-        sol = [Fraction(sum(x * y for x, y in zip(row, rhs)), d) for row in adj]  # Cramer
-        if all(x >= 0 for x in sol):
-            candidates.add(tuple(sol))
+    for combo in itertools.combinations(planes, n - 1):
+        red, pivots, d, _ = _gauss_jordan([[*b, 1]] + [[*h, 0] for h in combo], n)
+        if len(pivots) == n and all(row[n] * d >= 0 for row in red):
+            candidates.add(tuple(Fraction(row[n], d) for row in red))
     if not candidates:
         return None, [], []
 

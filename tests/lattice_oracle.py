@@ -1,13 +1,56 @@
-"""The Bareiss determinant and the Fraction Gauss-Jordan solver, kept as
+"""The Bareiss determinant, the Fraction Gauss-Jordan solver, the first
+fraction-free Gauss-Jordan loop and the adjugate read off it, kept as
 oracles.
 
-``logskel.lattice`` computes determinants, adjugates and rational solutions
-with one fraction-free Gauss-Jordan elimination; these two independent
-routines check it, and serve the other oracles that need a determinant or
-an exact solve.
+``logskel.lattice`` computes ranks and rational solutions with one
+fraction-free Gauss-Jordan elimination; ``gauss_jordan`` is that
+elimination as first written, row for row, which the tuned one must match
+exactly.  The determinant and the solver check it independently, and
+serve, with ``adjugate``, the other oracles that need a determinant, an
+adjugate or an exact solve.
 """
 
 from fractions import Fraction
+
+
+def gauss_jordan(rows, ncols, zero_factors=None):
+    """Fraction-free Gauss-Jordan elimination (Bareiss 1968), pivoting on
+    the first ``ncols`` columns: (reduced rows, pivot columns, d, sign),
+    every other row recomputed at every pivot.  ``zero_factors``, a set,
+    collects piv == d for each such row that is 0 in the pivot column."""
+    m = [list(map(int, row)) for row in rows]
+    pivots, d, sign = [], 1, 1
+    for c in range(ncols):
+        r = len(pivots)
+        p = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if p is None:
+            continue
+        if p != r:
+            m[r], m[p] = m[p], m[r]
+            sign = -sign
+        top, piv = m[r], m[r][c]
+        for i, row in enumerate(m):
+            if i != r:
+                f = row[c]
+                m[i] = [(piv * x - f * y) // d for x, y in zip(row, top)]
+                if zero_factors is not None and not f:
+                    zero_factors.add(piv == d)
+        pivots.append(c)
+        d = piv
+        if len(pivots) == len(m):
+            break
+    return m, pivots, d, sign
+
+
+def adjugate(a):
+    """(det a, adj a) for a square integer matrix, adj read off the reduced
+    [a | I] so that a adj = det I; adj is None when det a = 0."""
+    n = len(a)
+    eye = [[int(i == j) for j in range(n)] for i in range(n)]
+    red, pivots, d, sign = gauss_jordan([list(row) + e for row, e in zip(a, eye)], n)
+    if len(pivots) < n:
+        return 0, None
+    return sign * d, [[sign * x for x in row[n:]] for row in red]
 
 
 def rat_solve(a, b):

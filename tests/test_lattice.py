@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -6,8 +7,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import lattice_oracle as oracle
+from lattice_oracle import adjugate
 from logskel.lattice import (
-    adjugate,
+    _gauss_jordan,
     int_kernel_basis,
     rat_solve,
     snf_diagonal,
@@ -180,6 +182,28 @@ def test_rat_solve_seeded_sweep_against_fraction_oracle():
         assert [sum(r * t for r, t in zip(row, got)) for row in a] == b
         outcomes["unique" if Matrix(a).rank() == len(a[0]) else "free"] += 1
     assert min(outcomes.values()) >= 30, outcomes
+
+
+def test_gauss_jordan_matches_the_first_loop():
+    rng = random.Random(20123)
+    zero_factors = set()
+    for _ in range(2400):
+        rows, cols = rng.randint(1, 6), rng.randint(1, 12)
+        a = random_matrix(rng, rows, cols, bound=3)
+        for j in rng.sample(range(cols), rng.randint(0, cols // 3)):  # zero columns
+            for row in a:
+                row[j] = 0
+        if rows > 1 and rng.random() < 0.3:  # a repeated row
+            i, j = rng.sample(range(rows), 2)
+            a[i] = list(a[j])
+        ncols = rng.randint(0, cols)
+        assert _gauss_jordan(a, ncols) == oracle.gauss_jordan(a, ncols, zero_factors), (a, ncols)
+    assert zero_factors == {True, False}  # a zero factor with piv == d and with piv != d
+    for _ in range(400):  # integer rows scaled from Fractions, as rat_solve passes them
+        a, b = _random_system(rng)
+        aug = [[Fraction(x) for x in row] + [Fraction(y)] for row, y in zip(a, b)]
+        scaled = [[x * math.lcm(*(y.denominator for y in row)) for x in row] for row in aug]
+        assert _gauss_jordan(scaled, len(a[0])) == oracle.gauss_jordan(scaled, len(a[0]))
 
 
 def test_rat_solve_edge_cases():

@@ -6,7 +6,8 @@ import random
 import pytest
 
 from logskel.complexes import HomologyProfile, SimplicialComplex, homology, link_complex, sphere_profile
-from logskel.lattice import adjugate, primitive, span_snf
+from lattice_oracle import adjugate
+from logskel.lattice import primitive, span_snf
 from logskel import polyhedra
 from logskel.polyhedra import (
     _class_group,

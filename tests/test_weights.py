@@ -1,4 +1,5 @@
 import itertools
+import json
 import random
 from fractions import Fraction
 
@@ -16,6 +17,7 @@ from logskel.fixtures import (
 )
 from logskel.logstructure import BoundaryComponent, LogChart, PairDescription
 from logskel.rationals import INF
+from logskel import weights
 from logskel.valuations import LaurentRational, SkeletonPoint, classify_closure_point
 from logskel.weights import (
     NormalFormError,
@@ -301,6 +303,106 @@ def test_trivial_ks_matches_grid_oracle():
         cancelled += sum(ks_oracle.value(form.numerators[0], ks_oracle.chart_weights(
             pair, dict.fromkeys(kato, 1))) < 0 for kato in got)
     assert cancelled >= 100, cancelled
+
+
+def _slice_reports(pair, form, monkeypatch, essential=True):
+    """With face slices minimized by the code and then by the oracle: the
+    report of ks_skeleton (and of essential_skeleton) or the refusal, and
+    the minimum and argmin of each face that ks_skeleton minimizes over."""
+    def run(f, *args):
+        try:
+            return f(*args).to_json_dict()
+        except WeightError as exc:
+            return str(exc)
+
+    reports = []
+    for minimize in (weights._minimize_face_slice, ks_oracle.minimize_face_slice):
+        faces = {}
+
+        def record(*args, minimize=minimize):
+            faces[args[4]] = minimize(*args)
+            return faces[args[4]]
+
+        with monkeypatch.context() as patch:
+            patch.setattr(weights, "_minimize_face_slice", record)
+            reports.append((run(ks_skeleton, pair, form), faces,
+                            essential and run(essential_skeleton, pair, [form])))
+    return reports
+
+
+def _dvf_fixture_cases():
+    """Every dvf fixture pair with its forms: strict inclusion (and its
+    residue on the D4 trace), Dwork's corner form on one and on all three
+    charts, and the a2 numerators z1 and z1 + z2 on the a2 chart made a
+    degeneration, with z1 z2 = pi or z1^2 = pi and z2 horizontal."""
+    pair = strict_inclusion_pair()
+    cases = [(pair, strict_inclusion_form()),
+             (pair.trace_pair({"D4"}), residue(strict_inclusion_form(), pair, {"D4"}))]
+    dwork, one = dwork_pair(), LaurentRational([((0, 0), 0, 1)])
+    cases += [(dwork, PluriForm(m=1, dlog=frozenset({"E0"}), numerators={0: one})),
+              (dwork, PluriForm(m=2, dlog=frozenset({"E0"}), numerators=dict.fromkeys(range(3), one),
+                                chart_dlog={1: {"E1"}, 2: {"E2"}}))]
+    for mult in ((1, 1), (2, 0)):
+        comps = {c: BoundaryComponent(c, Fraction(1), b) for c, b in zip(("B1", "B2"), mult)}
+        a2_dvf = PairDescription(mode="dvf", components=comps, charts=A2.charts, strata=A2.strata)
+        for name in ("a2_form_z1.json", "a2_form_z1_plus_z2.json"):
+            with open(f"fixtures/{name}") as fh:
+                form = PluriForm.from_json_dict(json.load(fh))
+            form.dlog = frozenset({"B2"})  # B1 is the one vertical component outside it
+            cases.append((a2_dvf, form))
+    return cases
+
+
+def _random_dvf_draw(rng):
+    """One chart of A^(k+1) with vertical components V1..Vk (k = 1..3) of
+    multiplicity 1 or 2 and a horizontal H, each cut by its coordinate,
+    and a form whose numerator terms are c times one direction for several
+    c in -2..2, shifted to a common base, so that the ties between them
+    repeat up to scale and sign; an extra term and a denominator come at
+    random."""
+    k = rng.choice((1, 2, 2, 3))
+    ids = [f"V{i + 1}" for i in range(k)] + ["H"]
+    arity = k + 1
+    comps = {c: BoundaryComponent(c, Fraction(1), rng.randint(1, 2)) for c in ids[:-1]}
+    comps["H"] = BoundaryComponent("H", Fraction(1), 0)
+    chart = LogChart(coordinates=tuple(f"z{i + 1}" for i in range(arity)),
+                     cut={f"z{i + 1}": c for i, c in enumerate(ids)},
+                     equations={c: LaurentRational.coordinate(i, arity) for i, c in enumerate(ids)})
+    strata = [frozenset(s) for r in range(1, k + 2) for s in itertools.combinations(ids, r)]
+    pair = PairDescription(mode="dvf", components=comps, charts=[chart], strata=strata)
+    step = [rng.randint(-1, 1) for _ in range(arity)]
+    step[rng.randrange(arity)] = rng.choice([-1, 1])
+    exps = [[c * s for s in step] for c in rng.sample(range(-2, 3), rng.randint(2, 4))]
+    if rng.random() < 0.5:
+        exps.append([rng.randint(-2, 2) for _ in range(arity)])
+    # shift each exponent so its least value is 0 or 1: the weight is then nonnegative on every ray
+    low = [min(col) - rng.randint(0, 1) for col in zip(*exps)]
+    exps = [[x - y for x, y in zip(e, low)] for e in exps]
+    den = [((tuple(rng.randint(0, 1) for _ in range(arity)), 0, 1),)] if rng.random() < 0.3 else []
+    outside = rng.choice(ids[:-1])  # the normal form's one vertical component outside the dlog set
+    dlog = {c for c in ids if c != outside and (c != "H" or rng.random() < 0.5)}
+    form = PluriForm(m=rng.randint(1, 2), dlog=frozenset(dlog),
+                     numerators={0: LaurentRational([(tuple(e), 0, 1) for e in exps], *den)})
+    return pair, form
+
+
+def test_dvf_ks_matches_the_every_tie_slice_oracle(monkeypatch):
+    for pair, form in _dvf_fixture_cases():
+        got, want = _slice_reports(pair, form, monkeypatch)
+        assert got == want, (pair, form)
+        assert not isinstance(got[0], str) and got[1], (pair, form)
+    rng = random.Random(3401)
+    minimized = deduplicated = 0
+    for _ in range(240):
+        pair, form = _random_dvf_draw(rng)
+        got, want = _slice_reports(pair, form, monkeypatch, essential=False)
+        assert got == want, (pair, form)
+        minimized += not isinstance(got[0], str)
+        ties = [ks_oracle.slice_ties(pair, pair.charts[0], 0, form, key)
+                for key in pair.kato_fan().points if len(key) > 1]  # one-point slices solve one system
+        deduplicated += any(ks_oracle.parallel(u, v) for t in ties for u, v in itertools.combinations(t, 2))
+    assert minimized >= 200, minimized
+    assert deduplicated >= 80, deduplicated  # a third of the draws repeat a tie up to scale and sign
 
 
 # -- essential skeletons -------------------------------------------------------
