@@ -193,58 +193,55 @@ def _outside_dlog_equations(pair, chart, dlog):
     return out
 
 
-def _weight_on_vector(pair, chart, chart_index, form, coord_weights, kato):
-    """Weight at the point of the face ``kato`` with the given chart weights."""
-    f = form.numerator_for(chart_index)
-    dlog = form.dlog_for(chart_index)
-    val = f.value(coord_weights)
+def _chart_weight(pair, chart, chart_index, form):
+    """The weight on one presenting chart as (terms, linear, constant):
+
+      wt(w) = sum mult * v(expr)(w) + sum_i linear[i] * w_i + constant
+
+    over the chart weights w.  The terms are (1, f) and (m, g_h) for each
+    outside-dlog equation; linear is m (1 - a) on each axis that cuts a
+    component in trivial mode and () in dvf mode; the constant is m in dvf
+    mode and 0 in trivial mode.  Checks the dvf normal form, and refuses
+    the nonzero coefficient valuations a trivially valued field does not
+    have.
+    """
+    m, dlog = form.m, form.dlog_for(chart_index)
+    terms = ((1, form.numerator_for(chart_index)),
+             *((m, g) for g in _outside_dlog_equations(pair, chart, dlog)))
     if pair.mode == "dvf":
         _dvf_normal_form_check(pair, chart, dlog)
-    extra = Fraction(0)
-    for eq in _outside_dlog_equations(pair, chart, dlog):
-        extra += eq.value(coord_weights)
-    if pair.mode == "dvf":
-        return val + xscale(form.m, 1 + extra)
-    correction = Fraction(0)
-    for cid in kato:
-        a = pair.components[cid].coefficient
-        if a != 1:
-            w = coord_weights[chart.axis(cid)]
-            correction += w if is_inf(w) else (1 - a) * w
-    return val + xscale(form.m, extra) + xscale(form.m, correction)
-
-
-def _trivial_terms(pair, chart, chart_index, form):
-    """The numerator and outside-dlog equations of a trivial-mode weight on
-    one chart; refuses nonzero coefficient valuations, which a trivially
-    valued field does not have."""
-    exprs = [form.numerator_for(chart_index),
-             *_outside_dlog_equations(pair, chart, form.dlog_for(chart_index))]
-    if any(t.coeff_val != 0 for expr in exprs for t in expr.numerator + expr.denominator):
+        return terms, (), Fraction(m)
+    if any(t.coeff_val != 0 for _, expr in terms for t in expr.numerator + expr.denominator):
         raise WeightError("trivial mode takes coefficient valuations 0: the field is trivially valued")
-    return exprs
+    linear = [Fraction(0)] * len(chart.coordinates)
+    for cid in chart.coordinate_components():
+        linear[chart.axis(cid)] = m * (1 - pair.components[cid].coefficient)
+    return terms, tuple(linear), Fraction(0)
+
+
+def _weight_at(cw, w):
+    """The weight of the chart table ``cw`` at the chart weights ``w``."""
+    terms, linear, constant = cw
+    return (sum(xscale(mult, expr.value(w)) for mult, expr in terms)
+            + sum(map(xscale, linear, w)) + constant)
 
 
 def weight(form: PluriForm, pair: PairDescription, point: SkeletonPoint):
     """Weight of a pluricanonical form at a skeleton point (either mode)."""
     idx, chart = _chart_for_face(pair, point.kato, form)
-    if pair.mode == "trivial":
-        _trivial_terms(pair, chart, idx, form)
-    coord_weights = chart_weight_vector(point, chart)
-    return _weight_on_vector(pair, chart, idx, form, coord_weights, point.kato)
+    return _weight_at(_chart_weight(pair, chart, idx, form), chart_weight_vector(point, chart))
 
 
 # -- Kontsevich-Soibelman skeletons ----------------------------------------
 
 
-def _face_rays_check(pair, chart, chart_index, form, kato):
+def _face_rays_check(chart, cw, kato):
     """Regularity on one face: weight nonnegative on every ray generator."""
     arity = len(chart.coordinates)
     for cid in kato:
         ray = [Fraction(0)] * arity
         ray[chart.axis(cid)] = Fraction(1)
-        val = _weight_on_vector(pair, chart, chart_index, form, ray, kato)
-        if val < 0:
+        if _weight_at(cw, ray) < 0:
             return cid
     return None
 
@@ -268,12 +265,12 @@ def ks_skeleton(pair: PairDescription, form: PluriForm) -> SubFan:
             charted.append((key, *_chart_for_face(pair, key, form)))
         except WeightError:
             continue
-    if pair.mode == "trivial":
-        for idx, chart in {idx: chart for _, idx, chart in charted}.items():
-            if any(len(expr.denominator) != 1 for expr in _trivial_terms(pair, chart, idx, form)):
-                raise WeightError("trivial-mode minimization expects a monomial denominator")
+    cws = {idx: _chart_weight(pair, chart, idx, form) for _, idx, chart in charted}
+    if pair.mode == "trivial" and any(len(expr.denominator) != 1
+                                      for terms, _, _ in cws.values() for _, expr in terms):
+        raise WeightError("trivial-mode minimization expects a monomial denominator")
     for key, idx, chart in charted:
-        bad = _face_rays_check(pair, chart, idx, form, key)
+        bad = _face_rays_check(chart, cws[idx], key)
         if bad is not None:
             raise WeightError(
                 f"form is not regular: weight unbounded below on the ray {bad} "
@@ -281,8 +278,8 @@ def ks_skeleton(pair: PairDescription, form: PluriForm) -> SubFan:
 
     if pair.mode == "trivial":
         faces = [SubCone(kato=key) for key, idx, chart in charted
-                 if _weight_on_vector(pair, chart, idx, form, chart_weight_vector(
-                     SkeletonPoint.make(key, [1] * len(key)), chart), key) == 0]
+                 if _weight_at(cws[idx], chart_weight_vector(
+                     SkeletonPoint.make(key, [1] * len(key)), chart)) == 0]
         # every chart covers the face (); it is left out only when no chart presents the form
         return SubFan(faces=faces if charted else [SubCone(kato=())], min_value=Fraction(0))
 
@@ -293,7 +290,7 @@ def ks_skeleton(pair: PairDescription, form: PluriForm) -> SubFan:
         b = pair.pi_vector(key)
         if all(x == 0 for x in b):
             continue  # purely horizontal face: no dvf points
-        value, verts, rays = _minimize_face_slice(pair, chart, idx, form, key, b)
+        value, verts, rays = _minimize_face_slice(chart, cws[idx], key, b)
         if value is None:
             continue
         if value < best:
@@ -333,13 +330,16 @@ def _canonical_dvf_faces(faces):
     return out
 
 
-def _minimize_face_slice(pair, chart, chart_index, form, kato, b):
+def _minimize_face_slice(chart, cw, kato, b):
     """Exact minimum of the weight over {<b, alpha> = 1, alpha >= 0}.
 
     Enumerates candidate vertices: slice corners plus intersections with the
-    loci where two linear pieces of the weight agree.  Ties are taken once
-    up to scale and sign, and each vertex is one fraction-free elimination
-    of [b | 1] over n - 1 of the walls and ties.  Returns (min, argmin
+    loci where two linear pieces of the weight agree.  The piece
+    c + <e, alpha> of a numerator term (a denominator term, signs flipped),
+    with c its coefficient valuation, is <e + c b, alpha> on the slice, so
+    the ties see the coefficient valuations.  Ties are taken once up to
+    scale and sign, and each vertex is one fraction-free elimination of
+    [b | 1] over n - 1 of the walls and ties.  Returns (min, argmin
     vertices, argmin recession rays); None when the slice is empty.
     """
     kato = tuple(sorted(kato))
@@ -347,33 +347,26 @@ def _minimize_face_slice(pair, chart, chart_index, form, kato, b):
     axes = [chart.axis(c) for c in kato]
     arity = len(chart.coordinates)
 
-    def lift(alpha):
+    def wt(alpha):
         w = [Fraction(0)] * arity
         for x, ax in zip(alpha, axes):
             w[ax] = x
-        return w
+        return _weight_at(cw, w)
 
-    def wt(alpha):
-        return _weight_on_vector(pair, chart, chart_index, form, lift(alpha), kato)
-
-    # linear pieces: integer gradients (exponents) of every min-term involved
-    pieces = []
-    f = form.numerator_for(chart_index)
-    for t in f.numerator:
-        pieces.append([t.exps[ax] for ax in axes])
-    for t in f.denominator:
-        pieces.append([-t.exps[ax] for ax in axes])
-    for eq in _outside_dlog_equations(pair, chart, form.dlog_for(chart_index)):
-        for t in list(eq.numerator) + list(eq.denominator):
-            pieces.append([t.exps[ax] for ax in axes])
+    # affine pieces (c, e) of every min-term of the chart table's terms
+    pieces = [(s * t.coeff_val, [s * t.exps[ax] for ax in axes])
+              for _, expr in cw[0] for s, part in ((1, expr.numerator), (-1, expr.denominator))
+              for t in part]
 
     # hyperplanes through 0: coordinate walls and piece-vs-piece ties, as
     # primitive integer rows with a positive first entry, so that a tie
     # repeated up to scale or sign (it would only repeat a vertex or make a
-    # singular system) is taken once
+    # singular system) is taken once; with c = p/q the tie
+    # <e1 - e2 + c b, alpha> = 0 is scaled by q
     planes = dict.fromkeys(tuple(int(i == j) for j in range(n)) for i in range(n))
-    for p1, p2 in itertools.combinations(pieces, 2):
-        diff = primitive([a - c for a, c in zip(p1, p2)])
+    for (c1, e1), (c2, e2) in itertools.combinations(pieces, 2):
+        c = c1 - c2
+        diff = primitive([c.denominator * (x - y) + c.numerator * z for x, y, z in zip(e1, e2, b)])
         if any(diff):
             planes[max(diff, tuple(-x for x in diff))] = None
 
@@ -388,19 +381,14 @@ def _minimize_face_slice(pair, chart, chart_index, form, kato, b):
         return None, [], []
 
     # recession rays of the slice (horizontal directions with b_i = 0)
-    recession = []
-    for i in range(n):
-        if b[i] == 0:
-            ray = [Fraction(0)] * n
-            ray[i] = Fraction(1)
-            recession.append(tuple(ray))
-    for ray in recession:
+    recession = [tuple(Fraction(int(i == j)) for j in range(n)) for i in range(n) if b[i] == 0]
+    if recession:
         base = min(candidates)
         v0 = wt(base)
-        v1 = wt(tuple(x + y for x, y in zip(base, ray)))
-        if v1 < v0:
-            raise WeightError(
-                f"weight decreases along the unbounded direction {ray} of face {list(kato)}")
+        for ray in recession:
+            if wt(tuple(x + y for x, y in zip(base, ray))) < v0:
+                raise WeightError(
+                    f"weight decreases along the unbounded direction {ray} of face {list(kato)}")
 
     values = {c: wt(c) for c in candidates}
     finite = {c: v for c, v in values.items() if not is_inf(v)}
@@ -408,11 +396,8 @@ def _minimize_face_slice(pair, chart, chart_index, form, kato, b):
         return None, [], []
     m = min(finite.values())
     arg_vertices = sorted(c for c, v in finite.items() if v == m)
-    arg_rays = []
-    for ray in recession:
-        base = arg_vertices[0]
-        if wt(tuple(x + y for x, y in zip(base, ray))) == m:
-            arg_rays.append(ray)
+    base = arg_vertices[0]
+    arg_rays = [ray for ray in recession if wt(tuple(x + y for x, y in zip(base, ray))) == m]
     return m, arg_vertices, arg_rays
 
 
@@ -451,13 +436,13 @@ def essential_skeleton(pair: PairDescription, forms) -> SubFan:
 
         warnings.warn("essential skeleton of an empty form list is empty")
         return SubFan(faces=[], min_value=Fraction(0))
-    faces = {}  # one subcone per face, the last given
+    faces = set()  # every form's subcones, each once
     value = None
     for form in forms:
         sub = ks_skeleton(pair, form)
-        faces.update((f.kato, f) for f in sub.faces)
+        faces.update(sub.faces)
         value = sub.min_value if value is None else min(value, sub.min_value)
-    return SubFan(faces=[f for _, f in sorted(faces.items())], min_value=value)
+    return SubFan(faces=sorted(faces, key=lambda f: (f.kato, f.vertices, f.rays)), min_value=value)
 
 
 def toric_essential_skeleton(fan) -> SubFan:

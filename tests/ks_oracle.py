@@ -9,20 +9,25 @@ interior point of every face whose weights lie in a small grid.  A face is
 in the skeleton when the weight is 0 at all of them.  It checks the
 one-point rule of ``logskel.weights.ks_skeleton``.
 
-For discretely valued pairs it keeps the first minimization of the weight
-over a face slice, which solves every combination of walls and ties, each
-tie pair taken as it comes, by adjugate and Cramer's rule; it checks the
-deduplicated, one-elimination enumeration of ``logskel.weights``.
+For discretely valued pairs it restates the weight on a chart,
+
+    wt = v(f) + m * (1 + sum_{h horizontal, outside P} v(g_h)),
+
+and keeps the first minimization of the weight over a face slice, which
+solves every combination of walls and ties, each tie pair taken as it
+comes, by adjugate and Cramer's rule; it checks the deduplicated,
+one-elimination enumeration of ``logskel.weights``.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 
 from lattice_oracle import adjugate
 from logskel.rationals import is_inf
-from logskel.weights import WeightError, _outside_dlog_equations, _weight_on_vector
+from logskel.weights import WeightError
 
 
 def chart_weights(pair, alpha):
@@ -31,13 +36,24 @@ def chart_weights(pair, alpha):
     return [alpha.get(chart.cut.get(c), 0) for c in chart.coordinates]
 
 
-def value(expr, w):
-    """Tropical value of an expression with a monomial denominator."""
-    def pairing(t):
-        return t.coeff_val + sum(e * x for e, x in zip(t.exps, w))
+def terms(expr):
+    """An expression's numerator and denominator as lists of (exponent
+    vector, coefficient valuation)."""
+    return ([(t.exps, t.coeff_val) for t in expr.numerator],
+            [(t.exps, t.coeff_val) for t in expr.denominator])
 
-    (den,) = expr.denominator
-    return min(map(pairing, expr.numerator)) - pairing(den)
+
+def tropical(num, den, w):
+    """Least numerator pairing minus least denominator pairing at ``w``."""
+    def pairing(exps, c):
+        return c + sum(e * x for e, x in zip(exps, w))
+
+    return min(pairing(*t) for t in num) - min(pairing(*t) for t in den)
+
+
+def value(expr, w):
+    """Tropical value of an expression."""
+    return tropical(*terms(expr), w)
 
 
 def trivial_weight(pair, form, alpha):
@@ -70,18 +86,53 @@ def grid_ks_faces(pair, form, grid=(1, 2, 3)):
 # -- dvf face slices -----------------------------------------------------------
 
 
-def slice_ties(pair, chart, chart_index, form, kato):
-    """The integer gradients of the linear pieces of the weight on one face
-    (numerator, denominator and outside-dlog equation terms) and their
-    nonzero pairwise differences, every pair in order."""
-    axes = [chart.axis(c) for c in sorted(kato)]
-    f = form.numerator_for(chart_index)
-    pieces = [[t.exps[ax] for ax in axes] for t in f.numerator]
-    pieces += [[-t.exps[ax] for ax in axes] for t in f.denominator]
-    for eq in _outside_dlog_equations(pair, chart, form.dlog_for(chart_index)):
-        pieces += [[t.exps[ax] for ax in axes] for t in list(eq.numerator) + list(eq.denominator)]
-    diffs = ([a - c for a, c in zip(p1, p2)] for p1, p2 in itertools.combinations(pieces, 2))
-    return [d for d in diffs if any(d)]
+def face_axes(chart, kato):
+    """The chart axes of the coordinates cutting the components of ``kato``, in order."""
+    where = {cid: i for i, cid in enumerate(map(chart.cut.get, chart.coordinates))}
+    return [where[cid] for cid in sorted(kato)]
+
+
+def dvf_expressions(pair, chart_index, form):
+    """The numerator f and the chart equations g_h of the horizontal
+    components h outside the dlog set, each as ``terms``: a component
+    without an equation is its cutting coordinate over 1, one that misses
+    the chart is left out."""
+    chart = pair.charts[chart_index]
+    out = [terms(form.numerators[chart_index])]
+    for cid in sorted(pair.components):
+        if pair.components[cid].pi_multiplicity or cid in form.dlog_for(chart_index):
+            continue
+        if cid in chart.equations:
+            out.append(terms(chart.equations[cid]))
+        elif cid in chart.cut.values():
+            unit = tuple(int(chart.cut.get(c) == cid) for c in chart.coordinates)
+            out.append(([(unit, 0)], [((0,) * len(unit), 0)]))
+    return out
+
+
+def dvf_weight(pair, chart_index, form, w):
+    """v(f) + m (1 + sum_h v(g_h)) at the chart weights ``w``."""
+    f, *equations = (tropical(num, den, w) for num, den in dvf_expressions(pair, chart_index, form))
+    return f + form.m * (1 + sum(equations))
+
+
+def slice_ties(pair, chart_index, form, kato, b):
+    """The linear pieces c + <e, alpha> of the weight on one face (the
+    numerator terms and, signs flipped, the denominator terms of f and of
+    each g_h), each made the homogeneous <e + c b, alpha> of the slice
+    <b, alpha> = 1, and their nonzero pairwise differences, every pair in
+    order, scaled to integer rows."""
+    axes = face_axes(pair.charts[chart_index], kato)
+    pieces = [[s * (exps[ax] + c * y) for ax, y in zip(axes, b)]
+              for num, den in dvf_expressions(pair, chart_index, form)
+              for s, part in ((1, num), (-1, den)) for exps, c in part]
+    ties = []
+    for p1, p2 in itertools.combinations(pieces, 2):
+        d = [Fraction(x - y) for x, y in zip(p1, p2)]
+        if any(d):
+            scale = math.lcm(*(x.denominator for x in d))
+            ties.append([int(x * scale) for x in d])
+    return ties
 
 
 def parallel(u, v):
@@ -89,7 +140,7 @@ def parallel(u, v):
     return all(a * d == b * c for (a, b), (c, d) in itertools.combinations(zip(u, v), 2))
 
 
-def minimize_face_slice(pair, chart, chart_index, form, kato, b):
+def minimize_face_slice(pair, chart_index, form, kato, b):
     """Exact minimum of the weight over {<b, alpha> = 1, alpha >= 0} by the
     first enumeration: every (n - 1)-subset of the coordinate walls, the
     slice hyperplane and every tie between two pieces, repeats included,
@@ -97,18 +148,18 @@ def minimize_face_slice(pair, chart, chart_index, form, kato, b):
     ``logskel.weights._minimize_face_slice``."""
     kato = tuple(sorted(kato))
     n = len(kato)
-    axes = [chart.axis(c) for c in kato]
-    arity = len(chart.coordinates)
+    arity = len(pair.charts[chart_index].coordinates)
+    axes = face_axes(pair.charts[chart_index], kato)
 
     def wt(alpha):
         w = [Fraction(0)] * arity
         for x, ax in zip(alpha, axes):
             w[ax] = x
-        return _weight_on_vector(pair, chart, chart_index, form, w, kato)
+        return dvf_weight(pair, chart_index, form, w)
 
     hyperplanes = [([int(i == j) for j in range(n)], 0) for i in range(n)]
     hyperplanes.append((list(b), 1))
-    hyperplanes += [(d, 0) for d in slice_ties(pair, chart, chart_index, form, kato)]
+    hyperplanes += [(d, 0) for d in slice_ties(pair, chart_index, form, kato, b)]
     candidates = set()
     for combo in itertools.combinations(range(len(hyperplanes)), n - 1) if n > 1 else [()]:
         rows = [list(b)] + [hyperplanes[i][0] for i in combo]

@@ -42,6 +42,24 @@ def test_ks_command_example():
     assert doc["faces"][0]["vertices"] == [["1/2"]]
 
 
+def test_ks_command_ties_see_coefficient_valuations(tmp_path):
+    # z1 z2 = pi and the form 1 / (z1^2 + pi): the weight is 0 from (1/2, 1/2) to (1, 0)
+    pair = {"schema": "1", "mode": "dvf", "strata": [["V1"], ["V2"], ["V1", "V2"]],
+            "charts": [{"coords": ["z1", "z2"], "boundary": [
+                {"id": "V1", "coordinate": "z1", "pi_multiplicity": 1},
+                {"id": "V2", "coordinate": "z2", "pi_multiplicity": 1}]}]}
+    form = {"schema": "1", "m": 1, "dlog": ["V2"], "numerator": {
+        "num": [{"exp": [0, 0]}], "den": [{"exp": [2, 0]}, {"exp": [0, 0], "coeff_val": "1"}]}}
+    for name, doc in (("pair", pair), ("form", form)):
+        (tmp_path / f"{name}.json").write_text(json.dumps(doc))
+    out = run_cli("ks", "--pair", str(tmp_path / "pair.json"), "--form", str(tmp_path / "form.json"))
+    assert out.returncode == 0, out.stderr
+    doc = json.loads(out.stdout)
+    assert doc["min_value"] == "0"
+    assert doc["faces"] == [{"kato_point": ["V1"], "vertices": [["1"]]},
+                            {"kato_point": ["V1", "V2"], "vertices": [["1/2", "1/2"], ["1", "0"]]}]
+
+
 def test_residue_command_with_trace_ks():
     out = run_cli("residue",
                   "--pair", os.path.join(FIX, "strict_inclusion_pair.json"),

@@ -315,13 +315,17 @@ def _slice_reports(pair, form, monkeypatch, essential=True):
         except WeightError as exc:
             return str(exc)
 
+    def oracle(chart, cw, kato, b):
+        index = next(i for i, c in enumerate(pair.charts) if c is chart)
+        return ks_oracle.minimize_face_slice(pair, index, form, kato, b)
+
     reports = []
-    for minimize in (weights._minimize_face_slice, ks_oracle.minimize_face_slice):
+    for minimize in (weights._minimize_face_slice, oracle):
         faces = {}
 
-        def record(*args, minimize=minimize):
-            faces[args[4]] = minimize(*args)
-            return faces[args[4]]
+        def record(chart, cw, kato, b, minimize=minimize):
+            faces[kato] = minimize(chart, cw, kato, b)
+            return faces[kato]
 
         with monkeypatch.context() as patch:
             patch.setattr(weights, "_minimize_face_slice", record)
@@ -398,14 +402,79 @@ def test_dvf_ks_matches_the_every_tie_slice_oracle(monkeypatch):
         got, want = _slice_reports(pair, form, monkeypatch, essential=False)
         assert got == want, (pair, form)
         minimized += not isinstance(got[0], str)
-        ties = [ks_oracle.slice_ties(pair, pair.charts[0], 0, form, key)
+        ties = [ks_oracle.slice_ties(pair, 0, form, key, pair.pi_vector(key))
                 for key in pair.kato_fan().points if len(key) > 1]  # one-point slices solve one system
         deduplicated += any(ks_oracle.parallel(u, v) for t in ties for u, v in itertools.combinations(t, 2))
     assert minimized >= 200, minimized
     assert deduplicated >= 80, deduplicated  # a third of the draws repeat a tie up to scale and sign
 
 
+def test_dvf_ks_matches_the_slice_oracle_with_coefficient_valuations(monkeypatch):
+    # random dvf forms as above with a coefficient valuation on every term:
+    # the pieces are no longer homogeneous on the face, so their ties cut the
+    # slice elsewhere than the ties of the same form over valuation 0
+    rng = random.Random(3502)
+    draws = minimized = moved = 0
+    while draws < 120:
+        pair, form = _random_dvf_draw(rng)
+        f = form.numerators[0]
+        num, den = ([(t.exps, rng.choice((0, 0, Fraction(1, 2), 1, 2)), t.coeff) for t in part]
+                    for part in (f.numerator, f.denominator))
+        if not any(v for _, v, _ in num + den):
+            continue
+        valued = PluriForm(m=form.m, dlog=form.dlog, numerators={0: LaurentRational(num, den)})
+        draws += 1
+        got, want = _slice_reports(pair, valued, monkeypatch, essential=False)
+        assert got == want, (pair, valued)
+        minimized += not isinstance(got[0], str)
+        try:
+            zeroed = [x["vertices"] for x in ks_skeleton(pair, form).to_json_dict()["faces"]]
+        except WeightError:
+            continue
+        moved += not isinstance(got[0], str) and [x["vertices"] for x in got[0]["faces"]] != zeroed
+    assert minimized >= 100, minimized
+    assert moved >= 30, moved  # the valuations move the argmin vertices of a quarter of the draws
+
+
+def _z1z2_pi_pair():
+    """One chart (z1, z2) of z1 z2 = pi: V1 and V2 cut by z1 and z2, each of
+    pi-multiplicity 1."""
+    comps = {c: BoundaryComponent(c, Fraction(1), 1) for c in ("V1", "V2")}
+    chart = LogChart(coordinates=("z1", "z2"), cut={"z1": "V1", "z2": "V2"}, equations={})
+    strata = [frozenset(s) for s in (["V1"], ["V2"], ["V1", "V2"])]
+    return PairDescription(mode="dvf", components=comps, charts=[chart], strata=strata)
+
+
+def _one_over(*den):
+    """The dvf form 1 / den with dlog {V2}, den given as (exponents, coefficient valuation) terms."""
+    return PluriForm(m=1, dlog=frozenset({"V2"}),
+                     numerators={0: LaurentRational([((0, 0), 0)], list(den))})
+
+
+def test_dvf_slice_ties_see_coefficient_valuations():
+    # 1 / (z1^2 + pi) weighs 1 - min(2 a1, 1) on a1 + a2 = 1: the denominator's
+    # pieces tie at a1 = 1/2, and the weight is 0 from there to (1, 0)
+    sub = ks_skeleton(_z1z2_pi_pair(), _one_over(((2, 0), 0), ((0, 0), 1)))
+    assert sub.to_json_dict() == {
+        "faces": [{"kato_point": ["V1"], "vertices": [["1"]]},
+                  {"kato_point": ["V1", "V2"], "vertices": [["1/2", "1/2"], ["1", "0"]]}],
+        "min_value": "0"}
+
+
 # -- essential skeletons -------------------------------------------------------
+
+def test_essential_keeps_the_subcones_of_every_form():
+    # 1 / (z1^2 + z2^2) is least at (1/2, 1/2), 1 / (z1^4 + z2^2) at (1/3, 2/3)
+    pair = _z1z2_pi_pair()
+    e, e2 = _one_over(((2, 0), 0), ((0, 2), 0)), _one_over(((4, 0), 0), ((0, 2), 0))
+    assert [f.vertices for f in ks_skeleton(pair, e).faces] == [((Fraction(1, 2), Fraction(1, 2)),)]
+    assert [f.vertices for f in ks_skeleton(pair, e2).faces] == [((Fraction(1, 3), Fraction(2, 3)),)]
+    both = essential_skeleton(pair, [e, e2]).to_json_dict()
+    assert essential_skeleton(pair, [e2, e]).to_json_dict() == both
+    assert both == {"faces": [{"kato_point": ["V1", "V2"], "vertices": [["1/3", "2/3"]]},
+                              {"kato_point": ["V1", "V2"], "vertices": [["1/2", "1/2"]]}],
+                    "min_value": "-1/3"}
+
 
 def test_essential_toric_whole_skeleton():
     from logskel.logstructure import kato_fan_toric
